@@ -12,7 +12,7 @@ Four subcommands cover the batch workflows:
     Writes point-configuration files (or radial-moduli files with
     ``--radial-only``) for a number of replicas.  Replicas derive
     independent counter-based streams from one ``--seed``, so output is
-    byte-identical across reruns and worker counts.
+    byte-identical across reruns and replica counts.
 
 ``kernel``
     Tabulates a kernel on a grid, or compares two kernels pointwise and
@@ -32,14 +32,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .gamma import ConvergenceError, GammaDomainError
-from .kernels import KERNEL_KINDS, KernelGrid, KernelSpec, evaluate_kernel
+from .kernels import KERNEL_KINDS, KernelSpec, evaluate_grid, evaluate_kernel
 from .mixture import (
     ConstraintViolation,
     EnsembleParams,
@@ -49,6 +48,7 @@ from .mixture import (
     overcrowding_probability_asymptotic,
     overcrowding_probability_exact,
     sample_conditioned_indexset,
+    top_block,
 )
 from .partitions import partition_series
 from .sampler import RandomStream, SamplingError, sample_conditioned_ensemble, sample_radii_outer
@@ -63,8 +63,6 @@ _EXIT_NUMERIC = 3
 _MAX_ORACLE_N = 16
 
 _RADIAL_SCHEMA = "radial-moduli/1"
-
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -158,10 +156,6 @@ def _emit(text: str, out: "Path | None") -> None:
         out.write_text(text)
 
 
-def _top_block(params: EnsembleParams) -> IndexSet:
-    return IndexSet(members=tuple(range(params.N - params.N_c, params.N)), N=params.N)
-
-
 # ---------------------------------------------------------------- prob
 
 
@@ -241,10 +235,7 @@ def cmd_sample(config: RunConfig) -> int:
         raise ValueError("sample requires -N, -c and -R")
     if config.out is None:
         raise ValueError("sample requires --out (a file prefix)")
-    workers = min(config.replicas, _MAX_WORKERS)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda i: _sample_one(config, i), range(config.replicas)))
-    # writing is serialized, in replica order, so reruns are byte-identical
+    results = [_sample_one(config, index) for index in range(config.replicas)]
     suffix = "csv" if config.fmt == "csv" else "json"
     for index, result in enumerate(results):
         path = Path(f"{config.out}-{index:04d}.{suffix}")
@@ -280,22 +271,11 @@ def _make_spec(kind: str, config: RunConfig) -> KernelSpec:
     if kind in ("outer_J", "inner_J_complement", "edge_rescaled_J"):
         if config.params is None:
             raise ValueError(f"kernel kind {kind!r} requires -N, -c and -R")
-        index_set = _top_block(config.params)
+        index_set = top_block(config.params)
     if kind == "ginibre_N" and config.params is None:
         raise ValueError("kernel kind 'ginibre_N' requires -N, -c and -R")
     x_scaled = config.x_scaled and kind == "edge_rescaled_J"
     return KernelSpec(kind=kind, params=params, index_set=index_set, x_scaled=x_scaled)
-
-
-def _parallel_grid(spec: KernelSpec, points: tuple) -> KernelGrid:
-    """Product-grid evaluation, rows split across worker threads."""
-
-    def row(z: complex) -> list:
-        return [evaluate_kernel(spec, z, w) for w in points]
-
-    with ThreadPoolExecutor(max_workers=min(len(points), _MAX_WORKERS)) as pool:
-        values = np.array(list(pool.map(row, points))).reshape(len(points), len(points))
-    return KernelGrid(spec=spec, z_points=points, w_points=points, values=values)
 
 
 def cmd_kernel(config: RunConfig) -> int:
@@ -337,7 +317,7 @@ def cmd_kernel(config: RunConfig) -> int:
         return 0
     if config.kind is None:
         raise ValueError("kernel requires --kind or --compare")
-    grid = _parallel_grid(_make_spec(config.kind, config), config.grid)
+    grid = evaluate_grid(_make_spec(config.kind, config), config.grid, config.grid)
     _emit(grid.to_csv() if config.fmt == "csv" else grid.to_json() + "\n", config.out)
     return 0
 

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .gamma import log1mexp
-from .mixture import EnsembleParams, IndexSet, bernoulli_weights
+from .mixture import EnsembleParams, IndexSet, bernoulli_weights, log_factorials
 
 __all__ = [
     "KernelSpec",
@@ -69,18 +69,10 @@ _KINDS_WITH_INDEX_SET = {"outer_J", "inner_J_complement", "edge_rescaled_J"}
 
 
 @lru_cache(maxsize=64)
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0, ..., n-1."""
-    out = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=64)
 def _log_norms(params: EnsembleParams) -> tuple[np.ndarray, np.ndarray]:
     """(log Gamma(k+1, N R^2), log gamma_lower(k+1, N R^2)) for k = 0, ..., N-1."""
     w = bernoulli_weights(params)
-    lf = _log_factorials(params.N)
+    lf = log_factorials(params.N)
     upper = w.log_a + lf
     lower = w.log_one_minus_a + lf
     upper.flags.writeable = False
@@ -116,7 +108,7 @@ def eval_ginibre(params: EnsembleParams, z: complex, w: complex) -> complex:
     u = z * w.conjugate()
     ks = np.arange(N)
     gauss = -0.5 * N * (abs(z) ** 2 + abs(w) ** 2)
-    log_mag = (ks + 1.0) * math.log(N) + _log_radius(abs(u), ks) + gauss - _log_factorials(N) - _LOG_PI
+    log_mag = (ks + 1.0) * math.log(N) + _log_radius(abs(u), ks) + gauss - log_factorials(N) - _LOG_PI
     phase = ks * cmath.phase(u) if u != 0 else np.zeros(N)
     return _peaked_sum(log_mag, phase)
 
@@ -507,5 +499,6 @@ def g_max_diagnostic(l: int, n: int, N: int) -> tuple[float, float, float]:
             arg = float(res.x)
     max_value = math.exp(best)
     if l >= 10_000 and n <= 20:
-        assert max_value <= bound * (1.0 + 5.0 * n / math.sqrt(l)), (max_value, bound, arg)
+        if not max_value <= bound * (1.0 + 5.0 * n / math.sqrt(l)):
+            raise RuntimeError(f"max |h|={max_value} at u={arg} exceeds the inflated envelope {bound}")
     return max_value, bound, arg / N

@@ -48,6 +48,8 @@ __all__ = [
     "overcrowding_probability_asymptotic",
     "log_hole_factor",
     "log_hole_factor_rescaled",
+    "log_factorials",
+    "top_block",
 ]
 
 
@@ -116,6 +118,11 @@ class IndexSet:
         return len(self.members)
 
 
+def top_block(params: EnsembleParams) -> IndexSet:
+    """The top block J_0 = {N - N_c, ..., N - 1}, the most likely index set."""
+    return IndexSet(members=tuple(range(params.N - params.N_c, params.N)), N=params.N)
+
+
 @dataclass(frozen=True)
 class OccupationVector:
     """Nonincreasing nonnegative displacements (n_1, ..., n_{N_c}).
@@ -156,6 +163,14 @@ class CountDistribution:
 
     params: EnsembleParams
     log_probs: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0, ..., n-1, read-only."""
+    out = np.array([math.lgamma(k + 1.0) for k in range(n)])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -4,12 +4,10 @@ Two samplers cover two different jobs:
 
 * ``sample_radii_outer`` draws only the moduli of the outer points for a
   fixed index set J.  For a rotation-invariant projection family built on
-  distinct monomials the moduli are independent, with r_k^2 following a
-  Gamma(k+1, 1/N) law truncated to (R^2, oo).  Each modulus is produced by
-  inverting the survival function with bisection on log Q, so the output
-  is exact up to 1e-12 in t = r^2.  The angles of a full configuration are
-  *not* independent of each other, so this sampler is valid for radial
-  statistics only.
+  distinct monomials the moduli are independent (Kostlan 1992), with r_k^2
+  following a Gamma(k+1, 1/N) law truncated to (R^2, oo).  The angles of a
+  full configuration are *not* independent of each other, so this sampler
+  is valid for radial statistics only.
 
 * ``sample_sequential`` draws a complete point configuration of the rank-m
   projection kernel (outer on |z| > R, or inner complement on |z| < R) one
@@ -22,6 +20,11 @@ Two samplers cover two different jobs:
   the direction of the feature vector, so all magnitudes are handled in
   log space and normalized per proposal, which keeps the sampler usable at
   N in the hundreds where the raw feature entries underflow.
+
+Both samplers draw r^2 through the same exact decompositions of the
+truncated Gamma law, ``_outer_t_block`` outside the disk and
+``_inner_t_block`` inside it; no tolerance enters but the upper cut of the
+inner Poisson table, which lies below the resolution of a uniform draw.
 
 Randomness comes from ``RandomStream``, a counter-based Philox generator
 keyed by (seed, stream_id).  Two streams with different ids are
@@ -42,12 +45,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .gamma import log_gamma_lower, log_q_integer
+from .gamma import log_q_integer
 from .mixture import (
     ConstraintViolation,
     EnsembleParams,
     IndexSet,
     bernoulli_weights,
+    log_factorials,
     sample_conditioned_indexset,
 )
 
@@ -66,16 +70,12 @@ _TWO_PI = 2.0 * math.pi
 
 # Proposal budget per point before the sequential sampler gives up.
 _MAX_PROPOSALS = 1_000_000
-# Bisection width, in t = r^2, for survival-function inversion.
-_BISECT_TOL = 1e-12
-# Below this acceptance rate the inner radial draw switches from rejection
-# against the untruncated Gamma(k+1) to direct inversion of the lower tail.
-_INNER_REJECTION_LOG_FLOOR = math.log(0.02)
 # A freshly accepted direction should never be this close to the span of
 # the previous ones; if it is, the Gram-Schmidt basis has degenerated.
 _MIN_DIRECTION_NORM = 1e-10
-# Chunk length for the vectorized log Q evaluations inside bisection.
-_CHUNK = 1 << 14
+# Mass neglected by an open Poisson table, relative to the kept mass: below
+# the 2^-53 spacing of the uniform draws that index the table.
+_TABLE_RESOLUTION = 2.0 ** -64
 
 _REGIONS = ("outer", "inner", "full")
 _SAMPLERS = ("radial", "sequential")
@@ -257,32 +257,6 @@ class PointConfiguration:
         )
 
 
-@lru_cache(maxsize=256)
-def _log_factorials_vec(n: int) -> np.ndarray:
-    out = np.array([math.lgamma(i + 1.0) for i in range(n)])
-    out.flags.writeable = False
-    return out
-
-
-def _log_q_int_arr(n: int, x: np.ndarray) -> np.ndarray:
-    """log Q(n, x_i) for integer n >= 1, vectorized over x.
-
-    Mode-anchored logsumexp over the Poisson block; mirrors the scalar
-    ``gamma.log_q_integer`` route and is tested against it.
-    """
-    lg = _log_factorials_vec(n)
-    ii = np.arange(n, dtype=float)
-    out = np.empty_like(x)
-    for start in range(0, x.size, _CHUNK):
-        xs = x[start : start + _CHUNK]
-        log_terms = ii[:, None] * np.log(xs)[None, :] - lg[:, None]
-        peak = log_terms.max(axis=0)
-        out[start : start + _CHUNK] = (
-            peak + np.log(np.exp(log_terms - peak).sum(axis=0)) - xs
-        )
-    return out
-
-
 def _check_index_set(params: EnsembleParams, J: IndexSet) -> None:
     if J.N != params.N:
         raise ConstraintViolation(f"index set is over {{0..{J.N - 1}}} but N = {params.N}")
@@ -305,41 +279,13 @@ def radial_survival(params: EnsembleParams, k: int, t: float) -> float:
     return math.exp(log_q_integer(n, params.N * t) - log_q_integer(n, params.z))
 
 
-def _invert_outer_survival(
-    n: int, N: int, r_sq: float, u: np.ndarray
-) -> np.ndarray:
-    """Quantiles t with Q(n, Nt)/Q(n, N r_sq) = u, elementwise, by bisection."""
-    u = np.where(u == 0.0, 2.0 ** -53, u)
-    anchor = _log_q_int_arr(n, np.array([N * r_sq]))[0]
-    target = np.log(u) + anchor
-
-    lo = np.full(u.shape, r_sq)
-    hi = np.full(u.shape, r_sq + (n + 12.0 * math.sqrt(n) + 50.0) / N)
-    for _ in range(200):
-        grow = _log_q_int_arr(n, N * hi) > target
-        if not grow.any():
-            break
-        hi[grow] = r_sq + (hi[grow] - r_sq) * 2.0
-    else:
-        raise SamplingError("failed to bracket an outer radial quantile")
-
-    for _ in range(200):
-        if float(np.max(hi - lo)) <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        above = _log_q_int_arr(n, N * mid) >= target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def sample_radii_outer(
     params: EnsembleParams,
     J: IndexSet,
     rng: "RandomStream | np.random.Generator",
     size: "int | None" = None,
 ):
-    """Independent outer moduli {r_k} for k in J, by survival inversion.
+    """Independent outer moduli {r_k} for k in J, one exact draw each.
 
     With ``size=None`` returns a plain list of |J| radii in member order,
     one draw per index.  With an integer ``size`` returns an array of
@@ -352,22 +298,39 @@ def sample_radii_outer(
     if size is not None and (size != int(size) or size < 1):
         raise ValueError(f"size must be a positive integer or None, got {size!r}")
     draws = 1 if size is None else int(size)
-    r_sq = params.R * params.R
-    out = np.empty((draws, J.size))
-    for col, k in enumerate(J.members):
-        t = _invert_outer_survival(k + 1, params.N, r_sq, gen.random(draws))
-        out[:, col] = np.sqrt(t)
+    ks = np.tile(np.array(J.members, dtype=np.int64), draws)
+    out = np.sqrt(_outer_t_block(params, ks, gen)).reshape(draws, J.size)
     if size is None:
         return [float(v) for v in out[0]]
     return out
 
 
 @lru_cache(maxsize=4096)
-def _truncated_poisson_cumulative(k: int, z0: float) -> np.ndarray:
-    """Cumulative weights of i ~ Poisson(z0) conditioned on i <= k."""
-    logs = np.arange(k + 1) * math.log(z0) - _log_factorials_vec(k + 1)
-    w = np.exp(logs - logs.max())
-    cum = np.cumsum(w)
+def _truncated_poisson_cumulative(z0: float, lo: int, hi: "int | None" = None) -> np.ndarray:
+    """Cumulative weights of n ~ Poisson(z0) conditioned on lo <= n <= hi.
+
+    Entry j belongs to n = lo + j.  The weights are normalized at their own
+    maximum, so a window deep in a tail does not underflow, and the last
+    entry is exactly 1.0.  With ``hi=None`` the window is open above and
+    ends at the first n with n + 1 > z0 where the geometric bound
+    p_n z0 / (n + 1 - z0) on the neglected tail falls below
+    ``_TABLE_RESOLUTION`` times the kept mass; past the Poisson mode that
+    bound only shrinks, so the first such n is the cut.
+    """
+    top = hi if hi is not None else max(lo, math.ceil(z0)) + math.ceil(12.0 * math.sqrt(z0)) + 64
+    while True:
+        n = np.arange(lo, top + 1)
+        logs = n * math.log(z0) - log_factorials(top + 1)[lo:]
+        w = np.exp(logs - logs.max())
+        cum = np.cumsum(w)
+        if hi is not None:
+            break
+        excess = n + 1.0 - z0
+        cut = (excess > 0.0) & (w * z0 < _TABLE_RESOLUTION * cum * excess)
+        if cut.any():
+            cum = cum[: int(np.argmax(cut)) + 1]
+            break
+        top *= 2
     cum /= cum[-1]
     cum[-1] = 1.0
     cum.flags.writeable = False
@@ -386,7 +349,7 @@ def _outer_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Genera
     t = np.empty(ks.size)
     for k in np.unique(ks):
         sel = np.nonzero(ks == k)[0]
-        cum = _truncated_poisson_cumulative(int(k), z0)
+        cum = _truncated_poisson_cumulative(z0, 0, int(k))
         i = np.searchsorted(cum, gen.random(sel.size), side="right")
         w = gen.standard_gamma(k + 1.0 - i)
         t[sel] = (z0 + w) / params.N
@@ -394,51 +357,22 @@ def _outer_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Genera
 
 
 def _inner_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Draws of t = r^2 on (0, R^2) for inner-complement indices ks.
+    """Exact draws of t = r^2 on (0, R^2) for inner-complement indices ks.
 
-    Indices whose lower tail carries at least a couple percent of the
-    Gamma(k+1) mass use plain rejection against the untruncated law;
-    starved indices fall back to inverting the lower tail by bisection.
+    Uses the order-statistics decomposition of the truncated Gamma law:
+    with u = Nt ~ Gamma(k+1) conditioned on u < z0, the number n of Poisson
+    arrivals before z0 is a Poisson(z0) conditioned on n >= k+1, and given
+    n the arrivals are uniform on (0, z0), so u = z0 Beta(k+1, n-k).
     """
-    weights = bernoulli_weights(params)
     z0 = params.z
-    r_sq = params.R * params.R
-    N = params.N
-    t = np.empty(ks.size)
+    u = gen.random(ks.size)
+    n = np.empty(ks.size, dtype=np.int64)
     for k in np.unique(ks):
         sel = np.nonzero(ks == k)[0]
-        if weights.log_one_minus_a[k] >= _INNER_REJECTION_LOG_FLOOR:
-            draws = gen.standard_gamma(k + 1.0, size=sel.size)
-            bad = draws > z0
-            rounds = 0
-            while bad.any():
-                rounds += 1
-                if rounds > 10_000:
-                    raise SamplingError(
-                        f"inner radial rejection stalled at index {int(k)} (N={N})"
-                    )
-                draws[bad] = gen.standard_gamma(k + 1.0, size=int(bad.sum()))
-                bad = draws > z0
-            t[sel] = draws / N
-        else:
-            lp0 = log_gamma_lower(k + 1.0, z0)
-            vals = np.empty(sel.size)
-            for pos, u in enumerate(gen.random(sel.size)):
-                if u == 0.0:
-                    u = 2.0 ** -53
-                tgt = math.log(u) + lp0
-                lo, hi = 0.0, r_sq
-                for _ in range(200):
-                    if hi - lo <= _BISECT_TOL:
-                        break
-                    mid = 0.5 * (lo + hi)
-                    if log_gamma_lower(k + 1.0, N * mid) >= tgt:
-                        hi = mid
-                    else:
-                        lo = mid
-                vals[pos] = 0.5 * (lo + hi)
-            t[sel] = vals
-    return t
+        cum = _truncated_poisson_cumulative(z0, int(k) + 1)
+        n[sel] = k + 1 + np.searchsorted(cum, u[sel], side="right")
+    # one vectorized Beta call per block: per-index calls cost more than the draws
+    return z0 * gen.beta(ks + 1.0, n - ks) / params.N
 
 
 def _basis_arrays(params: EnsembleParams, J: IndexSet, basis: str):
@@ -446,12 +380,12 @@ def _basis_arrays(params: EnsembleParams, J: IndexSet, basis: str):
     weights = bernoulli_weights(params)
     if basis == "outer_J":
         ks = np.array(J.members, dtype=np.int64)
-        log_norms = weights.log_a[ks] + _log_factorials_vec(params.N)[ks]
+        log_norms = weights.log_a[ks] + log_factorials(params.N)[ks]
         return ks, log_norms, _outer_t_block
     members = set(J.members)
     ks = np.array([k for k in range(params.N) if k not in members], dtype=np.int64)
     if ks.size:
-        log_norms = weights.log_one_minus_a[ks] + _log_factorials_vec(params.N)[ks]
+        log_norms = weights.log_one_minus_a[ks] + log_factorials(params.N)[ks]
     else:
         log_norms = np.empty(0)
     return ks, log_norms, _inner_t_block

@@ -42,7 +42,6 @@ from .kernels import (
 )
 from .mixture import (
     EnsembleParams,
-    IndexSet,
     bernoulli_weights,
     count_distribution,
     indexset_to_occupation,
@@ -51,6 +50,7 @@ from .mixture import (
     overcrowding_probability_asymptotic,
     overcrowding_probability_exact,
     sample_conditioned_indexset,
+    top_block,
 )
 from .partitions import partition_count, partition_series
 from .sampler import RandomStream, radial_survival, sample_conditioned_ensemble, sample_radii_outer, sample_sequential
@@ -114,10 +114,6 @@ def _merged(tolerances: "dict | None") -> dict:
             raise KeyError(f"unknown tolerance keys {sorted(unknown)}; known: {sorted(tol)}")
         tol.update(tolerances)
     return tol
-
-
-def _top_block(params: EnsembleParams) -> IndexSet:
-    return IndexSet(members=tuple(range(params.N - params.N_c, params.N)), N=params.N)
 
 
 def enumerate_count_log_probs(params: EnsembleParams) -> np.ndarray:
@@ -218,7 +214,7 @@ def _criterion_4(tol: dict) -> tuple[bool, str]:
     sups = []
     for N in (200, 400, 800):
         params = EnsembleParams(N=N, c=0.9, R=0.7)
-        J = _top_block(params)
+        J = top_block(params)
         sup = max(abs(eval_edge_x_scaled(params, J, z, z) - eval_limit(z, z)) for z in diag)
         sup = max(sup, max(abs(eval_edge_x_scaled(params, J, z, w) - eval_limit(z, w)) for z, w in pairs))
         sups.append(sup)
@@ -232,7 +228,7 @@ def _criterion_5(tol: dict) -> tuple[bool, str]:
     sups_in, sups_out = [], []
     for N in (100, 200, 400):
         params = EnsembleParams(N=N, c=0.7, R=0.67)
-        J = _top_block(params)
+        J = top_block(params)
         M = N - params.N_c
         alpha = math.sqrt(M / N)
         small = EnsembleParams(N=M, c=1.0, R=0.5)  # only N feeds eval_ginibre
@@ -300,7 +296,7 @@ def _criterion_6(tol: dict) -> tuple[bool, str]:
 def _criterion_7(tol: dict) -> tuple[bool, str]:
     """Samplers: counts, radial law, binned intensity, index-set frequencies."""
     params = EnsembleParams(N=30, c=0.5, R=0.8)
-    J = _top_block(params)
+    J = top_block(params)
 
     # (a) full configurations carry exactly N points with N_c outside
     for i in range(300):

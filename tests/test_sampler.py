@@ -99,25 +99,24 @@ def test_random_stream_rejects_bad_keys(bad):
 
 
 # ---------------------------------------------------------------------------
-# Radial law: survival function and bisection sampler
+# Radial law: survival function and the exact truncated-Gamma draws
 
 
 def test_truncated_poisson_table_matches_scipy():
-    cum = sampler._truncated_poisson_cumulative(12, 7.3)
-    pmf = stats.poisson.pmf(np.arange(13), 7.3)
-    ref = np.cumsum(pmf / pmf.sum())
-    assert np.allclose(cum, ref, rtol=0, atol=1e-12)
-    assert cum[-1] == 1.0
-    assert np.allclose(sampler._truncated_poisson_cumulative(0, 2.0), [1.0])
-
-
-def test_vectorized_log_q_matches_scalar_route():
-    for n in (1, 7, 30, 200):
-        xs = np.geomspace(0.3, 3.0 * n + 50.0, 40)
-        vec = sampler._log_q_int_arr(n, xs)
-        for x, got in zip(xs, vec):
-            want = log_q_integer(n, float(x))
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # Outer tables are closed windows [0, k]; inner ones are open windows
+    # [k+1, oo) cut by the tail bound, here once at a starved index.
+    for z0, lo, hi in [(7.3, 0, 12), (2.0, 0, 0), (7.3, 13, None), (16.9, 40, None)]:
+        cum = sampler._truncated_poisson_cumulative(z0, lo, hi)
+        last = lo + cum.size - 1
+        law = stats.poisson(z0)
+        mass = law.sf(lo - 1) - (0.0 if hi is None else law.sf(hi))
+        ref = np.cumsum(law.pmf(np.arange(lo, last + 1)) / mass)
+        assert np.allclose(cum, ref, rtol=0, atol=1e-12)
+        assert cum[-1] == 1.0
+        if hi is None:
+            assert law.sf(last) / mass < 2.0**-64
+        else:
+            assert last == hi
 
 
 def test_radial_survival_matches_quadrature():
@@ -202,16 +201,16 @@ def test_sample_radii_outer_mean_at_large_k():
     assert abs(mean - want) < 4.0 * se
 
 
-def test_inner_radial_starved_tail_uses_inversion():
-    # Indices whose lower-tail mass is under the rejection floor switch to
-    # bisection; check the resulting law against the analytic lower CDF.
+@pytest.mark.parametrize("k, lower_mass", [(39, (0.0, 0.02)), (8, (0.5, 1.0))], ids=["starved", "well-fed"])
+def test_inner_radial_draw_matches_lower_cdf(k, lower_mass):
+    # The inner law of r^2 at a starved index, whose mass below N R^2 is
+    # about 1e-6, and at a well-fed one, against the analytic lower CDF.
     params = EnsembleParams(N=40, c=0.95, R=0.65)
-    k = 39
-    assert math.exp(log_gamma_lower(k + 1.0, params.z)) < 0.02
+    lp0 = log_gamma_lower(k + 1.0, params.z)
+    assert lower_mass[0] < math.exp(lp0) < lower_mass[1]
     gen = RandomStream(seed=909).generator()
     t = sampler._inner_t_block(params, np.full(500, k), gen)
-    assert (t < params.R**2).all()
-    lp0 = log_gamma_lower(k + 1.0, params.z)
+    assert ((t > 0.0) & (t < params.R**2)).all()
 
     def cdf(v):
         return np.array(
