@@ -8,7 +8,7 @@ asymptotic probability formulas.
 Modules
 -------
 gamma       log-space regularized incomplete gamma functions
-partitions  integer partition counts and the conditioned-series tail bound
+partitions  integer partition counts and the partition series (Euler's product)
 mixture     mixture representation of the conditioned point process
 kernels     finite-N and limiting correlation kernels
 sampler     exact sampling of the conditioned ensemble

@@ -207,6 +207,7 @@ def _sample_one(config: RunConfig, index: int):
 
 
 def _write_radial(path: Path, config: RunConfig, index: int, J: IndexSet, radii: list) -> None:
+    """One ``radial-moduli/1`` header, as a CSV sidecar or inlined in one JSON document."""
     meta = {
         "schema": _RADIAL_SCHEMA,
         "params": {"N": config.params.N, "c": config.params.c, "R": config.params.R},
@@ -215,6 +216,9 @@ def _write_radial(path: Path, config: RunConfig, index: int, J: IndexSet, radii:
         "stream_id": index,
         "sampler": "radial",
     }
+    if config.fmt == "json":
+        path.write_text(json.dumps({**meta, "radii": radii}, indent=2) + "\n")
+        return
     path.write_text("r\n" + "".join(f"{r!r}\n" for r in radii))
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -240,20 +244,7 @@ def cmd_sample(config: RunConfig) -> int:
     for index, result in enumerate(results):
         path = Path(f"{config.out}-{index:04d}.{suffix}")
         if config.radial_only:
-            J, radii = result
-            if config.fmt == "json":
-                payload = {
-                    "schema": _RADIAL_SCHEMA,
-                    "params": {"N": config.params.N, "c": config.params.c, "R": config.params.R},
-                    "index_set": list(J.members),
-                    "seed": config.seed,
-                    "stream_id": index,
-                    "sampler": "radial",
-                    "radii": radii,
-                }
-                path.write_text(json.dumps(payload, indent=2) + "\n")
-            else:
-                _write_radial(path, config, index, J, radii)
+            _write_radial(path, config, index, *result)
         elif config.fmt == "json":
             path.write_text(result.to_json() + "\n")
         else:

@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -41,7 +41,6 @@ __all__ = [
     "KernelSpec",
     "KernelGrid",
     "CorrelationResult",
-    "SupDifference",
     "eval_ginibre",
     "eval_outer",
     "eval_inner",
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate_kernel",
     "evaluate_grid",
     "correlation",
-    "sup_difference",
     "g_max_diagnostic",
 ]
 
@@ -403,37 +401,6 @@ def correlation(points: Sequence[complex], spec: KernelSpec) -> CorrelationResul
     gram = np.array([[evaluate_kernel(spec, a, b) for b in pts] for a in pts])
     raw = float(np.linalg.det(gram).real)
     return CorrelationResult(value=max(raw, 0.0), raw=raw)
-
-
-@dataclass(frozen=True)
-class SupDifference:
-    value: float
-    at: tuple[complex, complex]
-
-
-def sup_difference(
-    kernel_a: KernelSpec | Callable[[complex, complex], complex],
-    kernel_b: KernelSpec | Callable[[complex, complex], complex],
-    pairs: Sequence[tuple[complex, complex]],
-) -> SupDifference:
-    """max_{(z,w) in pairs} |K_A(z,w) - K_B(z,w)| and where it is attained."""
-    if len(pairs) == 0:
-        raise ValueError("sup_difference needs a nonempty grid")
-
-    def as_fn(k):
-        if isinstance(k, KernelSpec):
-            return lambda z, w: evaluate_kernel(k, z, w)
-        return k
-
-    fa, fb = as_fn(kernel_a), as_fn(kernel_b)
-    best = -1.0
-    where = pairs[0]
-    for z, w in pairs:
-        d = abs(fa(z, w) - fb(z, w))
-        if d > best:
-            best = d
-            where = (z, w)
-    return SupDifference(value=best, at=(complex(where[0]), complex(where[1])))
 
 
 def _log_abs_h(u: float, l: int, n: int, log_u0: float, lg_small: float) -> float:

@@ -315,10 +315,10 @@ def log_hole_factor(params: EnsembleParams) -> float:
 
     This is the product of the N_c largest weights, with shapes
     N - N_c + 1, ..., N at argument N R^2, and is the leading factor of the
-    asymptotic overcrowding probability.
+    asymptotic overcrowding probability.  It is read off the cached weights
+    that the exact probability uses.
     """
-    z = params.z
-    return sum(log_q_integer(k + 1, z) for k in range(params.N - params.N_c, params.N))
+    return sum(bernoulli_weights(params).log_a[params.N - params.N_c :].tolist())
 
 
 def log_hole_factor_rescaled(params: EnsembleParams) -> float:
@@ -335,15 +335,15 @@ def log_hole_factor_rescaled(params: EnsembleParams) -> float:
     return sum(log_q_integer(j, z_small) for j in range(1, params.N_c + 1))
 
 
-def overcrowding_probability_asymptotic(params: EnsembleParams, rel_tol: float = 1e-12) -> float:
+def overcrowding_probability_asymptotic(params: EnsembleParams) -> float:
     """Asymptotic log-probability: hole factor plus the partition series.
 
     log P(#J = N_c) ~ log prod_{k in J_0} a_k + log sum_l p(l) x^(-l) with
     x = R^2 / (1 - c); the relative error of the approximation is
-    O(log^3 N / N).  ``rel_tol`` controls only the series truncation.
+    O(log^3 N / N).
     """
     if params.c == 1.0:
         series = 0.0
     else:
-        series = partition_series(params.R * params.R / (1.0 - params.c), rel_tol)
+        series = partition_series(params.R * params.R / (1.0 - params.c))
     return log_hole_factor(params) + series

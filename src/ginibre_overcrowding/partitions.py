@@ -1,31 +1,21 @@
 """Integer partition counting and the conditioned-probability series.
 
-Exact counts are kept as Python ints throughout (p(n) outgrows 64 bits near
-n = 400).  The series sum_{l>=0} p(l) x^(-l), which multiplies the hole factor
-in the asymptotic overcrowding probability, is evaluated in log space with a
-certified truncation: an explicit n0(k) is computed such that p(n) <= k^n for
-all n >= n0 (from the elementary bound p(n) < exp(pi sqrt(2n/3))), after which
-the tail is dominated by a geometric series in k/x.
+Exact counts are kept as Python ints (p(n) outgrows 64 bits near n = 400);
+they serve as the reference for the series.  The series
+sum_{l>=0} p(l) x^(-l), which multiplies the hole factor in the asymptotic
+overcrowding probability, is evaluated through Euler's product
+prod_{k>=1} 1/(1 - x^(-k)), kept well conditioned for every x > 1 by the
+modular transformation of the Dedekind eta function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .gamma import ConvergenceError
 
 __all__ = [
-    "PartitionTable",
     "partition_count",
-    "bounded_partition_count",
     "partition_series",
 ]
-
-# pi^2 * 2/3: p(n) < exp(pi sqrt(2n/3)) <= k^n as soon as n >= _HR_CONST / ln(k)^2
-_HR_CONST = math.pi * math.pi * 2.0 / 3.0
-
-_MAX_SERIES_TERMS = 100_000
 
 # growing memo table for the pentagonal recurrence; p(0) = 1
 _p_cache: list[int] = [1]
@@ -58,93 +48,44 @@ def partition_count(n: int) -> int:
     return _p_cache[n]
 
 
-@dataclass(frozen=True)
-class PartitionTable:
-    """Immutable table of exact partition counts p(0..max_n)."""
+def _minus_log_euler_product(q: float, *head: float) -> float:
+    """fsum(head) - sum_{k>=1} log(1 - q^k) for 0 <= q <= 1/e.
 
-    max_n: int
-    values: tuple[int, ...]
-
-    @classmethod
-    def build(cls, max_n: int) -> "PartitionTable":
-        if max_n != int(max_n) or max_n < 0:
-            raise ValueError(f"PartitionTable needs an integer max_n >= 0, got {max_n!r}")
-        max_n = int(max_n)
-        _extend_cache(max_n)
-        return cls(max_n=max_n, values=tuple(_p_cache[: max_n + 1]))
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return self.max_n + 1
-
-
-def bounded_partition_count(l: int, max_part: int) -> int:
-    """Exact number of partitions of l into parts no larger than max_part.
-
-    Equals partition_count(l) whenever l <= max_part.
+    The terms fall at least geometrically with ratio q, so the sum stops at
+    the first term below 2^-53 of the running total; the neglected rest is
+    smaller than that term.
     """
-    if l != int(l) or l < 0:
-        raise ValueError(f"bounded_partition_count needs an integer l >= 0, got {l!r}")
-    if max_part != int(max_part) or max_part < 1:
-        raise ValueError(f"bounded_partition_count needs an integer max_part >= 1, got {max_part!r}")
-    l, max_part = int(l), int(max_part)
-    counts = [0] * (l + 1)
-    counts[0] = 1
-    for part in range(1, min(max_part, l) + 1):
-        for s in range(part, l + 1):
-            counts[s] += counts[s - part]
-    return counts[l]
+    terms = list(head)
+    total = math.fsum(terms)
+    k = 1
+    while True:
+        term = -math.log1p(-(q**k))
+        terms.append(term)
+        total += term
+        if term <= 2.0**-53 * total:
+            return math.fsum(terms)
+        k += 1
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    if b == -math.inf:
-        return a
-    return a + math.log1p(math.exp(b - a))
+def partition_series(x: float) -> float:
+    """log of sum_{l>=0} p(l) x^(-l) = -sum_{k>=1} log(1 - x^(-k)), for x > 1.
 
-
-def partition_series(x: float, rel_tol: float = 1e-12) -> float:
-    """log of sum_{l>=0} p(l) x^(-l), truncated with a certified tail bound.
-
-    With k = sqrt(x), every l >= n0 = ceil(_HR_CONST / ln(k)^2) has
-    p(l) <= k^l, so the tail beyond L >= n0 - 1 is at most
-    (k/x)^(L+1) / (1 - k/x).  Terms are accumulated in log space; the bound
-    p(l) <= k^l is additionally re-checked numerically for every summed
-    l >= n0 as a guard on the certificate.
+    With t = ln x, eta(-1/tau) = sqrt(-i tau) eta(tau) at tau = i t/(2 pi)
+    turns the product into
+    pi^2/(6t) - t/24 + log(t/(2 pi))/2 - sum_k log(1 - e^(-4 pi^2 k/t)).
+    The plain product is summed for t >= 1 (at most about 45 factors), the
+    transformed one for t < 1 (its first factor is already below 1e-17).
+    Splitting at t = 1 keeps pi^2/(6t) from cancelling against t/24 near
+    t = 2 pi.
     """
     if math.isnan(x) or x <= 1.0:
         raise ValueError(f"partition_series needs x > 1, got {x!r}")
-    if not rel_tol > 0.0:
-        raise ValueError(f"partition_series needs rel_tol > 0, got {rel_tol!r}")
-    if math.isinf(x):
-        return 0.0
-    log_x = math.log(x)
-    log_k = 0.5 * log_x
-    n0 = int(math.ceil(_HR_CONST / (log_k * log_k)))
-    if n0 > _MAX_SERIES_TERMS:
-        raise ConvergenceError(
-            f"partition series at x={x} needs more than {_MAX_SERIES_TERMS} certified terms"
-        )
-    log_ratio = log_k - log_x  # log(k/x) < 0
-    log_geom = -math.log1p(-math.exp(log_ratio))  # -log(1 - k/x)
-    total = 0.0  # log of the l = 0 term
-    l = 0
-    while True:
-        l += 1
-        if l > _MAX_SERIES_TERMS:
-            raise ConvergenceError(
-                f"partition series at x={x} did not certify within {_MAX_SERIES_TERMS} terms"
-            )
-        log_p_l = math.log(partition_count(l))
-        if l >= n0 and log_p_l > l * log_k + 1e-9:
-            raise ConvergenceError(
-                f"partition bound p(l) <= k^l failed at l={l}, k={math.exp(log_k)}"
-            )
-        total = _logaddexp(total, log_p_l - l * log_x)
-        if l >= n0 - 1:
-            log_tail = (l + 1) * log_ratio + log_geom
-            if log_tail <= math.log(rel_tol) + total:
-                return total
+    t = math.log(x)
+    if t >= 1.0:
+        return _minus_log_euler_product(1.0 / x)
+    return _minus_log_euler_product(
+        math.exp(-4.0 * math.pi**2 / t),
+        math.pi**2 / (6.0 * t),
+        -t / 24.0,
+        0.5 * math.log(t / (2.0 * math.pi)),
+    )

@@ -430,7 +430,7 @@ def _partitions_by_recursion(n: int, largest: int, memo: dict) -> int:
 
 
 def _criterion_9(tol: dict) -> tuple[bool, str]:
-    """Partition counts, generating-product identity, series tail certificate."""
+    """Partition counts, generating-product identity, the partition series."""
     memo: dict = {}
     for n in range(41):
         if partition_count(n) != _partitions_by_recursion(n, n, memo):
@@ -445,33 +445,21 @@ def _criterion_9(tol: dict) -> tuple[bool, str]:
         if coeffs[n] != partition_count(n):
             return False, f"generating product coefficient {n} disagrees"
 
-    # tail certificate: replay the series summation to find the length it
-    # certified at, then extend to twice that length; the log of the sum
-    # must move by less than rel_tol
-    rel_tol = 1e-12
+    # series: against the pentagonal sum at x = 1.3, 2.0 (transformed branch,
+    # ln x < 1) and 4.9 (plain branch); p(l) < exp(pi sqrt(2l/3)) puts every
+    # term beyond l = 600 below e^-94 at x = 1.3
     worst = 0.0
     for x in (1.3, 2.0, 4.9):
-        value = partition_series(x, rel_tol=rel_tol)
-        log_x = math.log(x)
-        log_k = 0.5 * log_x
-        n0 = math.ceil((math.pi * math.pi * 2.0 / 3.0) / (log_k * log_k))
-        log_geom = -math.log1p(-math.exp(-log_k))
-        total = 0.0
-        used = 0
-        while True:
-            used += 1
-            total = np.logaddexp(total, math.log(partition_count(used)) - used * log_x)
-            if used >= n0 - 1 and (used + 1) * (-log_k) + log_geom <= math.log(rel_tol) + total:
-                break
-        if abs(total - value) > 1e-13:
-            return False, f"(tail) replayed sum at x={x} differs from partition_series"
-        for l in range(used + 1, 2 * used + 1):
-            total = np.logaddexp(total, math.log(partition_count(l)) - l * log_x)
-        worst = max(worst, abs(math.expm1(total - value)))
-    ok = worst < rel_tol
+        direct = math.log(math.fsum(partition_count(l) * x**-l for l in range(601)))
+        worst = max(worst, abs(partition_series(x) - direct) / direct)
+    # branches: the last double below e takes the transformed product, e the
+    # plain one; the function itself moves by about 1e-16 between them
+    below, at = partition_series(math.nextafter(math.e, 0.0)), partition_series(math.e)
+    seam = abs(below - at) / at
+    ok = worst < 1e-13 and seam < 1e-14
     return ok, (
         f"p(n) matches recursion to n=40, product identity to degree {degree}, "
-        f"doubled-truncation drift {worst:.1e} < {rel_tol}"
+        f"series vs pentagonal sum {worst:.1e} < 1e-13, branch seam at x=e {seam:.1e} < 1e-14"
     )
 
 
@@ -503,7 +491,7 @@ _CRITERIA: dict[int, tuple[str, Callable[[dict], tuple[bool, str]]]] = {
     6: ("limit kernel positive semidefinite", _criterion_6),
     7: ("sampler counts, radial law, intensity, index-set law", _criterion_7),
     8: ("incomplete-gamma routes, monotonicity, tail estimate", _criterion_8),
-    9: ("partition counts, product identity, tail certificate", _criterion_9),
+    9: ("partition counts, product identity, partition series", _criterion_9),
     10: ("mismatch diagnostic envelope and location", _criterion_10),
 }
 

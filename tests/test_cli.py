@@ -1,6 +1,7 @@
 """Command-line behavior: reports, file outputs, determinism, exit codes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -38,6 +39,15 @@ def test_prob_report_fields_and_ratio(capsys):
     )
     # the alternative hole convention is a different normalization, not a typo
     assert report["log_hole_factor_rescaled"] != report["log_hole_factor"]
+
+
+def test_prob_near_critical_is_answered(capsys):
+    # x = R^2/(1-c) = 1.0103: the partition series has no term cap near x = 1
+    code, out, _ = run(capsys, "prob", "-N", "100", "-c", "0.515", "-R", "0.7")
+    assert code == 0
+    report = json.loads(out)
+    assert all(math.isfinite(v) for v in report.values())
+    assert report["log_partition_series_factor"] > 0.0
 
 
 def test_prob_oracle_matches_exact(capsys):
@@ -127,7 +137,7 @@ def test_sample_radial_only_replays_sampler(capsys, tmp_path):
     payload = json.loads((tmp_path / "radj-0000.json").read_text())
     assert payload["schema"] == "radial-moduli/1"
     assert payload["radii"] == expected
-    assert payload["index_set"] == meta["index_set"]
+    assert {k: v for k, v in payload.items() if k != "radii"} == meta
 
 
 def test_kernel_tabulate_csv_and_json_round_trip(capsys, tmp_path):
@@ -164,6 +174,7 @@ def test_kernel_compare_reports_sup(capsys):
     payload = json.loads(out)
     diffs = [p["diff_abs"] for p in payload["points"]]
     assert payload["sup"] == max(diffs)
+    assert payload["at"] == max(payload["points"], key=lambda p: p["diff_abs"])["z"]
     assert 0.0 < payload["sup"] < 0.05
 
 

@@ -18,7 +18,6 @@ from ginibre_overcrowding.kernels import (
     CorrelationResult,
     KernelGrid,
     KernelSpec,
-    SupDifference,
     correlation,
     eval_edge_rescaled,
     eval_edge_x_scaled,
@@ -29,7 +28,6 @@ from ginibre_overcrowding.kernels import (
     evaluate_grid,
     evaluate_kernel,
     g_max_diagnostic,
-    sup_difference,
 )
 from ginibre_overcrowding.mixture import EnsembleParams, IndexSet
 
@@ -418,19 +416,6 @@ def test_correlation_rank_guard():
         correlation([0.95, 1.0, 1.05], spec)
     with pytest.raises(ValueError):
         correlation([], spec)
-
-
-def test_sup_difference_reports_argmax():
-    p = EnsembleParams(N=15, c=0.8, R=0.7)
-    spec = KernelSpec(kind="ginibre_N", params=p)
-    pairs = [(0.1 + 0j, 0.1 + 0j), (0.5 + 0j, 0.5 + 0j)]
-    same = sup_difference(spec, spec, pairs)
-    assert same.value == 0.0
-    shifted = sup_difference(spec, lambda z, w: evaluate_kernel(spec, z, w) + 1.0, pairs)
-    assert shifted.value == pytest.approx(1.0, rel=1e-12)
-    assert shifted.at in [(complex(a), complex(b)) for a, b in pairs]
-    with pytest.raises(ValueError):
-        sup_difference(spec, spec, [])
 
 
 # ----------------------------
