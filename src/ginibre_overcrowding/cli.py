@@ -45,7 +45,6 @@ from .mixture import (
     IndexSet,
     log_hole_factor,
     log_hole_factor_rescaled,
-    overcrowding_probability_asymptotic,
     overcrowding_probability_exact,
     sample_conditioned_indexset,
     top_block,
@@ -164,8 +163,11 @@ def cmd_prob(config: RunConfig) -> int:
     if params is None:
         raise ValueError("prob requires -N, -c and -R")
     exact = overcrowding_probability_exact(params)
-    asymptotic = overcrowding_probability_asymptotic(params)
+    # x = oo at c = 1, where the series factor is exactly 0.0
     x = float("inf") if params.c == 1.0 else params.R * params.R / (1.0 - params.c)
+    hole = log_hole_factor(params)
+    series = partition_series(x)
+    asymptotic = hole + series
     report = {
         "N": params.N,
         "c": params.c,
@@ -174,8 +176,8 @@ def cmd_prob(config: RunConfig) -> int:
         "log_prob_exact": exact,
         "log_prob_asymptotic": asymptotic,
         "exact_over_asymptotic": float(np.exp(exact - asymptotic)),
-        "log_hole_factor": log_hole_factor(params),
-        "log_partition_series_factor": partition_series(x),
+        "log_hole_factor": hole,
+        "log_partition_series_factor": series,
         "log_hole_factor_rescaled": log_hole_factor_rescaled(params),
     }
     if config.oracle:

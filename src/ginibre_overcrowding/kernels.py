@@ -2,22 +2,32 @@
 
 Conventions
 -----------
-All kernel sums are sharply peaked in the summation index around
-k = N |z w|, so every evaluation accumulates per-term log-magnitudes and
-phases, shifts by the running maximum, and drops terms more than 40 nats
-below it before exponentiating.  Per-parameter normalization logs
-(log Gamma(k+1, N R^2) and log gamma_lower(k+1, N R^2)) come from the
-cached Bernoulli weights, so repeated evaluations cost O(#terms) vector
-arithmetic only.
+Given the index set J, every finite-N kernel is a projection kernel
+K(z, w) = Phi(z) . conj(Phi(w)) with feature rows
+
+    Phi_k(z) = sqrt(N^(k+1) / (pi h_k)) z^k e^(-N |z|^2 / 2),
+
+taken over k in J with h_k = Gamma(k+1, N R^2) (outer), over the
+complement of J with h_k = gamma_lower(k+1, N R^2) (inner), or over all
+k < N with h_k = k! (plain).  ``basis`` gives (k, log h_k) for each of the
+three, from the cached Bernoulli weights, and ``feature_rows`` is the one
+place that evaluates Phi: each row in log space, shifted by its own
+maximum before exponentiating, so a grid of kernel values is one complex
+matrix product with the shifts multiplied back in.  Nothing is dropped;
+the rounding error of an entry is bounded relative to the scale of its
+row and column, so the accuracy contract is the normalized error
+|K - K_exact| <= eps sqrt(K(z, z) K(w, w)), not a relative error: entries
+far below that scale come from cancelling phases.
 
 Domains: the plain kernel lives on the whole plane; the outer projection
 kernel is supported on |z| > R and the inner one on |z| < R (evaluations
-off-support return 0, implementing the defining indicators).  The edge
-kernel works in coordinates z with Re z > 0 mapped to R + z/N, and its
-x-scaled variant divides by beta = (R^2 - 1 + c)/R and removes the pure
-gauge phase exp(-i R (Im zeta - Im omega)), which cancels in every
-determinant but would otherwise keep the finite-N kernel from converging
-pointwise to the limit.
+off-support are exactly 0, implementing the defining indicators).  The
+edge kernel works in coordinates z with Re z > 0 mapped to R + z/N, with
+the outer rows scaled by the 1/N Jacobian factor.  Its x-scaled variant
+divides by beta = (R^2 - 1 + c)/R and removes the pure gauge phase
+exp(-i R (Im zeta - Im omega)), which cancels in every determinant but
+would otherwise keep the finite-N kernel from converging pointwise to the
+limit; both are per-row factors too.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import xlogy
 
 from .gamma import log1mexp
 from .mixture import EnsembleParams, IndexSet, bernoulli_weights, log_factorials
@@ -41,10 +52,11 @@ __all__ = [
     "KernelSpec",
     "KernelGrid",
     "CorrelationResult",
+    "basis",
+    "feature_rows",
     "eval_ginibre",
     "eval_outer",
     "eval_inner",
-    "eval_edge_rescaled",
     "eval_edge_x_scaled",
     "eval_limit",
     "evaluate_kernel",
@@ -54,7 +66,6 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
-_DROP_NATS = 40.0
 
 KERNEL_KINDS = (
     "ginibre_N",
@@ -67,146 +78,108 @@ _KINDS_WITH_INDEX_SET = {"outer_J", "inner_J_complement", "edge_rescaled_J"}
 
 
 @lru_cache(maxsize=64)
-def _log_norms(params: EnsembleParams) -> tuple[np.ndarray, np.ndarray]:
-    """(log Gamma(k+1, N R^2), log gamma_lower(k+1, N R^2)) for k = 0, ..., N-1."""
-    w = bernoulli_weights(params)
+def basis(params: EnsembleParams, J: "IndexSet | None", kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(k, log h_k) of the feature rows of ``kind``, read-only.
+
+    ``kind`` is ``"ginibre_N"`` (all k < N, J unused), ``"outer_J"`` (k in J)
+    or ``"inner_J_complement"`` (k not in J).
+    """
     lf = log_factorials(params.N)
-    upper = w.log_a + lf
-    lower = w.log_one_minus_a + lf
-    upper.flags.writeable = False
-    lower.flags.writeable = False
-    return upper, lower
+    if kind == "ginibre_N":
+        ks, log_h = np.arange(params.N), lf
+    elif kind == "outer_J":
+        ks = np.array(J.members, dtype=np.int64)
+        log_h = bernoulli_weights(params).log_a[ks] + lf[ks]
+    elif kind == "inner_J_complement":
+        mask = np.ones(params.N, dtype=bool)
+        mask[list(J.members)] = False
+        ks = np.nonzero(mask)[0]
+        log_h = bernoulli_weights(params).log_one_minus_a[ks] + lf[ks]
+    else:
+        raise ValueError(f"no feature basis for kind {kind!r}")
+    ks.flags.writeable = False
+    log_h.flags.writeable = False
+    return ks, log_h
 
 
-def _peaked_sum(log_mag: np.ndarray, phase: np.ndarray) -> complex:
-    """sum of exp(log_mag) * exp(i phase) by max-shift; drops tiny terms."""
-    if len(log_mag) == 0:
-        return 0j
-    m = float(np.max(log_mag))
-    if m == -math.inf:
-        return 0j
-    keep = log_mag >= m - _DROP_NATS
-    s = np.sum(np.exp(log_mag[keep] - m) * np.exp(1j * phase[keep]))
-    return complex(math.exp(m) * s)
+def feature_rows(
+    params: EnsembleParams,
+    ks: np.ndarray,
+    log_h: np.ndarray,
+    t: np.ndarray,
+    theta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows at z_i = sqrt(t_i) e^(i theta_i), each scaled by its own maximum.
+
+    Returns (rows, shift) with Phi_k(z_i) = exp(shift_i) rows[i, j] for
+    k = ks[j]; the largest |rows[i, j]| of each row is 1.  A row without a
+    nonzero entry (z = 0 when 0 is not in ks, or empty ks) is all zeros
+    with shift 0.
+    """
+    half = 0.5 * ((ks + 1.0) * math.log(params.N) - _LOG_PI - log_h)
+    log_mag = xlogy(0.5 * ks, t[:, None]) - (0.5 * params.N) * t[:, None]
+    log_mag += half[None, :]
+    shift = log_mag.max(axis=1, initial=-math.inf)
+    shift[shift == -math.inf] = 0.0
+    log_mag -= shift[:, None]
+    phase = np.multiply.outer(theta, ks.astype(float))
+    return np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase)), shift
 
 
-def _log_radius(r: float, ks: np.ndarray) -> np.ndarray:
-    """k * log(r), with the k = 0 term equal to 0 even at r = 0."""
-    if r == 0.0:
-        out = np.full(len(ks), -math.inf)
-        out[ks == 0] = 0.0
-        return out
-    return ks * math.log(r)
+def _projection_grid(
+    spec: "KernelSpec", z_points: Sequence[complex], w_points: Sequence[complex]
+) -> np.ndarray:
+    """K(z_i, w_j) of a finite-N kind as one product of feature rows."""
+    params, R = spec.params, spec.params.R
+    pts = np.array([complex(p) for p in (*z_points, *w_points)], dtype=complex)
+    scale = np.ones(pts.size, dtype=complex)
+    kind = spec.kind
+    if kind == "edge_rescaled_J":
+        beta = (R * R - 1.0 + params.c) / R if spec.x_scaled else 1.0
+        zeta = pts / beta
+        pts = R + zeta / params.N
+        if spec.x_scaled:
+            scale = np.exp(-1j * R * zeta.imag)
+        scale /= params.N * beta
+        kind = "outer_J"
+    r = np.abs(pts)
+    if kind == "ginibre_N":
+        on = np.ones(pts.size, dtype=bool)
+    else:
+        on = r > R if kind == "outer_J" else r < R
+    ks, log_h = basis(params, spec.index_set, kind)
+    rows, shift = feature_rows(params, ks, log_h, r[on] ** 2, np.angle(pts[on]))
+    rows *= scale[on, None]
+    n = len(z_points)
+    nz = int(np.count_nonzero(on[:n]))
+    values = np.zeros((n, pts.size - n), dtype=complex)
+    gram = rows[:nz] @ rows[nz:].conj().T
+    values[np.ix_(on[:n], on[n:])] = np.exp(shift[:nz, None] + shift[None, nz:]) * gram
+    return values
 
 
 def eval_ginibre(params: EnsembleParams, z: complex, w: complex) -> complex:
     """K_N(z, w) = sum_{k<N} N^(k+1) (z conj(w))^k e^(-N(|z|^2+|w|^2)/2) / (pi k!)."""
-    N = params.N
-    z, w = complex(z), complex(w)
-    u = z * w.conjugate()
-    ks = np.arange(N)
-    gauss = -0.5 * N * (abs(z) ** 2 + abs(w) ** 2)
-    log_mag = (ks + 1.0) * math.log(N) + _log_radius(abs(u), ks) + gauss - log_factorials(N) - _LOG_PI
-    phase = ks * cmath.phase(u) if u != 0 else np.zeros(N)
-    return _peaked_sum(log_mag, phase)
-
-
-def _projection_sum(
-    params: EnsembleParams,
-    ks: np.ndarray,
-    log_norm: np.ndarray,
-    z: complex,
-    w: complex,
-) -> complex:
-    """sum over ks of N^(k+1) z^k conj(w)^k e^(-N(|z|^2+|w|^2)/2) / (pi norm_k)."""
-    if len(ks) == 0:
-        return 0j
-    N = params.N
-    gauss = -0.5 * N * (abs(z) ** 2 + abs(w) ** 2)
-    log_mag = (
-        (ks + 1.0) * math.log(N)
-        + _log_radius(abs(z), ks)
-        + _log_radius(abs(w), ks)
-        + gauss
-        - log_norm
-        - _LOG_PI
-    )
-    phase = ks * (cmath.phase(z) - cmath.phase(w)) if z != 0 and w != 0 else np.zeros(len(ks))
-    return _peaked_sum(log_mag, phase)
+    return evaluate_kernel(KernelSpec("ginibre_N", params), z, w)
 
 
 def eval_outer(params: EnsembleParams, J: IndexSet, z: complex, w: complex) -> complex:
-    """Projection kernel onto the outer functions with indices in J.
-
-    Supported on |z|, |w| > R; returns 0 off-support.
-    """
-    z, w = complex(z), complex(w)
-    if not (abs(z) > params.R and abs(w) > params.R):
-        return 0j
-    ks = np.asarray(J.members, dtype=int)
-    upper, _ = _log_norms(params)
-    return _projection_sum(params, ks, upper[ks], z, w)
+    """Projection kernel onto the outer functions with indices in J; 0 unless |z|, |w| > R."""
+    return evaluate_kernel(KernelSpec("outer_J", params, J), z, w)
 
 
 def eval_inner(params: EnsembleParams, J: IndexSet, z: complex, w: complex) -> complex:
-    """Projection kernel onto the inner functions with indices NOT in J.
-
-    Supported on |z|, |w| < R; returns 0 off-support.
-    """
-    z, w = complex(z), complex(w)
-    if not (abs(z) < params.R and abs(w) < params.R):
-        return 0j
-    mask = np.ones(params.N, dtype=bool)
-    mask[list(J.members)] = False
-    ks = np.nonzero(mask)[0]
-    _, lower = _log_norms(params)
-    return _projection_sum(params, ks, lower[ks], z, w)
-
-
-def eval_edge_rescaled(params: EnsembleParams, J: IndexSet, z: complex, w: complex) -> complex:
-    """Edge zoom (1/N^2) K^J(R + z/N, R + w/N), for Re z, Re w > 0.
-
-    Assembled directly in edge coordinates (the 1/N^2 Jacobian is folded
-    into the per-term logs) rather than by calling ``eval_outer``, so the
-    two routes can be compared as a consistency check.
-    """
-    N = params.N
-    z, w = complex(z), complex(w)
-    zm = params.R + z / N
-    wm = params.R + w / N
-    if not (abs(zm) > params.R and abs(wm) > params.R):
-        return 0j
-    ks = np.asarray(J.members, dtype=int)
-    if len(ks) == 0:
-        return 0j
-    upper, _ = _log_norms(params)
-    gauss = -0.5 * N * (abs(zm) ** 2 + abs(wm) ** 2)
-    log_mag = (
-        (ks + 1.0) * math.log(N)
-        - 2.0 * math.log(N)
-        + _log_radius(abs(zm), ks)
-        + _log_radius(abs(wm), ks)
-        + gauss
-        - upper[ks]
-        - _LOG_PI
-    )
-    phase = ks * (cmath.phase(zm) - cmath.phase(wm))
-    return _peaked_sum(log_mag, phase)
+    """Projection kernel onto the inner functions with indices NOT in J; 0 unless |z|, |w| < R."""
+    return evaluate_kernel(KernelSpec("inner_J_complement", params, J), z, w)
 
 
 def eval_edge_x_scaled(params: EnsembleParams, J: IndexSet, z: complex, w: complex) -> complex:
     """Edge kernel in units where the exterior density slope is normalized.
 
-    Divides the edge coordinates by beta = (R^2 - 1 + c)/R, applies the
-    matching 1/beta^2 density factor, and strips the determinant-preserving
-    gauge phase exp(-i R (Im zeta - Im omega)); what remains converges
+    What remains after the beta scaling and the gauge phase converges
     pointwise to ``eval_limit`` on compacts of the right half plane.
     """
-    beta = (params.R * params.R - 1.0 + params.c) / params.R
-    zeta = complex(z) / beta
-    omega = complex(w) / beta
-    val = eval_edge_rescaled(params, J, zeta, omega) / (beta * beta)
-    return val * cmath.exp(-1j * params.R * (zeta.imag - omega.imag))
+    return evaluate_kernel(KernelSpec("edge_rescaled_J", params, J, x_scaled=True), z, w)
 
 
 def _cexpm1(x: complex) -> complex:
@@ -280,17 +253,9 @@ class KernelSpec:
 
 
 def evaluate_kernel(spec: KernelSpec, z: complex, w: complex) -> complex:
-    if spec.kind == "ginibre_N":
-        return eval_ginibre(spec.params, z, w)
-    if spec.kind == "outer_J":
-        return eval_outer(spec.params, spec.index_set, z, w)
-    if spec.kind == "inner_J_complement":
-        return eval_inner(spec.params, spec.index_set, z, w)
-    if spec.kind == "edge_rescaled_J":
-        if spec.x_scaled:
-            return eval_edge_x_scaled(spec.params, spec.index_set, z, w)
-        return eval_edge_rescaled(spec.params, spec.index_set, z, w)
-    return eval_limit(z, w)
+    if spec.kind == "limit_hard_wall":
+        return eval_limit(z, w)
+    return complex(_projection_grid(spec, (z,), (w,))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -367,9 +332,12 @@ class KernelGrid:
 def evaluate_grid(
     spec: KernelSpec, z_points: Sequence[complex], w_points: Sequence[complex]
 ) -> KernelGrid:
-    values = np.array(
-        [[evaluate_kernel(spec, z, w) for w in w_points] for z in z_points]
-    ).reshape(len(z_points), len(w_points))
+    if spec.kind == "limit_hard_wall":
+        values = np.array(
+            [[evaluate_kernel(spec, z, w) for w in w_points] for z in z_points]
+        ).reshape(len(z_points), len(w_points))
+    else:
+        values = _projection_grid(spec, z_points, w_points)
     return KernelGrid(
         spec=spec,
         z_points=tuple(complex(z) for z in z_points),
@@ -398,7 +366,7 @@ def correlation(points: Sequence[complex], spec: KernelSpec) -> CorrelationResul
         raise ValueError("correlation needs at least one point")
     if k > spec.rank():
         raise ValueError(f"{k} points exceed the kernel rank {spec.rank()}")
-    gram = np.array([[evaluate_kernel(spec, a, b) for b in pts] for a in pts])
+    gram = evaluate_grid(spec, pts, pts).values
     raw = float(np.linalg.det(gram).real)
     return CorrelationResult(value=max(raw, 0.0), raw=raw)
 

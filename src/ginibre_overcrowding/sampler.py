@@ -17,9 +17,11 @@ Two samplers cover two different jobs:
   deflated diagonal and are realized by rejection against the step-one
   mixture with the envelope m/(m - j); a Gram-Schmidt list of unit vectors
   tracks the directions already spanned.  Acceptance ratios only involve
-  the direction of the feature vector, so all magnitudes are handled in
-  log space and normalized per proposal, which keeps the sampler usable at
-  N in the hundreds where the raw feature entries underflow.
+  the direction of the feature vector, so each proposal's row from
+  ``kernels.feature_rows`` (the rows the kernels are built from, formed in
+  log space and scaled by their own maximum) is simply normalized; this
+  keeps the sampler usable at N in the hundreds where the raw feature
+  entries underflow.
 
 Both samplers draw r^2 through the same exact decompositions of the
 truncated Gamma law, ``_outer_t_block`` outside the disk and
@@ -46,11 +48,11 @@ from pathlib import Path
 import numpy as np
 
 from .gamma import log_q_integer
+from .kernels import basis as feature_basis, feature_rows
 from .mixture import (
     ConstraintViolation,
     EnsembleParams,
     IndexSet,
-    bernoulli_weights,
     log_factorials,
     sample_conditioned_indexset,
 )
@@ -65,7 +67,6 @@ __all__ = [
     "sample_conditioned_ensemble",
 ]
 
-_LOG_PI = math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
 
 # Proposal budget per point before the sequential sampler gives up.
@@ -375,49 +376,13 @@ def _inner_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Genera
     return z0 * gen.beta(ks + 1.0, n - ks) / params.N
 
 
-def _basis_arrays(params: EnsembleParams, J: IndexSet, basis: str):
-    """(indices, unregularized log norms, radial block sampler) for a basis."""
-    weights = bernoulli_weights(params)
-    if basis == "outer_J":
-        ks = np.array(J.members, dtype=np.int64)
-        log_norms = weights.log_a[ks] + log_factorials(params.N)[ks]
-        return ks, log_norms, _outer_t_block
-    members = set(J.members)
-    ks = np.array([k for k in range(params.N) if k not in members], dtype=np.int64)
-    if ks.size:
-        log_norms = weights.log_one_minus_a[ks] + log_factorials(params.N)[ks]
-    else:
-        log_norms = np.empty(0)
-    return ks, log_norms, _inner_t_block
-
-
-def _unit_feature_rows(
-    params: EnsembleParams,
-    ks: np.ndarray,
-    log_norms: np.ndarray,
-    t: np.ndarray,
-    theta: np.ndarray,
-) -> np.ndarray:
-    """Unit vectors proportional to (phi_k(z))_k at z = sqrt(t) e^{i theta}.
-
-    Acceptance ratios and Gram-Schmidt updates only see directions, so the
-    overall magnitude is shifted out per row before exponentiating.
-    """
-    half = 0.5 * ((ks + 1.0) * math.log(params.N) - _LOG_PI - log_norms)
-    log_mag = 0.5 * np.multiply.outer(np.log(t), ks.astype(float)) - (0.5 * params.N) * t[:, None]
-    log_mag += half[None, :]
-    log_mag -= log_mag.max(axis=1, keepdims=True)
-    phase = np.multiply.outer(theta, ks.astype(float))
-    psi = np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    return psi
-
-
 def _sample_projection(
     params: EnsembleParams, J: IndexSet, basis: str, gen: np.random.Generator
 ) -> list[complex]:
     """Sequential draw of all m points of the rank-m projection kernel."""
-    ks, log_norms, radial_block = _basis_arrays(params, J, basis)
+    outer = basis == "outer_J"
+    ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
+    radial_block = _outer_t_block if outer else _inner_t_block
     m = int(ks.size)
     if m == 0:
         return []
@@ -437,7 +402,9 @@ def _sample_projection(
             picks = gen.integers(0, m, size=block)
             t = radial_block(params, ks[picks], gen)
             theta = _TWO_PI * gen.random(block)
-            psi = _unit_feature_rows(params, ks, log_norms, t, theta)
+            # acceptance ratios and Gram-Schmidt updates only see directions
+            psi, _ = feature_rows(params, ks, log_h, t, theta)
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
             if j:
                 coeff = psi @ span[:j].conj().T
                 accept = 1.0 - (np.abs(coeff) ** 2).sum(axis=1)

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, file outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -138,6 +139,31 @@ def test_sample_radial_only_replays_sampler(capsys, tmp_path):
     assert payload["schema"] == "radial-moduli/1"
     assert payload["radii"] == expected
     assert {k: v for k, v in payload.items() if k != "radii"} == meta
+
+
+# SHA-256 over the files of one seeded ``sample`` run, in name order, per
+# (format, radial-only).  A change that alters replay bytes must update these
+# digests and name the change in CHANGES.md.
+REPLAY_DIGESTS = {
+    ("csv", False): "64dd067f39da6a602865dd70180eda229880ac68d741741690f36f03650aec5b",
+    ("csv", True): "13e387e78e482e44a82f312dc24cffe4c19769ce1df0da9f38c87722d76bc03e",
+    ("json", False): "3876144b44891ed402978eb0b321eaacedf709b298813a6acd76e02e92a27cd5",
+    ("json", True): "9359881f9cdf67c65627cd39e2210673923b62600c9cab85d87261de5b8ba239",
+}
+
+
+@pytest.mark.parametrize("fmt, radial", sorted(REPLAY_DIGESTS))
+def test_sample_replay_bytes_are_frozen(capsys, tmp_path, fmt, radial):
+    argv = [
+        "sample", "-N", "40", "-c", "0.6", "-R", "0.8", "--seed", "2024",
+        "--replicas", "2", "--format", fmt, "--out", str(tmp_path / "draw"),
+    ]
+    code, _, _ = run(capsys, *argv, *(["--radial-only"] if radial else []))
+    assert code == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == REPLAY_DIGESTS[(fmt, radial)]
 
 
 def test_kernel_tabulate_csv_and_json_round_trip(capsys, tmp_path):

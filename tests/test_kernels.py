@@ -1,8 +1,9 @@
 """Tests for the kernel evaluations.
 
-Oracles: 50-digit summation of the defining series (values frozen as
-literals), scipy quadrature for orthonormality/trace/reproducing identities,
-and an independent grid scan for the normalization-mismatch maximum.
+Oracles: 40-digit mpmath summation of the defining series, term by term
+at every pair (and 50-digit values frozen as literals), scipy quadrature
+for orthonormality/trace/reproducing identities, and an independent grid
+scan for the normalization-mismatch maximum.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -19,7 +21,6 @@ from ginibre_overcrowding.kernels import (
     KernelGrid,
     KernelSpec,
     correlation,
-    eval_edge_rescaled,
     eval_edge_x_scaled,
     eval_ginibre,
     eval_inner,
@@ -223,7 +224,7 @@ def test_edge_two_routes_agree():
     p = EnsembleParams(N=200, c=0.9, R=0.7)
     J = top_block(p)
     for z, w in [(1 + 0j, 1 + 0j), (0.5 + 0.7j, 1.2 - 0.3j), (2 + 1j, 0.1 + 0j)]:
-        direct = eval_edge_rescaled(p, J, z, w)
+        direct = evaluate_kernel(KernelSpec("edge_rescaled_J", p, J), z, w)
         mapped = eval_outer(p, J, p.R + z / p.N, p.R + w / p.N) / p.N**2
         assert direct == pytest.approx(mapped, rel=1e-12)
 
@@ -235,9 +236,11 @@ def test_edge_hermitian_and_diagonal():
     for _ in range(8):
         z = complex(rng.uniform(0.05, 2.0), rng.normal(0, 1.0))
         w = complex(rng.uniform(0.05, 2.0), rng.normal(0, 1.0))
-        for fn in (eval_edge_rescaled, eval_edge_x_scaled):
-            assert fn(p, J, z, w) == pytest.approx(fn(p, J, w, z).conjugate(), rel=1e-12)
-            assert fn(p, J, z, z).real >= 0.0
+        for x_scaled in (False, True):
+            spec = KernelSpec("edge_rescaled_J", p, J, x_scaled=x_scaled)
+            zw, wz = evaluate_kernel(spec, z, w), evaluate_kernel(spec, w, z)
+            assert zw == pytest.approx(wz.conjugate(), rel=1e-12)
+            assert evaluate_kernel(spec, z, z).real >= 0.0
 
 
 def test_edge_x_scaled_near_limit():
@@ -258,6 +261,80 @@ def test_edge_limit_convergence_rate():
         )
     assert sups[1] < sups[0]
     assert 1.4 < sups[0] / sups[1] < 2.8  # consistent with log^2(N)/N across a doubling
+
+
+# ----------------------------
+# 40-digit direct sums of the defining series
+# ----------------------------
+
+
+def mp_kernel(spec: KernelSpec, z: complex, w: complex) -> mpmath.mpc:
+    """sum_k N^(k+1) (z conj(w))^k e^(-N(|z|^2+|w|^2)/2) / (pi h_k) at 40 digits.
+
+    Edge kinds map to the outer kernel at R + zeta/N with the 1/(N beta)^2
+    Jacobian and, x-scaled, the gauge phase exp(-i R (Im zeta - Im omega)).
+    """
+    p, J = spec.params, spec.index_set
+    with mpmath.workdps(40):
+        N, R = p.N, mpmath.mpf(p.R)
+        zm, wm = mpmath.mpc(z), mpmath.mpc(w)
+        factor = mpmath.mpf(1)
+        kind = spec.kind
+        if kind == "edge_rescaled_J":
+            beta = (R * R - 1 + mpmath.mpf(p.c)) / R if spec.x_scaled else mpmath.mpf(1)
+            zeta, omega = zm / beta, wm / beta
+            zm, wm = R + zeta / N, R + omega / N
+            factor = 1 / (N * beta) ** 2
+            if spec.x_scaled:
+                factor *= mpmath.exp(-1j * R * (zeta.imag - omega.imag))
+            kind = "outer_J"
+        z0 = N * R * R
+        if kind == "ginibre_N":
+            terms = [(k, mpmath.factorial(k)) for k in range(N)]
+        elif kind == "outer_J":
+            if not (abs(zm) > R and abs(wm) > R):
+                return mpmath.mpc(0)
+            terms = [(k, mpmath.gammainc(k + 1, z0)) for k in J.members]
+        else:
+            if not (abs(zm) < R and abs(wm) < R):
+                return mpmath.mpc(0)
+            terms = [(k, mpmath.gammainc(k + 1, 0, z0)) for k in range(N) if k not in J.members]
+        u = zm * mpmath.conj(wm)
+        total = mpmath.fsum(mpmath.mpf(N) ** (k + 1) * u**k / h for k, h in terms)
+        gauss = mpmath.exp(-N * (abs(zm) ** 2 + abs(wm) ** 2) / 2)
+        return factor * total * gauss / mpmath.pi
+
+
+_ORACLE_PARAMS = EnsembleParams(N=400, c=0.7, R=0.8)
+_TOP = top_block(_ORACLE_PARAMS)
+_EVEN = IndexSet(members=tuple(range(0, 400, 2)), N=400)  # 0 in J: inner rows vanish at z = 0
+_RIGHT_HALF = [0.05 + 0j, 1.0 + 1.0j, 3.0 - 2.0j, 6.0 + 0.5j]
+
+
+@pytest.mark.parametrize(
+    "spec, pts",
+    [
+        (KernelSpec("ginibre_N", _ORACLE_PARAMS), [0j, 0.3 + 0.2j, 0.95 - 0.4j, 1.25j]),
+        (KernelSpec("ginibre_N", EnsembleParams(N=7, c=0.9, R=0.5)), [0j, 0.5j, 1.1, 2.5 - 1j]),
+        (KernelSpec("outer_J", _ORACLE_PARAMS, _TOP), [0.805, 0.85 + 0.3j, -1.0 + 0.5j, 1.3j]),
+        (KernelSpec("outer_J", _ORACLE_PARAMS, _EVEN), [0.805, 0.9 - 0.2j, 1.15j, -1.4]),
+        (KernelSpec("inner_J_complement", _ORACLE_PARAMS, _TOP), [0j, 0.1j, 0.5 - 0.3j, 0.79]),
+        (KernelSpec("inner_J_complement", _ORACLE_PARAMS, _EVEN), [0j, 0.2, -0.45 + 0.45j, 0.795j]),
+        (KernelSpec("edge_rescaled_J", _ORACLE_PARAMS, _TOP), _RIGHT_HALF),
+        (KernelSpec("edge_rescaled_J", _ORACLE_PARAMS, _TOP, x_scaled=True), _RIGHT_HALF),
+    ],
+    ids=["ginibre", "ginibre-small", "outer-top", "outer-even", "inner-top", "inner-even", "edge", "edge-x"],
+)
+def test_kernels_match_direct_sum(spec, pts):
+    # normalized error: entries far below sqrt(K(z,z) K(w,w)) come from
+    # cancelling phases and carry no relative accuracy
+    ref = {(z, w): complex(mp_kernel(spec, z, w)) for z in pts for w in pts}
+    grid = evaluate_grid(spec, pts, pts).values
+    for i, z in enumerate(pts):
+        for j, w in enumerate(pts):
+            scale = math.sqrt(abs(ref[z, z]) * abs(ref[w, w]))
+            assert abs(grid[i, j] - ref[z, w]) <= 1e-12 * scale
+            assert abs(evaluate_kernel(spec, z, w) - ref[z, w]) <= 1e-12 * scale
 
 
 # ----------------------------
@@ -374,6 +451,20 @@ def test_grid_hermitian_defect_and_serialization():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "z_re,z_im,w_re,w_im,K_re,K_im"
     assert len(lines) == 1 + len(pts) * len(pts)
+
+    # a grid through 0 and across |z| = R: every entry is the 1x1 evaluation,
+    # and entries off the support are exactly 0
+    cross = [0j, 0.3 - 0.2j, 0.6 + 0.3j, 0.69, -0.71j, 0.8 + 0.1j, 1.1 - 0.4j]
+    for kind in ("outer_J", "inner_J_complement", "ginibre_N"):
+        spec = KernelSpec(kind=kind, params=p, index_set=None if kind == "ginibre_N" else J)
+        values = evaluate_grid(spec, cross, cross).values
+        pairs = np.array([[evaluate_kernel(spec, z, w) for w in cross] for z in cross])
+        scale = np.sqrt(np.outer(np.abs(np.diag(pairs)), np.abs(np.diag(pairs))))
+        assert np.all(np.abs(values - pairs) <= 1e-13 * scale)
+        moduli = np.abs(np.array(cross))
+        off = {"outer_J": moduli <= p.R, "inner_J_complement": moduli >= p.R}.get(kind, moduli < 0)
+        assert np.all(values[off, :] == 0) and np.all(values[:, off] == 0)
+        assert np.all(np.diag(values)[~off].real > 0)
 
 
 def test_grid_json_limit_kernel_without_params():
