@@ -54,10 +54,6 @@ __all__ = [
     "CorrelationResult",
     "basis",
     "feature_rows",
-    "eval_ginibre",
-    "eval_outer",
-    "eval_inner",
-    "eval_edge_x_scaled",
     "eval_limit",
     "evaluate_kernel",
     "evaluate_grid",
@@ -158,30 +154,6 @@ def _projection_grid(
     return values
 
 
-def eval_ginibre(params: EnsembleParams, z: complex, w: complex) -> complex:
-    """K_N(z, w) = sum_{k<N} N^(k+1) (z conj(w))^k e^(-N(|z|^2+|w|^2)/2) / (pi k!)."""
-    return evaluate_kernel(KernelSpec("ginibre_N", params), z, w)
-
-
-def eval_outer(params: EnsembleParams, J: IndexSet, z: complex, w: complex) -> complex:
-    """Projection kernel onto the outer functions with indices in J; 0 unless |z|, |w| > R."""
-    return evaluate_kernel(KernelSpec("outer_J", params, J), z, w)
-
-
-def eval_inner(params: EnsembleParams, J: IndexSet, z: complex, w: complex) -> complex:
-    """Projection kernel onto the inner functions with indices NOT in J; 0 unless |z|, |w| < R."""
-    return evaluate_kernel(KernelSpec("inner_J_complement", params, J), z, w)
-
-
-def eval_edge_x_scaled(params: EnsembleParams, J: IndexSet, z: complex, w: complex) -> complex:
-    """Edge kernel in units where the exterior density slope is normalized.
-
-    What remains after the beta scaling and the gauge phase converges
-    pointwise to ``eval_limit`` on compacts of the right half plane.
-    """
-    return evaluate_kernel(KernelSpec("edge_rescaled_J", params, J, x_scaled=True), z, w)
-
-
 def _cexpm1(x: complex) -> complex:
     """e^x - 1 with full relative accuracy for small |x| (complex expm1)."""
     a, b = x.real, x.imag
@@ -253,6 +225,7 @@ class KernelSpec:
 
 
 def evaluate_kernel(spec: KernelSpec, z: complex, w: complex) -> complex:
+    """K(z, w) of one kernel; a finite-N kind is the 1x1 case of ``evaluate_grid``."""
     if spec.kind == "limit_hard_wall":
         return eval_limit(z, w)
     return complex(_projection_grid(spec, (z,), (w,))[0, 0])

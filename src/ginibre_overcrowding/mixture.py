@@ -96,6 +96,11 @@ class EnsembleParams:
         """The incomplete-gamma argument N R^2 shared by every weight."""
         return self.N * self.R * self.R
 
+    @property
+    def x(self) -> float:
+        """The partition-series argument R^2 / (1 - c), infinite at c = 1."""
+        return math.inf if self.c == 1.0 else self.R * self.R / (1.0 - self.c)
+
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -248,20 +253,21 @@ def log_ratio_exact(n: OccupationVector, params: EnsembleParams) -> float:
     Each k with n_k > 0 moves one member from shape N - N_c + k down to
     shape N - N_c + k - n_k, contributing the log-ratio of the two upper
     tails plus the log-ratio of the two complementary lower tails.  Entries
-    with n_k = 0 contribute exactly nothing.
+    with n_k = 0 contribute exactly nothing.  Shape s is the cached weight
+    of index s - 1.
     """
     _validate_occupation(n, params)
+    w = bernoulli_weights(params)
     base = params.N - params.N_c
-    z = params.z
     total = 0.0
     for k, n_k in enumerate(n.n, start=1):
         if n_k == 0:
             continue
-        hi = base + k
+        hi = base + k - 1
         lo = hi - n_k
-        total += log_q_integer(lo, z) - log_q_integer(hi, z)
-        total += log_gamma_lower(float(hi), z) - log_gamma_lower(float(lo), z)
-    return total
+        total += w.log_a[lo] - w.log_a[hi]
+        total += w.log_one_minus_a[hi] - w.log_one_minus_a[lo]
+    return float(total)
 
 
 def log_ratio_approx(n: OccupationVector, params: EnsembleParams) -> float:
@@ -269,9 +275,7 @@ def log_ratio_approx(n: OccupationVector, params: EnsembleParams) -> float:
     total = n.total
     if total == 0:
         return 0.0
-    if params.c == 1.0:
-        return -math.inf
-    return -math.log(params.R * params.R / (1.0 - params.c)) * total
+    return -math.log(params.x) * total
 
 
 def sample_conditioned_indexset(
@@ -342,8 +346,4 @@ def overcrowding_probability_asymptotic(params: EnsembleParams) -> float:
     x = R^2 / (1 - c); the relative error of the approximation is
     O(log^3 N / N).
     """
-    if params.c == 1.0:
-        series = 0.0
-    else:
-        series = partition_series(params.R * params.R / (1.0 - params.c))
-    return log_hole_factor(params) + series
+    return log_hole_factor(params) + partition_series(params.x)

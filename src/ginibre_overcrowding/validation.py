@@ -32,14 +32,7 @@ from .gamma import (
     log_q_asymptotic,
     log_q_integer,
 )
-from .kernels import (
-    eval_edge_x_scaled,
-    eval_ginibre,
-    eval_inner,
-    eval_limit,
-    eval_outer,
-    g_max_diagnostic,
-)
+from .kernels import KernelSpec, eval_limit, evaluate_kernel, g_max_diagnostic
 from .mixture import (
     EnsembleParams,
     bernoulli_weights,
@@ -111,7 +104,7 @@ def _merged(tolerances: "dict | None") -> dict:
     if tolerances:
         unknown = set(tolerances) - set(tol)
         if unknown:
-            raise KeyError(f"unknown tolerance keys {sorted(unknown)}; known: {sorted(tol)}")
+            raise ValueError(f"unknown tolerance keys {sorted(unknown)}; known: {sorted(tol)}")
         tol.update(tolerances)
     return tol
 
@@ -214,9 +207,9 @@ def _criterion_4(tol: dict) -> tuple[bool, str]:
     sups = []
     for N in (200, 400, 800):
         params = EnsembleParams(N=N, c=0.9, R=0.7)
-        J = top_block(params)
-        sup = max(abs(eval_edge_x_scaled(params, J, z, z) - eval_limit(z, z)) for z in diag)
-        sup = max(sup, max(abs(eval_edge_x_scaled(params, J, z, w) - eval_limit(z, w)) for z, w in pairs))
+        edge = KernelSpec("edge_rescaled_J", params, top_block(params), x_scaled=True)
+        sup = max(abs(evaluate_kernel(edge, z, z) - eval_limit(z, z)) for z in diag)
+        sup = max(sup, max(abs(evaluate_kernel(edge, z, w) - eval_limit(z, w)) for z, w in pairs))
         sups.append(sup)
     r1, r2 = sups[0] / sups[1], sups[1] / sups[2]
     ok = 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6
@@ -231,7 +224,11 @@ def _criterion_5(tol: dict) -> tuple[bool, str]:
         J = top_block(params)
         M = N - params.N_c
         alpha = math.sqrt(M / N)
-        small = EnsembleParams(N=M, c=1.0, R=0.5)  # only N feeds eval_ginibre
+        # only N feeds the plain kernel
+        small = KernelSpec("ginibre_N", EnsembleParams(N=M, c=1.0, R=0.5))
+        plain = KernelSpec("ginibre_N", params)
+        inner = KernelSpec("inner_J_complement", params, J)
+        outer = KernelSpec("outer_J", params, J)
         gen = np.random.Generator(np.random.Philox(key=[_SEED_KERNEL_PAIRS, N]))
         angles = np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
 
@@ -246,10 +243,10 @@ def _criterion_5(tol: dict) -> tuple[bool, str]:
         ]
 
         def scaled(a: complex, b: complex) -> complex:
-            return eval_ginibre(small, a / alpha, b / alpha) / (alpha * alpha)
+            return evaluate_kernel(small, a / alpha, b / alpha) / (alpha * alpha)
 
-        sup = max(abs(eval_inner(params, J, z, z) - scaled(z, z)) for z in inner_pts)
-        sup = max(sup, max(abs(eval_inner(params, J, a, b) - scaled(a, b)) for a, b in inner_pairs))
+        sup = max(abs(evaluate_kernel(inner, z, z) - scaled(z, z)) for z in inner_pts)
+        sup = max(sup, max(abs(evaluate_kernel(inner, a, b) - scaled(a, b)) for a, b in inner_pairs))
         sups_in.append(sup)
 
         outer_pts = [
@@ -261,10 +258,10 @@ def _criterion_5(tol: dict) -> tuple[bool, str]:
             (outer_pts[gen.integers(len(outer_pts))], outer_pts[gen.integers(len(outer_pts))])
             for _ in range(40)
         ]
-        sup = max(abs(eval_outer(params, J, z, z) - eval_ginibre(params, z, z)) for z in outer_pts)
+        sup = max(abs(evaluate_kernel(outer, z, z) - evaluate_kernel(plain, z, z)) for z in outer_pts)
         sup = max(
             sup,
-            max(abs(eval_outer(params, J, a, b) - eval_ginibre(params, a, b)) for a, b in outer_pairs),
+            max(abs(evaluate_kernel(outer, a, b) - evaluate_kernel(plain, a, b)) for a, b in outer_pairs),
         )
         sups_out.append(sup)
 
@@ -525,7 +522,10 @@ def run_suite(
     tolerances: "dict | None" = None,
     report: "Callable[[CriterionResult], None] | None" = None,
 ) -> list[CriterionResult]:
-    """Run the acceptance criteria (all, or the quick subset) in order."""
+    """Run the acceptance criteria (all, or the quick subset) in order.
+
+    An unknown tolerance key raises ``ValueError`` before any criterion runs.
+    """
     chosen = QUICK_CRITERIA if quick else ALL_CRITERIA
     results = []
     for cid in chosen:

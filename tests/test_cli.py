@@ -1,9 +1,11 @@
 """Command-line behavior: reports, file outputs, determinism, exit codes."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -98,6 +100,19 @@ def test_sample_deterministic_and_correct_counts(capsys, tmp_path):
         cfg = PointConfiguration.read_csv(pa)
         assert len(cfg.points) == params.N
         assert cfg.n_outside == params.N_c
+
+
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_sample_rejects_fewer_than_one_replica(capsys, tmp_path, replicas):
+    code, out, err = run(
+        capsys,
+        "sample", "-N", "30", "-c", "0.8", "-R", "0.7",
+        "--seed", "5", "--replicas", replicas, "--out", str(tmp_path / "none"),
+    )
+    assert code == 2
+    assert "--replicas must be at least 1" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_json_round_trip(capsys, tmp_path):
@@ -216,6 +231,26 @@ def test_kernel_index_kind_needs_params(capsys):
     assert "requires -N" in err
 
 
+def test_kernel_validates_unused_params(capsys):
+    # the limit kernel ignores the triple, but an invalid one still fails fast
+    code, out, err = run(
+        capsys, "kernel", "--kind", "limit_hard_wall", "-N", "10", "-c", "0.3", "-R", "0.5",
+        "--grid", "0.2:1:2,0:0:1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "R^2 > 1 - c" in err
+
+
+def test_kernel_partial_params_rejected(capsys):
+    code, out, err = run(
+        capsys, "kernel", "-N", "10", "-c", "0.9", "--kind", "ginibre_N", "--grid", "0.2:1:2,0:0:1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be given together" in err
+
+
 def test_validate_quick_passes_and_tolerance_override_fails(capsys):
     code, out, _ = run(capsys, "validate", "--quick")
     assert code == 0
@@ -231,6 +266,17 @@ def test_validate_rejects_unknown_tolerance(capsys):
     code, _, err = run(capsys, "validate", "--tol", "bogus=1")
     assert code == 2
     assert "unknown tolerance key" in err
+
+
+def test_every_public_name_resolves():
+    modules = [ginibre_overcrowding] + [
+        importlib.import_module(f"ginibre_overcrowding.{info.name}")
+        for info in pkgutil.iter_modules(ginibre_overcrowding.__path__)
+    ]
+    assert len(modules) > 1
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names missing attributes {missing}"
 
 
 SCRIPT = "ginibre-overcrowding"

@@ -21,20 +21,12 @@ from ginibre_overcrowding.kernels import (
     KernelGrid,
     KernelSpec,
     correlation,
-    eval_edge_x_scaled,
-    eval_ginibre,
-    eval_inner,
     eval_limit,
-    eval_outer,
     evaluate_grid,
     evaluate_kernel,
     g_max_diagnostic,
 )
-from ginibre_overcrowding.mixture import EnsembleParams, IndexSet
-
-
-def top_block(params: EnsembleParams) -> IndexSet:
-    return IndexSet(members=tuple(range(params.N - params.N_c, params.N)), N=params.N)
+from ginibre_overcrowding.mixture import EnsembleParams, IndexSet, top_block
 
 
 # 50-digit reference values from direct summation of the defining series
@@ -54,29 +46,28 @@ INNER_REF_VALUE = -0.33145505409610283416 + 2.4728557486757819728j
 
 
 def test_ginibre_at_origin():
-    p = EnsembleParams(N=50, c=0.9, R=0.7)
-    assert eval_ginibre(p, 0, 0) == pytest.approx(50 / math.pi, rel=1e-14)
+    K = KernelSpec("ginibre_N", EnsembleParams(N=50, c=0.9, R=0.7))
+    assert evaluate_kernel(K, 0, 0) == pytest.approx(50 / math.pi, rel=1e-14)
 
 
 def test_ginibre_frozen_reference():
-    p = EnsembleParams(N=50, c=0.9, R=0.7)
-    assert eval_ginibre(p, 0.5, 0.5) == pytest.approx(GINIBRE_50_HALF, rel=1e-13)
+    K = KernelSpec("ginibre_N", EnsembleParams(N=50, c=0.9, R=0.7))
+    assert evaluate_kernel(K, 0.5, 0.5) == pytest.approx(GINIBRE_50_HALF, rel=1e-13)
 
 
 def test_ginibre_hermitian_and_diagonal():
-    p = EnsembleParams(N=40, c=0.8, R=0.8)
+    K = KernelSpec("ginibre_N", EnsembleParams(N=40, c=0.8, R=0.8))
     rng = np.random.default_rng(3)
     for _ in range(10):
         z, w = (complex(*rng.normal(0, 0.7, 2)) for _ in range(2))
-        assert eval_ginibre(p, z, w) == pytest.approx(eval_ginibre(p, w, z).conjugate(), rel=1e-12)
-        diag = eval_ginibre(p, z, z)
+        assert evaluate_kernel(K, z, w) == pytest.approx(evaluate_kernel(K, w, z).conjugate(), rel=1e-12)
+        diag = evaluate_kernel(K, z, z)
         assert diag.imag == pytest.approx(0.0, abs=1e-12 * abs(diag))
         assert diag.real >= 0.0
 
 
 def test_ginibre_no_overflow_at_large_size():
-    p = EnsembleParams(N=10_000, c=0.9, R=0.7)
-    val = eval_ginibre(p, 3.0, 3.0)
+    val = evaluate_kernel(KernelSpec("ginibre_N", EnsembleParams(N=10_000, c=0.9, R=0.7)), 3.0, 3.0)
     assert math.isfinite(val.real) and math.isfinite(val.imag)
     # density far outside the support is essentially zero but not junk
     assert 0.0 <= val.real < 1e-6
@@ -90,27 +81,27 @@ def test_ginibre_no_overflow_at_large_size():
 def test_outer_frozen_reference():
     p = EnsembleParams(**OUTER_REF_PARAMS)
     J = IndexSet(members=OUTER_REF_SET, N=p.N)
-    val = eval_outer(p, J, *OUTER_REF_POINT)
+    val = evaluate_kernel(KernelSpec("outer_J", p, J), *OUTER_REF_POINT)
     assert val == pytest.approx(OUTER_REF_VALUE, rel=1e-12)
 
 
 def test_outer_empty_set_and_support():
     p = EnsembleParams(N=12, c=0.6, R=0.7)
-    assert eval_outer(p, IndexSet(members=(), N=12), 0.9, 0.9) == 0j
-    J = top_block(p)
-    assert eval_outer(p, J, 0.3, 0.9) == 0j  # first argument inside the disk
-    assert eval_outer(p, J, 0.9, 0.69) == 0j
-    assert eval_outer(p, J, 0.9, 0.9) != 0j
+    assert evaluate_kernel(KernelSpec("outer_J", p, IndexSet(members=(), N=12)), 0.9, 0.9) == 0j
+    K = KernelSpec("outer_J", p, top_block(p))
+    assert evaluate_kernel(K, 0.3, 0.9) == 0j  # first argument inside the disk
+    assert evaluate_kernel(K, 0.9, 0.69) == 0j
+    assert evaluate_kernel(K, 0.9, 0.9) != 0j
 
 
 def test_outer_single_index_normalization_by_quadrature():
     # the diagonal of a rank-one projection integrates to 1 over its support
     p = EnsembleParams(N=16, c=0.7, R=0.6)
     for k in (0, 7, 15):
-        J = IndexSet(members=(k,), N=16)
+        K = KernelSpec("outer_J", p, IndexSet(members=(k,), N=16))
 
         def diag(r: float) -> float:
-            return eval_outer(p, J, r, r).real * 2.0 * math.pi * r
+            return evaluate_kernel(K, r, r).real * 2.0 * math.pi * r
 
         hi = p.R + 10.0 / math.sqrt(p.N)
         val, err = quad(diag, p.R, hi, epsabs=1e-11, epsrel=1e-11, limit=300)
@@ -120,10 +111,10 @@ def test_outer_single_index_normalization_by_quadrature():
 
 def test_outer_trace_equals_rank():
     p = EnsembleParams(N=12, c=0.7, R=0.6)
-    J = IndexSet(members=(3, 7, 11), N=12)
+    K = KernelSpec("outer_J", p, IndexSet(members=(3, 7, 11), N=12))
 
     def diag(r: float) -> float:
-        return eval_outer(p, J, r, r).real * 2.0 * math.pi * r
+        return evaluate_kernel(K, r, r).real * 2.0 * math.pi * r
 
     hi = p.R + 10.0 / math.sqrt(p.N)
     val, err = quad(diag, p.R, hi, epsabs=1e-11, epsrel=1e-11, limit=300)
@@ -133,17 +124,17 @@ def test_outer_trace_equals_rank():
 def test_outer_reproducing_property_by_2d_quadrature():
     # projection kernels reproduce themselves: int K(z,u) K(u,w) dA(u) = K(z,w)
     p = EnsembleParams(N=12, c=0.7, R=0.6)
-    J = IndexSet(members=(10, 11), N=12)
+    K = KernelSpec("outer_J", p, IndexSet(members=(10, 11), N=12))
     z, w = 0.8 + 0.1j, 0.75 - 0.2j
     hi = p.R + 10.0 / math.sqrt(p.N)
 
     def integrand(theta: float, r: float, take) -> float:
         u = r * cmath.exp(1j * theta)
-        return take(eval_outer(p, J, z, u) * eval_outer(p, J, u, w)) * r
+        return take(evaluate_kernel(K, z, u) * evaluate_kernel(K, u, w)) * r
 
     re, re_err = dblquad(integrand, p.R, hi, 0.0, 2.0 * math.pi, args=(lambda v: v.real,), epsabs=1e-9)
     im, im_err = dblquad(integrand, p.R, hi, 0.0, 2.0 * math.pi, args=(lambda v: v.imag,), epsabs=1e-9)
-    target = eval_outer(p, J, z, w)
+    target = evaluate_kernel(K, z, w)
     assert complex(re, im) == pytest.approx(target, abs=1e-6)
 
 
@@ -155,9 +146,9 @@ def test_outer_top_block_approaches_plain_kernel_outside():
     sups = []
     for N in (50, 100, 200):
         p = EnsembleParams(N=N, c=0.9, R=0.7)
-        J = top_block(p)
+        outer, plain = KernelSpec("outer_J", p, top_block(p)), KernelSpec("ginibre_N", p)
         sups.append(
-            max(abs(eval_outer(p, J, a, b) - eval_ginibre(p, a, b)) for a in pts for b in pts)
+            max(abs(evaluate_kernel(outer, a, b) - evaluate_kernel(plain, a, b)) for a in pts for b in pts)
         )
     assert sups[0] > sups[1] > sups[2]
     assert sups[1] < 1e-2
@@ -172,27 +163,27 @@ def test_outer_top_block_approaches_plain_kernel_outside():
 def test_inner_frozen_reference():
     p = EnsembleParams(**OUTER_REF_PARAMS)
     J = IndexSet(members=OUTER_REF_SET, N=p.N)
-    val = eval_inner(p, J, *INNER_REF_POINT)
+    val = evaluate_kernel(KernelSpec("inner_J_complement", p, J), *INNER_REF_POINT)
     assert val == pytest.approx(INNER_REF_VALUE, rel=1e-12)
 
 
 def test_inner_full_set_and_support():
     p = EnsembleParams(N=10, c=0.8, R=0.7)
     full = IndexSet(members=tuple(range(10)), N=10)
-    assert eval_inner(p, full, 0.3, 0.3) == 0j
-    J = top_block(p)
-    assert eval_inner(p, J, 0.8, 0.3) == 0j
-    assert eval_inner(p, J, 0.3, 0.3) != 0j
+    assert evaluate_kernel(KernelSpec("inner_J_complement", p, full), 0.3, 0.3) == 0j
+    K = KernelSpec("inner_J_complement", p, top_block(p))
+    assert evaluate_kernel(K, 0.8, 0.3) == 0j
+    assert evaluate_kernel(K, 0.3, 0.3) != 0j
 
 
 def test_inner_single_complement_normalization():
     # J leaves exactly one inner function; its density integrates to 1
     p = EnsembleParams(N=6, c=0.9, R=0.8)
     assert p.N_c == 5
-    J = IndexSet(members=(1, 2, 3, 4, 5), N=6)  # complement = {0}
+    K = KernelSpec("inner_J_complement", p, IndexSet(members=(1, 2, 3, 4, 5), N=6))  # complement = {0}
 
     def diag(r: float) -> float:
-        return eval_inner(p, J, r, r).real * 2.0 * math.pi * r
+        return evaluate_kernel(K, r, r).real * 2.0 * math.pi * r
 
     val, err = quad(diag, 0.0, p.R, epsabs=1e-11, epsrel=1e-11, limit=300)
     assert val == pytest.approx(1.0, abs=1e-8)
@@ -204,11 +195,11 @@ def test_inner_top_block_matches_scaled_small_ensemble():
     p = EnsembleParams(N=100, c=0.9, R=0.7)
     M = p.N - p.N_c
     alpha = math.sqrt(M / p.N)
-    small = EnsembleParams(N=M, c=1.0, R=0.5)  # only N matters for eval_ginibre
-    J = top_block(p)
+    small = KernelSpec("ginibre_N", EnsembleParams(N=M, c=1.0, R=0.5))  # only N matters here
+    inner = KernelSpec("inner_J_complement", p, top_block(p))
     pts = [0.0, 0.2, 0.4, 0.2 + 0.3j, 0.5, 0.6, 0.64]
     sup = max(
-        abs(eval_inner(p, J, a, b) - eval_ginibre(small, a / alpha, b / alpha) / alpha**2)
+        abs(evaluate_kernel(inner, a, b) - evaluate_kernel(small, a / alpha, b / alpha) / alpha**2)
         for a in pts
         for b in pts
     )
@@ -225,7 +216,7 @@ def test_edge_two_routes_agree():
     J = top_block(p)
     for z, w in [(1 + 0j, 1 + 0j), (0.5 + 0.7j, 1.2 - 0.3j), (2 + 1j, 0.1 + 0j)]:
         direct = evaluate_kernel(KernelSpec("edge_rescaled_J", p, J), z, w)
-        mapped = eval_outer(p, J, p.R + z / p.N, p.R + w / p.N) / p.N**2
+        mapped = evaluate_kernel(KernelSpec("outer_J", p, J), p.R + z / p.N, p.R + w / p.N) / p.N**2
         assert direct == pytest.approx(mapped, rel=1e-12)
 
 
@@ -245,8 +236,8 @@ def test_edge_hermitian_and_diagonal():
 
 def test_edge_x_scaled_near_limit():
     p = EnsembleParams(N=800, c=0.9, R=0.7)
-    J = top_block(p)
-    gap = abs(eval_edge_x_scaled(p, J, 1.0, 1.0) - eval_limit(1.0, 1.0))
+    edge = KernelSpec("edge_rescaled_J", p, top_block(p), x_scaled=True)
+    gap = abs(evaluate_kernel(edge, 1.0, 1.0) - eval_limit(1.0, 1.0))
     assert gap < math.log(p.N) ** 2 / p.N
 
 
@@ -255,10 +246,8 @@ def test_edge_limit_convergence_rate():
     sups = []
     for N in (200, 400):
         p = EnsembleParams(N=N, c=0.9, R=0.7)
-        J = top_block(p)
-        sups.append(
-            max(abs(eval_edge_x_scaled(p, J, a, b) - eval_limit(a, b)) for a in pts for b in pts)
-        )
+        edge = KernelSpec("edge_rescaled_J", p, top_block(p), x_scaled=True)
+        sups.append(max(abs(evaluate_kernel(edge, a, b) - eval_limit(a, b)) for a in pts for b in pts))
     assert sups[1] < sups[0]
     assert 1.4 < sups[0] / sups[1] < 2.8  # consistent with log^2(N)/N across a doubling
 
@@ -421,14 +410,14 @@ def test_kernel_spec_validation():
 
 
 def test_evaluate_kernel_dispatch():
+    # a finite-N kind is the 1x1 grid, the limit kind the scalar formula
     p = EnsembleParams(N=30, c=0.8, R=0.7)
     J = top_block(p)
-    assert evaluate_kernel(KernelSpec(kind="ginibre_N", params=p), 0.2, 0.2) == eval_ginibre(
-        p, 0.2, 0.2
-    )
-    assert evaluate_kernel(
-        KernelSpec(kind="edge_rescaled_J", params=p, index_set=J, x_scaled=True), 1.0, 1.0
-    ) == eval_edge_x_scaled(p, J, 1.0, 1.0)
+    for spec, z in [
+        (KernelSpec(kind="ginibre_N", params=p), 0.2),
+        (KernelSpec(kind="edge_rescaled_J", params=p, index_set=J, x_scaled=True), 1.0),
+    ]:
+        assert evaluate_kernel(spec, z, z) == evaluate_grid(spec, [z], [z]).values[0, 0]
     assert evaluate_kernel(KernelSpec(kind="limit_hard_wall"), 1.0, 1.0) == eval_limit(1.0, 1.0)
 
 
@@ -479,7 +468,7 @@ def test_correlation_single_and_repeated_points():
     spec = KernelSpec(kind="ginibre_N", params=p)
     x = 0.4 + 0.2j
     res = correlation([x], spec)
-    assert res.value == pytest.approx(eval_ginibre(p, x, x).real, rel=1e-13)
+    assert res.value == pytest.approx(evaluate_kernel(spec, x, x).real, rel=1e-13)
     rep = correlation([x, x], spec)
     assert rep.value == pytest.approx(0.0, abs=1e-10)
     assert rep.value >= 0.0
@@ -492,8 +481,8 @@ def test_correlation_pair_formula():
     x, y = 0.9 + 0.1j, 1.0 - 0.3j
     res = correlation([x, y], spec)
     direct = (
-        eval_outer(p, J, x, x).real * eval_outer(p, J, y, y).real
-        - abs(eval_outer(p, J, x, y)) ** 2
+        evaluate_kernel(spec, x, x).real * evaluate_kernel(spec, y, y).real
+        - abs(evaluate_kernel(spec, x, y)) ** 2
     )
     assert res.raw == pytest.approx(direct, rel=1e-11)
     assert res.value == max(res.raw, 0.0)
