@@ -16,8 +16,10 @@ Four subcommands cover the batch workflows:
     be at least 1.
 
 ``kernel``
-    Tabulates a kernel on a grid, or compares two kernels pointwise and
-    reports the sup difference.
+    Tabulates a kernel on a grid (``--kind``), or compares two kernels
+    pointwise and reports the sup difference (``--compare``); the two are
+    mutually exclusive, and ``--x-scaled`` needs ``edge_rescaled_J`` among
+    the kernels asked for.
 
 ``validate``
     Runs the acceptance suite, one machine-readable line per criterion;
@@ -221,6 +223,11 @@ def _make_spec(kind: str, params: "EnsembleParams | None", x_scaled: bool) -> Ke
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     params = _params(args)
+    if args.kind is None and args.compare is None:
+        raise ValueError("kernel requires --kind or --compare")
+    kinds = args.compare or [args.kind]
+    if args.x_scaled and "edge_rescaled_J" not in kinds:
+        raise ValueError("--x-scaled applies only to edge_rescaled_J, which is neither --kind nor in --compare")
     grid = _parse_grid(args.grid)
     if args.compare is not None:
         spec_a, spec_b = (_make_spec(kind, params, args.x_scaled) for kind in args.compare)
@@ -255,8 +262,6 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             }
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
-    if args.kind is None:
-        raise ValueError("kernel requires --kind or --compare")
     values = evaluate_grid(_make_spec(args.kind, params, args.x_scaled), grid, grid)
     _emit(values.to_csv() if args.format == "csv" else values.to_json() + "\n", args.out)
     return 0
@@ -313,9 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
     kernel = sub.add_parser("kernel", help="tabulate or compare kernels on a grid")
     kernel.set_defaults(run=cmd_kernel)
     add_params(kernel, required=False)
-    kernel.add_argument("--kind", choices=KERNEL_KINDS, help="kernel to tabulate")
-    kernel.add_argument("--compare", nargs=2, metavar=("A", "B"), choices=KERNEL_KINDS, help="emit pointwise differences and the sup")
-    kernel.add_argument("--x-scaled", action="store_true", help="use the x-scaled edge kernel variant")
+    what = kernel.add_mutually_exclusive_group()
+    what.add_argument("--kind", choices=KERNEL_KINDS, help="kernel to tabulate")
+    what.add_argument("--compare", nargs=2, metavar=("A", "B"), choices=KERNEL_KINDS, help="emit pointwise differences and the sup")
+    kernel.add_argument("--x-scaled", action="store_true", help="use the x-scaled edge kernel variant (edge_rescaled_J only)")
     kernel.add_argument("--grid", required=True, help="re0:re1:n,im0:im1:m")
     kernel.add_argument("--out", help="output file (default: stdout)")
     kernel.add_argument("--format", choices=("csv", "json"), default="csv")

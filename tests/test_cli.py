@@ -219,6 +219,29 @@ def test_kernel_compare_reports_sup(capsys):
     assert 0.0 < payload["sup"] < 0.05
 
 
+@pytest.mark.parametrize(
+    "what",
+    [("--kind", "ginibre_N"), ("--kind", "outer_J"), ("--compare", "ginibre_N", "limit_hard_wall")],
+)
+def test_kernel_x_scaled_needs_the_edge_kernel(capsys, what):
+    code, out, err = run(
+        capsys, "kernel", "-N", "20", "-c", "0.9", "-R", "0.7", *what, "--x-scaled", "--grid", "0.2:1:2,0:0:1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--x-scaled applies only to edge_rescaled_J" in err
+
+
+def test_kernel_kind_and_compare_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "-N", "20", "-c", "0.9", "-R", "0.7", "--kind", "outer_J",
+              "--compare", "ginibre_N", "limit_hard_wall", "--grid", "0.2:1:2,0:0:1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_kernel_malformed_grid(capsys):
     code, _, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "nonsense")
     assert code == 2

@@ -4,12 +4,15 @@ Primary oracle: brute-force enumeration over all 2^N subsets of the Bernoulli
 field law, with weights computed by scipy.special.gammaincc (a code path the
 package does not use).  Everything the module computes by DP, telescoping or
 encoding tricks is compared against that enumeration on small instances.
+At larger N the oracles are the dense (N+1)^2 Poisson-binomial DP below and
+the scalar gamma routes ``log_q_integer`` and ``log_gamma_lower``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 from scipy.stats import chisquare
 
+from ginibre_overcrowding import mixture
+from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
 from ginibre_overcrowding.mixture import (
     BernoulliWeights,
     ConstraintViolation,
@@ -38,7 +43,7 @@ from ginibre_overcrowding.mixture import (
     overcrowding_probability_exact,
     sample_conditioned_indexset,
 )
-from ginibre_overcrowding.mixture import _poisson_binomial_dp
+from ginibre_overcrowding.mixture import _banded, _count_band
 
 
 # ----------------------------
@@ -56,6 +61,25 @@ def oracle_subset_prob(members: tuple[int, ...], a: np.ndarray) -> float:
     for k in range(len(a)):
         prob *= a[k] if k in members else 1.0 - a[k]
     return prob
+
+
+def _poisson_binomial_dp(log_a: np.ndarray, log_one_minus_a: np.ndarray) -> np.ndarray:
+    """F[k, r] = log P(B_0 + ... + B_{k-1} = r), shape (N+1, N+1): the dense DP."""
+    N = len(log_a)
+    F = np.full((N + 1, N + 1), -np.inf)
+    F[0, 0] = 0.0
+    for k in range(1, N + 1):
+        la = log_a[k - 1]
+        lna = log_one_minus_a[k - 1]
+        F[k, 0] = F[k - 1, 0] + lna
+        F[k, 1 : k + 1] = np.logaddexp(F[k - 1, 1 : k + 1] + lna, F[k - 1, 0:k] + la)
+    return F
+
+
+def mixed_err(value, ref) -> float:
+    """Largest |value - ref| / max(1, |ref|)."""
+    value, ref = np.asarray(value), np.asarray(ref)
+    return float(np.max(np.abs(value - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 def oracle_count_probs(params: EnsembleParams) -> np.ndarray:
@@ -107,6 +131,32 @@ def test_weights_first_entry_and_monotone():
     assert np.allclose(np.exp(w.log_a) + np.exp(w.log_one_minus_a), 1.0, atol=1e-14)
 
 
+def _params_at(N: int, x: float) -> EnsembleParams:
+    """A valid triple with R^2 / (1 - c) = x; N = 1 needs c = 1 and then keeps R^2 = x / 4."""
+    c = 1.0 if N == 1 else 0.75
+    return EnsembleParams(N=N, c=c, R=math.sqrt(x * 0.25))
+
+
+@pytest.mark.parametrize("x", [1.005, 1.3, 3.9])
+@pytest.mark.parametrize("N", [1, 5, 19, 20, 21, 200, 1000, 10_000])
+def test_weights_match_scalar_gamma_routes(N, x):
+    # the one-pass Poisson tails against the per-k series and continued fractions
+    p = _params_at(N, x)
+    w = bernoulli_weights(p)
+    ref_a = [log_q_integer(k + 1, p.z) for k in range(N)]
+    ref_b = [log_gamma_lower(float(k + 1), p.z) for k in range(N)]
+    assert mixed_err(w.log_a, ref_a) <= 1e-13
+    assert mixed_err(w.log_one_minus_a, ref_b) <= 1e-13
+
+
+@pytest.mark.parametrize("N, c, R", [(40, 0.8, 0.7), (300, 0.9, 0.7), (2000, 0.515, 0.7), (1, 1.0, 0.6)])
+def test_rescaled_hole_factor_matches_scalar_sum(N, c, R):
+    p = EnsembleParams(N=N, c=c, R=R)
+    z_small = p.N_c * R * R
+    ref = sum(log_q_integer(j, z_small) for j in range(1, p.N_c + 1))
+    assert abs(log_hole_factor_rescaled(p) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 def test_weights_against_quadrature():
     p = EnsembleParams(N=4, c=0.8, R=0.5)
     w = bernoulli_weights(p)
@@ -131,6 +181,90 @@ def test_dp_on_synthetic_fair_coins():
     F = _poisson_binomial_dp(log_half, log_half)
     assert math.exp(F[3, 2]) == pytest.approx(3.0 / 8.0, rel=1e-14)
     assert math.exp(F[3, 0]) == pytest.approx(1.0 / 8.0, rel=1e-14)
+    coins = BernoulliWeights(log_a=log_half, log_one_minus_a=log_half)
+    for m, prob in enumerate([1.0, 3.0, 3.0, 1.0]):
+        assert math.exp(_banded(coins, m).log_prob) == pytest.approx(prob / 8.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "N, c, R",
+    [
+        (2, 0.5, 0.9),
+        (7, 0.6, 0.8),
+        (60, 0.9, 0.7),
+        (300, 0.515, 0.7),  # x = 1.0103, near critical
+        (900, 0.3, 0.9),
+        (1500, 0.95, 0.3),
+        (4000, 0.515, 0.7),
+        (4000, 0.8, 0.55),
+    ],
+)
+def test_banded_probability_matches_dense_dp(N, c, R):
+    p = EnsembleParams(N=N, c=c, R=R)
+    w = bernoulli_weights(p)
+    F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
+    for m in sorted({p.N_c, max(0, p.N_c - 3), min(N, p.N_c + 3)}):
+        band = _banded(w, m)
+        assert abs(band.log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
+        assert 0.0 <= band.neglected <= 2.0**-60
+    band = _count_band(p, p.N_c)
+    assert band.log_prob == overcrowding_probability_exact(p)
+    # a band, not the dense table
+    assert N < 60 or band.log_F.shape[1] < N // 4
+    np.testing.assert_array_equal(count_distribution(p).log_probs, F[N])
+
+
+def test_band_widens_when_the_answer_is_below_its_guess(monkeypatch):
+    # tilted for m - 30, the first band sits off the mass and the guess at the
+    # answer is too high, so that pass cannot certify itself; the second pass
+    # sets its cut from the first pass's answer
+    p = EnsembleParams(N=300, c=0.5, R=0.75)
+    w = bernoulli_weights(p)
+    F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
+    passes = []
+    forward, tilt = mixture._forward, mixture._tilt
+    monkeypatch.setattr(mixture, "_forward", lambda *args: passes.append(1) or forward(*args))
+    monkeypatch.setattr(mixture, "_tilt", lambda w, m: tilt(w, m - 30))
+    band = _banded(w, p.N_c)
+    assert len(passes) == 2
+    assert band.neglected <= 2.0**-60
+    assert abs(band.log_prob - F[p.N, p.N_c]) <= 1e-11 * abs(F[p.N, p.N_c])
+
+
+def test_exact_probability_at_scale_stays_small():
+    # the dense table would be 20001^2 doubles, 3.2 GB
+    p = EnsembleParams(N=20_000, c=0.7, R=0.6)
+    tracemalloc.start()
+    try:
+        exact = overcrowding_probability_exact(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(exact) and exact < 0.0
+    assert peak < 64 * 2**20
+    assert _count_band(p, p.N_c).neglected <= 2.0**-60
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "N, c, R",
+    [
+        (1, 1.0, 0.5),
+        (30, 1.0, 1e-160),  # N R^2 is subnormal
+        (200, 0.5, math.sqrt(0.5025)),  # x = 1.005
+        (200, 0.5, math.sqrt(0.98)),
+        (50, 1.0, math.sqrt(0.98)),
+        (3000, 0.9, math.sqrt(0.1005)),  # x = 1.005
+    ],
+)
+def test_edge_triples_raise_no_warnings(N, c, R):
+    p = EnsembleParams(N=N, c=c, R=R)
+    w = bernoulli_weights(p)
+    assert np.all(np.isfinite(w.log_a)) and np.all(np.isfinite(w.log_one_minus_a))
+    for m in {0, p.N_c, N}:
+        assert math.isfinite(_banded(w, m).log_prob)
+    assert math.isfinite(log_hole_factor_rescaled(p))
+    sample_conditioned_indexset(p, p.N_c, np.random.default_rng(0))
 
 
 def test_count_distribution_matches_enumeration():
@@ -300,6 +434,24 @@ def test_sampler_exact_distribution_chisquare():
     counts = np.zeros(len(subsets))
     for _ in range(draws):
         counts[index[sample_conditioned_indexset(p, 3, rng).members]] += 1
+    stat, pvalue = chisquare(counts, probs * draws)
+    assert pvalue > 0.001, (stat, pvalue)
+
+
+def test_sampler_off_target_size_chisquare():
+    # m = 2 of 7 is not N_c = 5: the walk follows its own band
+    p = EnsembleParams(N=7, c=0.75, R=0.8)
+    m = 2
+    a = oracle_weights(p)
+    subsets = list(itertools.combinations(range(7), m))
+    probs = np.array([oracle_subset_prob(s, a) for s in subsets])
+    probs /= probs.sum()
+    index = {s: i for i, s in enumerate(subsets)}
+    rng = np.random.default_rng(20261018)
+    draws = 200_000
+    counts = np.zeros(len(subsets))
+    for _ in range(draws):
+        counts[index[sample_conditioned_indexset(p, m, rng).members]] += 1
     stat, pvalue = chisquare(counts, probs * draws)
     assert pvalue > 0.001, (stat, pvalue)
 
