@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .gamma import ConvergenceError, GammaDomainError
-from .kernels import KERNEL_KINDS, KernelSpec, evaluate_grid, evaluate_kernel
+from .kernels import KERNEL_KINDS, KernelSpec, evaluate_diagonal, evaluate_grid
 from .mixture import (
     ConstraintViolation,
     EnsembleParams,
@@ -230,12 +230,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         raise ValueError("--x-scaled applies only to edge_rescaled_J, which is neither --kind nor in --compare")
     grid = _parse_grid(args.grid)
     if args.compare is not None:
-        spec_a, spec_b = (_make_spec(kind, params, args.x_scaled) for kind in args.compare)
-        rows = []
-        for z in grid:
-            va = evaluate_kernel(spec_a, z, z)
-            vb = evaluate_kernel(spec_b, z, z)
-            rows.append((z, va, vb, abs(va - vb)))
+        diag_a, diag_b = (evaluate_diagonal(_make_spec(kind, params, args.x_scaled), grid) for kind in args.compare)
+        rows = [(z, a, b, abs(a - b)) for z, a, b in zip(grid, map(complex, diag_a), map(complex, diag_b))]
         sup_z, _, _, sup = max(rows, key=lambda row: row[3])
         if args.format == "csv":
             lines = ["z_re,z_im,a_re,a_im,b_re,b_im,diff_abs"]

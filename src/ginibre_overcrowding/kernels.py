@@ -56,6 +56,7 @@ __all__ = [
     "feature_rows",
     "eval_limit",
     "evaluate_kernel",
+    "evaluate_diagonal",
     "evaluate_grid",
     "correlation",
     "g_max_diagnostic",
@@ -122,12 +123,13 @@ def feature_rows(
     return np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase)), shift
 
 
-def _projection_grid(
-    spec: "KernelSpec", z_points: Sequence[complex], w_points: Sequence[complex]
-) -> np.ndarray:
-    """K(z_i, w_j) of a finite-N kind as one product of feature rows."""
+def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature rows of a finite-N kind at pts: (rows, shift, on), rows for pts[on] only.
+
+    ``on`` marks the points on the kernel's support; off it the kernel is 0.
+    The edge kind's coordinate map and per-row factors are applied here.
+    """
     params, R = spec.params, spec.params.R
-    pts = np.array([complex(p) for p in (*z_points, *w_points)], dtype=complex)
     scale = np.ones(pts.size, dtype=complex)
     kind = spec.kind
     if kind == "edge_rescaled_J":
@@ -146,6 +148,15 @@ def _projection_grid(
     ks, log_h = basis(params, spec.index_set, kind)
     rows, shift = feature_rows(params, ks, log_h, r[on] ** 2, np.angle(pts[on]))
     rows *= scale[on, None]
+    return rows, shift, on
+
+
+def _projection_grid(
+    spec: "KernelSpec", z_points: Sequence[complex], w_points: Sequence[complex]
+) -> np.ndarray:
+    """K(z_i, w_j) of a finite-N kind as one product of feature rows."""
+    pts = np.array([complex(p) for p in (*z_points, *w_points)], dtype=complex)
+    rows, shift, on = _projection_rows(spec, pts)
     n = len(z_points)
     nz = int(np.count_nonzero(on[:n]))
     values = np.zeros((n, pts.size - n), dtype=complex)
@@ -229,6 +240,16 @@ def evaluate_kernel(spec: KernelSpec, z: complex, w: complex) -> complex:
     if spec.kind == "limit_hard_wall":
         return eval_limit(z, w)
     return complex(_projection_grid(spec, (z,), (w,))[0, 0])
+
+
+def evaluate_diagonal(spec: KernelSpec, points: Sequence[complex]) -> np.ndarray:
+    """K(z_i, z_i) over a point list; a finite-N kind takes one pass over its feature rows."""
+    if spec.kind == "limit_hard_wall":
+        return np.array([eval_limit(z, z) for z in points], dtype=complex)
+    rows, shift, on = _projection_rows(spec, np.array([complex(p) for p in points], dtype=complex))
+    values = np.zeros(len(points), dtype=complex)
+    values[on] = np.exp(2.0 * shift) * np.einsum("ij,ij->i", rows, rows.conj())
+    return values
 
 
 @dataclass(frozen=True)

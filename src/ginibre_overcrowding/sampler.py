@@ -11,22 +11,37 @@ Two samplers cover two different jobs:
 
 * ``sample_sequential`` draws a complete point configuration of the rank-m
   projection kernel (outer on |z| > R, or inner complement on |z| < R) one
-  point at a time.  Step one draws from the density K(z, z)/m, which for
-  these kernels is an exact mixture: a uniformly chosen basis index, the
-  radial law of that index, and a uniform angle.  Later steps target the
-  deflated diagonal and are realized by rejection against the step-one
-  mixture with the envelope m/(m - j); a Gram-Schmidt list of unit vectors
-  tracks the directions already spanned.  Acceptance ratios only involve
-  the direction of the feature vector, so each proposal's row from
-  ``kernels.feature_rows`` (the rows the kernels are built from, formed in
-  log space and scaled by their own maximum) is simply normalized; this
-  keeps the sampler usable at N in the hundreds where the raw feature
-  entries underflow.
+  point at a time (Hough, Krishnapur, Peres and Virag 2006).  Step one
+  draws from the density K(z, z)/m, which for these kernels is an exact
+  mixture: a uniformly chosen basis index, the radial law of that index,
+  and a uniform angle.  Step j targets the deflated diagonal and is
+  realized by rejection against the step-one mixture with the envelope
+  m/(m - j); a Gram-Schmidt list of unit vectors tracks the directions
+  already spanned.  Acceptance ratios only involve the direction of the
+  feature vector, so each proposal's row from ``kernels.feature_rows``
+  (formed in log space and scaled by its own maximum) is simply
+  normalized; this keeps the sampler usable at N in the hundreds where
+  the raw feature entries underflow.
+
+  Proposals come from a pool drawn ahead of the steps, all at once: the
+  basis picks, the radii, the angles, the acceptance uniforms and the
+  normalized feature rows, sized to the m H_(m-j) proposals the remaining
+  steps expect and refilled when used up.  Step j tests a small window of
+  the pool from a cursor, in pool order, with one matrix product against
+  the span, and accepts the first hit; the proposals it rejected are
+  dropped and those behind the hit stay for later steps.  Every proposal
+  is tested at exactly one step against its own uniform, and proposals
+  not yet tested are independent of everything before them, so this is
+  the plain rejection scheme with the random numbers drawn in another
+  order.
 
 Both samplers draw r^2 through the same exact decompositions of the
 truncated Gamma law, ``_outer_t_block`` outside the disk and
-``_inner_t_block`` inside it; no tolerance enters but the upper cut of the
-inner Poisson table, which lies below the resolution of a uniform draw.
+``_inner_t_block`` inside it.  A block of any size is one uniform draw,
+one search of the truncated Poisson tables of all its indices laid end
+to end, and one Gamma or Beta call.  No tolerance enters but the upper
+cut of the inner Poisson table, which lies below the resolution of a
+uniform draw.
 
 Randomness comes from ``RandomStream``, a counter-based Philox generator
 keyed by (seed, stream_id).  Two streams with different ids are
@@ -71,6 +86,8 @@ _TWO_PI = 2.0 * math.pi
 
 # Proposal budget per point before the sequential sampler gives up.
 _MAX_PROPOSALS = 1_000_000
+# Entries (proposals x rank) of one proposal pool's feature-row matrix.
+_POOL_ENTRIES = 1 << 15
 # A freshly accepted direction should never be this close to the span of
 # the previous ones; if it is, the Gram-Schmidt basis has degenerated.
 _MIN_DIRECTION_NORM = 1e-10
@@ -299,8 +316,9 @@ def sample_radii_outer(
     if size is not None and (size != int(size) or size < 1):
         raise ValueError(f"size must be a positive integer or None, got {size!r}")
     draws = 1 if size is None else int(size)
-    ks = np.tile(np.array(J.members, dtype=np.int64), draws)
-    out = np.sqrt(_outer_t_block(params, ks, gen)).reshape(draws, J.size)
+    ks = np.array(J.members, dtype=np.int64)
+    picks = np.tile(np.arange(J.size), draws)
+    out = np.sqrt(_outer_t_block(params, ks, picks, gen)).reshape(draws, J.size)
     if size is None:
         return [float(v) for v in out[0]]
     return out
@@ -338,8 +356,33 @@ def _truncated_poisson_cumulative(z0: float, lo: int, hi: "int | None" = None) -
     return cum
 
 
-def _outer_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Exact draws of t = r^2 for outer indices ks (may repeat), vectorized.
+def _table_index(tables: list, picks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(tables[picks[i]], u[i], side="right")`` for all i in one search.
+
+    The rows are laid end to end as complex keys r + i cum, which numpy
+    orders lexicographically, real part first; a query r + i u therefore
+    lands in row r, behind exactly the entries cum <= u, and subtracting
+    the row start gives the per-row index bit for bit.  (Integer keys
+    ceil(cum 2^53) + r 2^53 would do the same but overflow int64 past
+    1023 rows; a float offset r + u would round u.)
+    """
+    if picks.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    sizes = np.array([cum.size for cum in tables])
+    starts = np.cumsum(sizes) - sizes
+    keys = np.empty(int(sizes.sum()), dtype=complex)
+    keys.real = np.repeat(np.arange(len(tables), dtype=float), sizes)
+    keys.imag = np.concatenate(tables)
+    query = np.empty(picks.size, dtype=complex)
+    query.real = picks
+    query.imag = u
+    return np.searchsorted(keys, query, side="right") - starts[picks]
+
+
+def _outer_t_block(
+    params: EnsembleParams, ks: np.ndarray, picks: np.ndarray, gen: np.random.Generator
+) -> np.ndarray:
+    """Exact draws of t = r^2 for the outer indices ks[picks], vectorized.
 
     Uses the arrival-time decomposition of the truncated Gamma law: with
     u = Nt ~ Gamma(k+1) conditioned on u > z0, the number i of Poisson
@@ -347,18 +390,15 @@ def _outer_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Genera
     z0 is an independent Gamma(k+1-i).  No tolerance enters anywhere.
     """
     z0 = params.z
-    t = np.empty(ks.size)
-    for k in np.unique(ks):
-        sel = np.nonzero(ks == k)[0]
-        cum = _truncated_poisson_cumulative(z0, 0, int(k))
-        i = np.searchsorted(cum, gen.random(sel.size), side="right")
-        w = gen.standard_gamma(k + 1.0 - i)
-        t[sel] = (z0 + w) / params.N
-    return t
+    tables = [_truncated_poisson_cumulative(z0, 0, int(k)) for k in ks]
+    i = _table_index(tables, picks, gen.random(picks.size))
+    return (z0 + gen.standard_gamma(ks[picks] + 1.0 - i)) / params.N
 
 
-def _inner_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Exact draws of t = r^2 on (0, R^2) for inner-complement indices ks.
+def _inner_t_block(
+    params: EnsembleParams, ks: np.ndarray, picks: np.ndarray, gen: np.random.Generator
+) -> np.ndarray:
+    """Exact draws of t = r^2 on (0, R^2) for the inner-complement indices ks[picks].
 
     Uses the order-statistics decomposition of the truncated Gamma law:
     with u = Nt ~ Gamma(k+1) conditioned on u < z0, the number n of Poisson
@@ -366,14 +406,28 @@ def _inner_t_block(params: EnsembleParams, ks: np.ndarray, gen: np.random.Genera
     n the arrivals are uniform on (0, z0), so u = z0 Beta(k+1, n-k).
     """
     z0 = params.z
-    u = gen.random(ks.size)
-    n = np.empty(ks.size, dtype=np.int64)
-    for k in np.unique(ks):
-        sel = np.nonzero(ks == k)[0]
-        cum = _truncated_poisson_cumulative(z0, int(k) + 1)
-        n[sel] = k + 1 + np.searchsorted(cum, u[sel], side="right")
-    # one vectorized Beta call per block: per-index calls cost more than the draws
-    return z0 * gen.beta(ks + 1.0, n - ks) / params.N
+    tables = [_truncated_poisson_cumulative(z0, int(k) + 1) for k in ks]
+    k = ks[picks]
+    n = k + 1 + _table_index(tables, picks, gen.random(picks.size))
+    return z0 * gen.beta(k + 1.0, n - k) / params.N
+
+
+def _pool_rows(m: int, j: int) -> int:
+    """Pool size before step j: the expected m H_(m-j) remaining proposals, capped."""
+    expected = m * np.reciprocal(np.arange(1.0, m - j + 1)).sum()
+    return max(1, min(math.ceil(1.1 * expected) + 8, _POOL_ENTRIES // m))
+
+
+def _draw_pool(params, ks, log_h, radial_block, rows: int, gen: np.random.Generator):
+    """``rows`` proposals from the step-one mixture: (t, theta, uniforms, unit feature rows)."""
+    picks = gen.integers(0, ks.size, size=rows)
+    t = radial_block(params, ks, picks, gen)
+    theta = _TWO_PI * gen.random(rows)
+    uniforms = gen.random(rows)
+    # acceptance ratios and Gram-Schmidt updates only see directions
+    psi, _ = feature_rows(params, ks, log_h, t, theta)
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return t, theta, uniforms, psi
 
 
 def _sample_projection(
@@ -384,14 +438,14 @@ def _sample_projection(
     ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
     radial_block = _outer_t_block if outer else _inner_t_block
     m = int(ks.size)
-    if m == 0:
-        return []
     span = np.zeros((m, m), dtype=complex)
     points: list[complex] = []
+    uniforms = np.empty(0)
+    cursor = 0
     for j in range(m):
-        # Expected proposals per accepted point is m/(m-j); oversize the
-        # block a little so one batch usually suffices.
-        block = int(min(128, max(8, math.ceil(2.0 * m / (m - j)))))
+        # Expected proposals per accepted point is m/(m-j); a window a
+        # little larger usually holds the hit.
+        window = int(min(128, max(8, math.ceil(2.0 * m / (m - j)))))
         used = 0
         while True:
             if used >= _MAX_PROPOSALS:
@@ -399,36 +453,31 @@ def _sample_projection(
                     f"no acceptance within {used} proposals at point {j + 1} of {m} "
                     f"(basis={basis}, N={params.N}, c={params.c}, R={params.R})"
                 )
-            picks = gen.integers(0, m, size=block)
-            t = radial_block(params, ks[picks], gen)
-            theta = _TWO_PI * gen.random(block)
-            # acceptance ratios and Gram-Schmidt updates only see directions
-            psi, _ = feature_rows(params, ks, log_h, t, theta)
-            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-            if j:
-                coeff = psi @ span[:j].conj().T
-                accept = 1.0 - (np.abs(coeff) ** 2).sum(axis=1)
-            else:
-                coeff = None
-                accept = np.ones(block)
-            hits = gen.random(block) < np.clip(accept, 0.0, 1.0)
-            used += block
-            if not hits.any():
-                continue
-            b = int(np.argmax(hits))
-            v = psi[b].copy()
-            if j:
-                v -= coeff[b] @ span[:j]
-                v -= (span[:j].conj() @ v) @ span[:j]
-            norm = float(np.linalg.norm(v))
-            if norm < _MIN_DIRECTION_NORM:
-                raise SamplingError(
-                    f"accepted direction nearly collinear with the span at point {j + 1} of {m}"
+            if cursor == uniforms.size:
+                t, theta, uniforms, psi = _draw_pool(
+                    params, ks, log_h, radial_block, _pool_rows(m, j), gen
                 )
-            span[j] = v / norm
-            r = math.sqrt(t[b])
-            points.append(complex(r * math.cos(theta[b]), r * math.sin(theta[b])))
-            break
+                cursor = 0
+            stop = min(cursor + window, uniforms.size)
+            coeff = psi[cursor:stop] @ span[:j].conj().T
+            accept = 1.0 - (np.abs(coeff) ** 2).sum(axis=1)
+            hits = np.flatnonzero(uniforms[cursor:stop] < accept)
+            if hits.size:
+                break
+            used += stop - cursor
+            cursor = stop
+        b = cursor + int(hits[0])
+        cursor = b + 1
+        v = psi[b] - coeff[hits[0]] @ span[:j]
+        v -= (span[:j].conj() @ v) @ span[:j]
+        norm = float(np.linalg.norm(v))
+        if norm < _MIN_DIRECTION_NORM:
+            raise SamplingError(
+                f"accepted direction nearly collinear with the span at point {j + 1} of {m}"
+            )
+        span[j] = v / norm
+        r = math.sqrt(t[b])
+        points.append(complex(r * math.cos(theta[b]), r * math.sin(theta[b])))
     return points
 
 

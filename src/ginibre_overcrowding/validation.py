@@ -32,7 +32,7 @@ from .gamma import (
     log_q_asymptotic,
     log_q_integer,
 )
-from .kernels import KernelSpec, eval_limit, evaluate_kernel, g_max_diagnostic
+from .kernels import KernelSpec, eval_limit, evaluate_diagonal, evaluate_grid, g_max_diagnostic
 from .mixture import (
     EnsembleParams,
     bernoulli_weights,
@@ -191,6 +191,12 @@ def _criterion_3(tol: dict) -> tuple[bool, str]:
     return ok, f"fitted C={fitted:.3f} <= {tol['ratio_constant']} ({per_n})"
 
 
+def _kernel_values(spec: KernelSpec, points: list, pairs: list) -> np.ndarray:
+    """K(z, z) over ``points``, then K(z, w) over ``pairs``: one kernel product per list."""
+    zs, ws = zip(*pairs)
+    return np.concatenate([evaluate_diagonal(spec, points), np.diagonal(evaluate_grid(spec, zs, ws).values)])
+
+
 def _criterion_4(tol: dict) -> tuple[bool, str]:
     """Scaled edge kernel approaches the hard-wall limit at rate ~log^2(N)/N."""
     res = np.linspace(0.2, 3.0, 15)
@@ -204,13 +210,12 @@ def _criterion_4(tol: dict) -> tuple[bool, str]:
         )
         for _ in range(50)
     ]
+    limit = np.array([eval_limit(z, z) for z in diag] + [eval_limit(z, w) for z, w in pairs])
     sups = []
     for N in (200, 400, 800):
         params = EnsembleParams(N=N, c=0.9, R=0.7)
         edge = KernelSpec("edge_rescaled_J", params, top_block(params), x_scaled=True)
-        sup = max(abs(evaluate_kernel(edge, z, z) - eval_limit(z, z)) for z in diag)
-        sup = max(sup, max(abs(evaluate_kernel(edge, z, w) - eval_limit(z, w)) for z, w in pairs))
-        sups.append(sup)
+        sups.append(float(np.abs(_kernel_values(edge, diag, pairs) - limit).max()))
     r1, r2 = sups[0] / sups[1], sups[1] / sups[2]
     ok = 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6
     return ok, f"sups {sups[0]:.3e}/{sups[1]:.3e}/{sups[2]:.3e}, doubling ratios {r1:.2f}, {r2:.2f} in [1.6, 2.6]"
@@ -242,12 +247,10 @@ def _criterion_5(tol: dict) -> tuple[bool, str]:
             for _ in range(40)
         ]
 
-        def scaled(a: complex, b: complex) -> complex:
-            return evaluate_kernel(small, a / alpha, b / alpha) / (alpha * alpha)
-
-        sup = max(abs(evaluate_kernel(inner, z, z) - scaled(z, z)) for z in inner_pts)
-        sup = max(sup, max(abs(evaluate_kernel(inner, a, b) - scaled(a, b)) for a, b in inner_pairs))
-        sups_in.append(sup)
+        scaled = _kernel_values(
+            small, [z / alpha for z in inner_pts], [(a / alpha, b / alpha) for a, b in inner_pairs]
+        ) / (alpha * alpha)
+        sups_in.append(float(np.abs(_kernel_values(inner, inner_pts, inner_pairs) - scaled).max()))
 
         outer_pts = [
             r * complex(math.cos(t), math.sin(t))
@@ -258,12 +261,8 @@ def _criterion_5(tol: dict) -> tuple[bool, str]:
             (outer_pts[gen.integers(len(outer_pts))], outer_pts[gen.integers(len(outer_pts))])
             for _ in range(40)
         ]
-        sup = max(abs(evaluate_kernel(outer, z, z) - evaluate_kernel(plain, z, z)) for z in outer_pts)
-        sup = max(
-            sup,
-            max(abs(evaluate_kernel(outer, a, b) - evaluate_kernel(plain, a, b)) for a, b in outer_pairs),
-        )
-        sups_out.append(sup)
+        gap = _kernel_values(outer, outer_pts, outer_pairs) - _kernel_values(plain, outer_pts, outer_pairs)
+        sups_out.append(float(np.abs(gap).max()))
 
     def geometric(seq: list) -> bool:
         # halving per doubling at least, with a floor for roundoff noise

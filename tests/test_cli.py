@@ -160,10 +160,10 @@ def test_sample_radial_only_replays_sampler(capsys, tmp_path):
 # (format, radial-only).  A change that alters replay bytes must update these
 # digests and name the change in CHANGES.md.
 REPLAY_DIGESTS = {
-    ("csv", False): "64dd067f39da6a602865dd70180eda229880ac68d741741690f36f03650aec5b",
-    ("csv", True): "13e387e78e482e44a82f312dc24cffe4c19769ce1df0da9f38c87722d76bc03e",
-    ("json", False): "3876144b44891ed402978eb0b321eaacedf709b298813a6acd76e02e92a27cd5",
-    ("json", True): "9359881f9cdf67c65627cd39e2210673923b62600c9cab85d87261de5b8ba239",
+    ("csv", False): "513ec2733a1bb894f103b0cab7bdccc9c1cfcd8e3bf01ae41de9d73cbdedd235",
+    ("csv", True): "af6fb21dd29553eb5ec92a70cd7e81fa0895da2a8fc784684931f04a322af137",
+    ("json", False): "f516e46f622f2e18e8b7153a7684a50d7d511c0681b708b9378b0da97732a46d",
+    ("json", True): "58834e34d5dc3f9be7299d5e6a5e976d064f952147b5b6245b7332e156b1715e",
 }
 
 

@@ -22,6 +22,7 @@ from ginibre_overcrowding.kernels import (
     KernelSpec,
     correlation,
     eval_limit,
+    evaluate_diagonal,
     evaluate_grid,
     evaluate_kernel,
     g_max_diagnostic,
@@ -454,6 +455,27 @@ def test_grid_hermitian_defect_and_serialization():
         off = {"outer_J": moduli <= p.R, "inner_J_complement": moduli >= p.R}.get(kind, moduli < 0)
         assert np.all(values[off, :] == 0) and np.all(values[:, off] == 0)
         assert np.all(np.diag(values)[~off].real > 0)
+
+
+def test_diagonal_matches_grid_diagonal():
+    # one pass of feature rows gives the grid's diagonal for every kind,
+    # real and nonnegative, exactly 0 off the support
+    p = EnsembleParams(N=25, c=0.8, R=0.7)
+    J = top_block(p)
+    cross = [0j, 0.3 - 0.2j, 0.6 + 0.3j, 0.69, -0.71j, 0.8 + 0.1j, 1.1 - 0.4j]
+    for spec in (
+        KernelSpec(kind="ginibre_N", params=p),
+        KernelSpec(kind="outer_J", params=p, index_set=J),
+        KernelSpec(kind="inner_J_complement", params=p, index_set=J),
+        KernelSpec(kind="edge_rescaled_J", params=p, index_set=J, x_scaled=True),
+        KernelSpec(kind="limit_hard_wall"),
+    ):
+        pts = [z + 0.5 for z in cross] if spec.kind in ("edge_rescaled_J", "limit_hard_wall") else cross
+        diag = evaluate_diagonal(spec, pts)
+        want = np.diag(evaluate_grid(spec, pts, pts).values)
+        assert np.all(np.abs(diag - want) <= 1e-13 * np.abs(want))
+        assert np.all(diag.imag == 0) and np.all(diag.real >= 0)
+        assert np.array_equal(diag == 0, want == 0)
 
 
 def test_grid_json_limit_kernel_without_params():

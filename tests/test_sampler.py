@@ -209,7 +209,7 @@ def test_inner_radial_draw_matches_lower_cdf(k, lower_mass):
     lp0 = log_gamma_lower(k + 1.0, params.z)
     assert lower_mass[0] < math.exp(lp0) < lower_mass[1]
     gen = RandomStream(seed=909).generator()
-    t = sampler._inner_t_block(params, np.full(500, k), gen)
+    t = sampler._inner_t_block(params, np.array([k]), np.zeros(500, dtype=np.int64), gen)
     assert ((t > 0.0) & (t < params.R**2)).all()
 
     def cdf(v):
@@ -219,6 +219,53 @@ def test_inner_radial_draw_matches_lower_cdf(k, lower_mass):
 
     res = stats.kstest(t, cdf)
     assert res.pvalue > 1e-3
+
+
+def per_row_index(tables, picks, u):
+    return np.array([np.searchsorted(tables[r], x, side="right") for r, x in zip(picks, u)])
+
+
+def test_flat_table_index_matches_per_row_searchsorted():
+    # One search over the laid-out rows gives each row's own searchsorted
+    # index for the same uniforms: outer closed rows with k = 0 among them,
+    # and inner open rows at the starved and well-fed indices above, with
+    # uniforms sitting exactly on table entries and at 0 besides the draws.
+    params = EnsembleParams(N=40, c=0.95, R=0.65)
+    z0 = params.z
+    gen = RandomStream(seed=4242).generator()
+    outer = [sampler._truncated_poisson_cumulative(z0, 0, k) for k in (0, 1, 8, 39)]
+    inner = [sampler._truncated_poisson_cumulative(z0, k + 1) for k in (8, 39)]
+    for tables in (outer, inner):
+        picks = gen.integers(0, len(tables), size=4000)
+        u = gen.random(picks.size)
+        on_entries = [(r, x) for r, cum in enumerate(tables) for x in (0.0, *cum[:-1])]
+        picks = np.concatenate([picks, [r for r, _ in on_entries]])
+        u = np.concatenate([u, [x for _, x in on_entries]])
+        assert np.array_equal(sampler._table_index(tables, picks, u), per_row_index(tables, picks, u))
+
+
+def test_radial_blocks_replay_the_per_row_draws():
+    # Each block is one uniform draw, the per-row index, and one Gamma or
+    # Beta call; rebuilt by hand from the same stream it agrees bit for bit.
+    params = EnsembleParams(N=40, c=0.95, R=0.65)
+    z0 = params.z
+    outer_ks = np.array([0, 1, 8, 39])
+    inner_ks = np.array([8, 39])
+    for block, ks, lo, hi in (
+        (sampler._outer_t_block, outer_ks, lambda k: 0, lambda k: k),
+        (sampler._inner_t_block, inner_ks, lambda k: k + 1, lambda k: None),
+    ):
+        picks = RandomStream(seed=17).generator().integers(0, ks.size, size=2000)
+        t = block(params, ks, picks, RandomStream(seed=18).generator())
+        gen = RandomStream(seed=18).generator()
+        tables = [sampler._truncated_poisson_cumulative(z0, lo(int(k)), hi(int(k))) for k in ks]
+        i = per_row_index(tables, picks, gen.random(picks.size))
+        k = ks[picks]
+        if block is sampler._outer_t_block:
+            want = (z0 + gen.standard_gamma(k + 1.0 - i)) / params.N
+        else:
+            want = z0 * gen.beta(k + 1.0, 1 + i) / params.N
+        assert np.array_equal(t, want)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +405,40 @@ def test_outer_and_inner_independent_given_index_set():
     assert abs(corr) * math.sqrt(n_cfg) < 4.0
 
 
+def test_pool_refills_inside_a_step_keep_the_law(monkeypatch):
+    # A budget of 8 entries gives pools of 1 outer or 2 inner proposals, so
+    # every rejection is followed by a refill inside its step; counts,
+    # support, replay and the pooled moduli must not notice.
+    params = EnsembleParams(N=12, c=0.7, R=0.6)
+    J = top_block(params)
+    monkeypatch.setattr(sampler, "_POOL_ENTRIES", 8)
+    pools = []
+    draw_pool = sampler._draw_pool
+    monkeypatch.setattr(sampler, "_draw_pool", lambda *a: pools.append(a[4]) or draw_pool(*a))
+    rs = RandomStream(seed=20240817)
+    outer = sample_sequential(params, J, "outer_J", rs)
+    assert set(pools) == {1} and len(pools) > J.size
+    assert len(outer.points) == J.size and all(abs(z) > params.R for z in outer.points)
+    assert outer.points == sample_sequential(params, J, "outer_J", rs).points
+    inner = sample_sequential(params, J, "inner_complement_J", rs)
+    assert len(inner.points) == params.N - J.size and all(abs(z) < params.R for z in inner.points)
+
+    n_cfg = 2500
+    pooled = []
+    for i in range(n_cfg):
+        cfg = sample_sequential(params, J, "outer_J", RandomStream(seed=616161, stream_id=i))
+        pooled.extend(abs(z) for z in cfg.points)
+    direct = sample_radii_outer(params, J, RandomStream(seed=717171), size=n_cfg)
+    ks = stats.ks_2samp(np.array(pooled), direct.ravel())
+    assert ks.statistic < 0.02
+
+
 def test_rejection_cap_raises_with_diagnostics(monkeypatch):
     params = EnsembleParams(N=12, c=0.7, R=0.6)
     monkeypatch.setattr(sampler, "_MAX_PROPOSALS", 0)
-    with pytest.raises(SamplingError, match="no acceptance within"):
+    with pytest.raises(
+        SamplingError, match=r"no acceptance within 0 proposals .*\(basis=outer_J, N=12, c=0.7, R=0.6\)"
+    ):
         sample_sequential(params, top_block(params), "outer_J", RandomStream(seed=3))
 
 
