@@ -6,9 +6,10 @@ J of {0, ..., N-1}.  The unconditioned law of J factorizes over independent
 Bernoulli variables with success probabilities a_k = Q(k+1, N R^2), so
 everything here reduces to log-space work on those weights:
 
-* the law of #J is Poisson-binomial; P(#J = m) comes from a forward DP over
-  the band of states that can carry it,
-* conditional sampling of J given #J = m walks the same band backwards,
+* the law of #J is Poisson-binomial; P(#J = m) comes from that law tilted
+  to mean m,
+* conditional sampling of J given #J = m draws from the same tilted law and
+  keeps the first draw with m members,
 * subsets of size N_c are encoded by occupation vectors n, with
   n_k = N - N_c + k - x_k for the sorted members x_1 < ... < x_{N_c}
   (x = kernel index + 1), so the most likely set J_0 = {N-N_c, ..., N-1}
@@ -24,20 +25,19 @@ larger is log1mexp of it.  a_k underflows double precision for k well below
 N R^2 and 1 - a_k for k well above it, so each is kept exact in relative
 terms where it is small.
 
-Band.  Write S_k = B_0 + ... + B_{k-1} and T_k = #J - S_k.  Paths through
-the DP state (k, r) carry at most P(S_k = r) P(T_k = m - r) of
-P(#J = m).  Tilting every Bernoulli by the theta at which E #J = m turns
-that product into exp(K) times two tilted probabilities, with
-K = log E exp(theta #J) - theta m, and Bennett's inequality bounds each by
-the distance of r (or m - r) from its tilted mean.  The exponent is convex
-in r, so the states it cannot rule out form one interval per layer; all
-layers' edges are found at once by bisection, and the DP runs in an
-(N+1, W) strip of log-probabilities with W of a few dozen.  A state is
-dropped only when its bound is below 2^-60 P(#J = m) / (N (m+1)), with
-P(#J = m) first guessed from the tilted variance; the run records the
-resulting bound on the neglected share of P(#J = m), and if the answer
-comes out below the guess, so that the bound exceeds 2^-60, the band is
-rebuilt once from the answer.
+Tilt.  Tilting every Bernoulli by the theta at which E #J = m gives
+P(#J = m) = exp(K) P_theta(#J = m), with K = log E exp(theta (#J - m)).
+The tilted law of #J has mean m and variance var, so it is concentrated
+near m: P_theta(#J = m) >= 1 / sqrt(1 + 12 var), the floor for a discrete
+log-concave law, and Bennett's inequality bounds P_theta(|#J - m| >= L).
+So P_theta(#J = m) is an L-point DFT of the tilted generating function,
+(1/L) sum_j e^(-i w_j m) prod_k (1 - p_k + p_k e^(i w_j)), with L the
+smallest power of two whose aliasing bound is below 2^-60 of that floor;
+L is a few dozen.  A factor with p_k > 1/2 is written
+e^(i w) (1 + q_k (e^(-i w) - 1)) with q_k = 1 - p_k from the log odds, and
+factors with min(p_k, 1 - p_k) < 2^-40 enter at first order, their error
+added to the certificate.  The same tilt draws J given #J = m exactly by
+rejection.
 """
 
 from __future__ import annotations
@@ -199,8 +199,14 @@ def log_factorials(n: int) -> np.ndarray:
     return out
 
 
-# a dropped DP state may carry at most 2^-60 of P(#J = m), shared over all states
-_LOG_NEGLECTED = -60.0 * math.log(2.0)
+# the DFT for P(#J = m) may alias at most 2^-60 of the floor of its tilted value
+_ALIASED = 2.0**-60
+# factors with min(p, 1 - p) below this enter that DFT at first order
+_FOLD = 2.0**-40
+# factors per block of the DFT product
+_CHUNK = 1024
+# uniforms per block of rejective index-set draws, unless one row is larger
+_DRAW_ENTRIES = 1 << 16
 # the terms past this degree sum to less than 1e-18 of phi for |lam - 1| < 0.5
 _PHI_DEGREE = 60
 
@@ -240,6 +246,12 @@ def _log1mexp(x: np.ndarray) -> np.ndarray:
     return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
 
 
+def _tail_length(n: int, z: float) -> int:
+    """The T with rho^(T+1)/(1-rho) <= 2^-64 for rho = z/(n+1) < 1."""
+    rho = z / (n + 1.0)
+    return math.ceil((64.0 * math.log(2.0) - math.log1p(-rho)) / -math.log(rho))
+
+
 def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """(log Q(k+1, z), log P(k+1, z)) for k = 0, ..., n-1, with 0 < z < n + 1.
 
@@ -248,9 +260,7 @@ def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     upper sum T terms after n, with rho^(T+1)/(1-rho) <= 2^-64, leaves out
     less than 2^-64 of every upper tail.
     """
-    rho = z / (n + 1.0)
-    T = math.ceil((64.0 * math.log(2.0) - math.log1p(-rho)) / -math.log(rho))
-    log_pmf = _log_poisson_pmfs(n + T + 1, z)
+    log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
     lower = np.logaddexp.accumulate(log_pmf[:n])
     upper = np.logaddexp.accumulate(log_pmf[:0:-1])[::-1][:n]
     lower_is_small = lower < upper
@@ -267,58 +277,38 @@ def bernoulli_weights(params: EnsembleParams) -> BernoulliWeights:
     return BernoulliWeights(log_a=log_a, log_one_minus_a=log_one_minus_a)
 
 
-def _forward(w: BernoulliWeights, lo: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The Poisson-binomial DP over the band lo[k] <= r < lo[k] + W of each layer k.
+def _forward(w: BernoulliWeights) -> np.ndarray:
+    """log P(#J = r) for r = 0, ..., N: the Poisson-binomial DP in one rolling row.
 
-    ``rows`` has W + 2 columns: column c holds
-    log P(B_0 + ... + B_{k-1} = lo[k] - 1 + c), and columns 0 and W + 1 stay
-    -inf.  Layer k goes to rows[k % len(rows)], so two rows make a rolling
-    pass and N + 1 rows keep the whole band.  lo starts at 0 and grows by 0
-    or 1 per layer.  Returns the last layer.
+    After layer k, column r + 1 of the row holds log P(B_0 + ... + B_{k-1} = r);
+    column 0 stays -inf.
     """
-    n, W = rows.shape[0], rows.shape[1] - 2
-    rows[:] = -np.inf
-    rows[0, 1] = 0.0
-    stay = np.empty(W)
-    move = np.empty(W)
-    prev = rows[0]
-    steps = zip(np.diff(lo).tolist(), w.log_a.tolist(), w.log_one_minus_a.tolist())
-    for k, (d, log_a, log_b) in enumerate(steps, start=1):
-        row = rows[k % n]
-        np.add(prev[1 + d : 1 + d + W], log_b, out=stay)
-        np.add(prev[d : d + W], log_a, out=move)
-        np.logaddexp(stay, move, out=row[1 : W + 1])
-        prev = row
-    return prev
+    row = np.full(len(w.log_a) + 2, -np.inf)
+    row[1] = 0.0
+    for log_a, log_b in zip(w.log_a.tolist(), w.log_one_minus_a.tolist()):
+        row[1:] = np.logaddexp(row[1:] + log_b, row[:-1] + log_a)
+    return row[1:]
 
 
 def count_distribution(params: EnsembleParams) -> CountDistribution:
     """Poisson-binomial distribution of the number of points outside radius R."""
-    N = params.N
-    last = _forward(bernoulli_weights(params), np.zeros(N + 1, dtype=np.int64), np.empty((2, N + 3)))
-    log_probs = last[1 : N + 2].copy()
+    log_probs = _forward(bernoulli_weights(params))
     log_probs.flags.writeable = False
     return CountDistribution(params=params, log_probs=log_probs)
 
 
 @dataclass(frozen=True)
-class CountBand:
-    """The DP states that can carry P(#J = m), as laid out by ``_forward``.
+class CountTilt:
+    """The Bernoulli field tilted to mean m: p_k = a_k e^theta / (1 - a_k + a_k e^theta).
 
-    Row k of ``log_F`` holds log P(B_0 + ... + B_{k-1} = lo[k] - 1 + c) in
-    column c; every other state is either unreachable from the band or
-    dropped.  ``neglected`` bounds the mass of P(#J = m) carried by the
-    dropped states, relative to P(#J = m); it is at most 2^-60.
+    The tilt multiplies the law of J by exp(theta (#J - m) - K), with
+    K = log E exp(theta (#J - m)); ``var`` is the tilted variance of #J.
     """
 
-    m: int
-    lo: np.ndarray
-    log_F: np.ndarray
-    neglected: float
-
-    @property
-    def log_prob(self) -> float:
-        return float(self.log_F[-1, self.m - self.lo[-1] + 1])
+    theta: float
+    p: np.ndarray
+    var: float
+    log_k: float
 
 
 def _bennett(t: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -328,13 +318,16 @@ def _bennett(t: np.ndarray, var: np.ndarray) -> np.ndarray:
     return (var + t) * np.log1p(t / var) - t
 
 
-def _tilt(w: BernoulliWeights, m: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(theta, p, p (1 - p)) with sum p = m for p_k = a_k e^theta / (1 - a_k + a_k e^theta).
+def _tilt(w: BernoulliWeights, m: int) -> "CountTilt | None":
+    """The tilt of the field to mean m by safeguarded Newton in theta; None at m = 0 or N.
 
-    Safeguarded Newton in theta, for 0 < m < N.
+    K is summed term by term, the top block's m terms shifted by -theta, so
+    each term is near 0 where the weights put the mass and nothing cancels.
     """
     log_odds = w.log_a - w.log_one_minus_a
     N = len(log_odds)
+    if m in (0, N):
+        return None
     # every p_k is below e^-40 at the lower end and above 1 - e^-40 at the upper one
     lower, upper = -float(log_odds.max()) - 40.0, -float(log_odds.min()) + 40.0
     # start with the top block half in, half out
@@ -354,85 +347,79 @@ def _tilt(w: BernoulliWeights, m: int) -> tuple[float, np.ndarray, np.ndarray]:
         theta -= excess / max(float(var.sum()), 1e-300)
         if not lower < theta < upper:
             theta = 0.5 * (lower + upper)
-    return theta, p, var
-
-
-def _band_edges(mean, var, mean_rest, var_rest, m: int, win_lo, win_hi, drop: float):
-    """First and last r of each layer whose Bennett exponents sum to at most ``drop``.
-
-    The sum is convex in r and near 0 at the rounded tilted mean, so each
-    side of that centre is one bisection, done for all layers at once.  A
-    layer whose centre is cut keeps its whole window.
-    """
-
-    def kept(r):
-        return _bennett(r - mean, var) + _bennett(m - r - mean_rest, var_rest) <= drop
-
-    centre = np.clip(np.rint(mean).astype(np.int64), win_lo, win_hi)
-    whole = ~kept(centre)
-    a, b = win_lo.copy(), centre.copy()
-    while np.any(a < b):
-        mid = (a + b) // 2
-        ok = kept(mid)
-        b = np.where(ok, mid, b)
-        a = np.where(ok, a, mid + 1)
-    lo = a
-    a, b = centre.copy(), win_hi.copy()
-    while np.any(a < b):
-        mid = (a + b + 1) // 2
-        ok = kept(mid)
-        a = np.where(ok, mid, a)
-        b = np.where(ok, b, mid - 1)
-    return np.where(whole, win_lo, lo), np.where(whole, win_hi, a)
-
-
-def _banded(w: BernoulliWeights, m: int) -> CountBand:
-    """The certified band for P(#J = m): its states, their log-probabilities and the bound."""
-    N = len(w.log_a)
-    k = np.arange(N + 1)
-    win_lo = np.maximum(0, m - N + k)
-    win_hi = np.minimum(k, m)
-    if m in (0, N):
-        # one reachable path: the window is the band
-        rows = np.empty((N + 1, 3))
-        _forward(w, win_lo, rows)
-        return CountBand(m=m, lo=win_lo, log_F=rows, neglected=0.0)
-    theta, p, var = _tilt(w, m)
-    log_k = float(np.logaddexp(w.log_one_minus_a, w.log_a + theta).sum()) - theta * m
-    # prefix and suffix tilted means and variances; the floor covers underflowed terms
-    mean = np.concatenate(([0.0], np.cumsum(p)))
-    var_pre = np.concatenate(([0.0], np.cumsum(var))) + 1e-300
-    mean_rest = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
-    var_rest = np.concatenate((np.cumsum(var[::-1])[::-1], [0.0])) + 1e-300
-    # the states a dropped one is shared with, and one nat for rounding in the bounds
-    margin = -_LOG_NEGLECTED + math.log(N * (m + 1.0)) + 1.0
-    # the tilted law of #J has mean m, so its mode m has probability at least
-    # 1 / sqrt(1 + 12 var): a guess at the answer, checked below
-    drop = 0.5 * math.log1p(12.0 * float(var_pre[-1])) + margin
-    n_window = int((win_hi - win_lo + 1).sum())
-    for _ in range(2):
-        lo, hi = _band_edges(mean, var_pre, mean_rest, var_rest, m, win_lo, win_hi, drop)
-        # the DP needs lo to grow by 0 or 1 per layer: lower it where it does not
-        lo = np.minimum.accumulate(lo[::-1])[::-1]
-        lo = k + np.minimum.accumulate(lo - k)
-        W = int((hi - lo).max()) + 1
-        rows = np.empty((N + 1, W + 2))
-        log_prob = float(_forward(w, lo, rows)[m - lo[N] + 1])
-        kept = np.minimum(lo + W - 1, win_hi) - np.maximum(lo, win_lo) + 1
-        n_dropped = n_window - int(np.maximum(kept, 0).sum())
-        log_neglected = log_k - drop + math.log(n_dropped) - log_prob if n_dropped else -math.inf
-        if log_neglected <= _LOG_NEGLECTED:
-            return CountBand(m=m, lo=lo, log_F=rows, neglected=math.exp(log_neglected))
-        # the answer came out below the guess: the band it gives is wider
-        drop = log_k - log_prob + margin
-    raise FloatingPointError(f"could not certify the DP band for m={m}, N={N}")
+    top = N - m
+    log_k = float(
+        np.sum(np.logaddexp(w.log_one_minus_a[:top], w.log_a[:top] + theta))
+        + np.sum(np.logaddexp(w.log_one_minus_a[top:] - theta, w.log_a[top:]))
+    )
+    p.flags.writeable = False
+    return CountTilt(theta=theta, p=p, var=float(var.sum()), log_k=log_k)
 
 
 @lru_cache(maxsize=8)
-def _count_band(params: EnsembleParams, m: int) -> CountBand:
-    band = _banded(bernoulli_weights(params), m)
-    band.log_F.flags.writeable = False
-    return band
+def _count_tilt(params: EnsembleParams, m: int) -> "CountTilt | None":
+    return _tilt(bernoulli_weights(params), m)
+
+
+def _char_product(r: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """prod_k (1 + r_k e1), taken over ``_CHUNK`` factors at a time."""
+    out = np.ones_like(e1)
+    for start in range(0, r.size, _CHUNK):
+        out *= np.prod(1.0 + r[start : start + _CHUNK, None] * e1, axis=0)
+    return out
+
+
+def _log_count_prob(
+    w: BernoulliWeights, m: int, tilt: "CountTilt | None", size: "int | None" = None
+) -> tuple[float, float, int]:
+    """(log P(#J = m), certificate, L): K plus log P_theta(#J = m) by an L-point DFT.
+
+    ``tilt`` is ``_tilt(w, m)``.  L is the smallest power of two whose
+    aliasing bound is below ``_ALIASED`` of the floor of P_theta(#J = m),
+    unless ``size`` gives it.  The certificate bounds the relative error of
+    P_theta(#J = m) left by aliasing and by the factors taken at first order.
+    """
+    N = len(w.log_a)
+    if tilt is None:
+        return float(np.sum(w.log_a if m else w.log_one_minus_a)), 0.0, 1
+    excess = abs(float(tilt.p.sum()) - m)
+    reach = max(m, N - m)
+
+    def aliased(L: int) -> float:
+        # P_theta(|#J - m| >= L), which is 0 once L is past every count
+        if L > reach:
+            return 0.0
+        return 2.0 * math.exp(-float(_bennett(L - excess, tilt.var + 1e-300)))
+
+    if size is None:
+        floor = 1.0 / math.sqrt(1.0 + 12.0 * tilt.var)
+        size = 2
+        while aliased(size) > _ALIASED * floor:
+            size *= 2
+    s = w.log_a - w.log_one_minus_a + tilt.theta
+    # min(p, 1 - p) of the factors with p <= 1/2 and of those with p > 1/2
+    r = np.exp(-np.logaddexp(0.0, np.abs(s)))
+    low, high = r[s <= 0.0], r[s > 0.0]
+    tiny_low, tiny_high = low[low < _FOLD], high[high < _FOLD]
+    # P_theta(#J = m) is real, so the frequencies past pi are the conjugates of those below
+    j = np.arange(size // 2 + 1)
+    omega = 2.0 * math.pi * j / size
+    e1 = -2.0 * np.sin(0.5 * omega) ** 2 + 1j * np.sin(omega)  # e^(i omega) - 1
+    # factors with p > 1/2 are e^(i omega) (1 + q e1)^*; the phase is taken mod L exactly
+    shift = (high.size - m) % size
+    phi = np.exp(
+        2j * math.pi * (j * shift % size) / size
+        + e1 * float(tiny_low.sum())
+        + e1.conj() * float(tiny_high.sum())
+    )
+    phi *= _char_product(low[low >= _FOLD], e1) * _char_product(high[high >= _FOLD], e1).conj()
+    weights = np.full(j.size, 2.0)
+    weights[[0, -1]] = 1.0
+    p_m = float(weights @ phi.real) / size
+    # |log(1 + x) - x| <= |x|^2 / (2 (1 - |x|)) with |x| <= 2 r
+    folded = float(tiny_low @ tiny_low + tiny_high @ tiny_high)
+    fold = math.expm1(2.0 * folded / (1.0 - 2.0 * _FOLD))
+    return tilt.log_k + math.log(p_m), (aliased(size) + fold) / p_m, size
 
 
 def _validate_occupation(n: OccupationVector, params: EnsembleParams) -> None:
@@ -501,42 +488,32 @@ def sample_conditioned_indexset(
 ) -> IndexSet:
     """Draw J exactly from the law of the Bernoulli field conditioned on #J = m.
 
-    Walks k = N-1, ..., 0 through the certified band of the DP for m: with r
-    members still to place among {0, ..., k}, index k is included with
-    probability a_k P(first k sum to r-1) / P(first k+1 sum to r).
+    Rejective sampling (Hajek 1964; Chen, Dempster and Liu 1994): rows of N
+    Bernoullis tilted to mean m are drawn a block at a time, and J is the
+    first row with exactly m members.  The tilt multiplies the law of a row
+    by a function of #J alone, so the kept row has the conditioned law; it
+    only sets the acceptance rate P_theta(#J = m) >= 1 / sqrt(1 + 12 var),
+    and a block holds enough rows to expect one hit at that floor.
     """
     if m != int(m) or not (0 <= m <= params.N):
         raise ConstraintViolation(f"conditioned size must be an integer in [0, {params.N}], got {m!r}")
     m = int(m)
-    band = _count_band(params, m)
-    F = band.log_F
-    lo = band.lo.tolist()
-    log_a = bernoulli_weights(params).log_a
-    members: list[int] = []
-    r = m
-    for k in range(params.N - 1, -1, -1):
-        if r == 0:
-            break
-        if r == k + 1:
-            # every remaining index is forced in
-            members.extend(range(k, -1, -1))
-            r = 0
-            break
-        # F is -inf below the band, so a move into a dropped state has probability 0
-        p_include = math.exp(log_a[k] + F[k, r - lo[k]] - F[k + 1, r - lo[k + 1] + 1])
-        if rng.random() < p_include:
-            members.append(k)
-            r -= 1
-    return IndexSet(members=tuple(reversed(members)), N=params.N)
+    N = params.N
+    tilt = _count_tilt(params, m)
+    if tilt is None:
+        return IndexSet(members=tuple(range(m)), N=N)
+    rows = max(1, min(math.ceil(math.sqrt(1.0 + 12.0 * tilt.var)), _DRAW_ENTRIES // N))
+    while True:
+        draws = rng.random((rows, N)) < tilt.p
+        sizes = draws.sum(axis=1).tolist()
+        if m in sizes:
+            return IndexSet(members=tuple(np.flatnonzero(draws[sizes.index(m)]).tolist()), N=N)
 
 
 def overcrowding_probability_exact(params: EnsembleParams) -> float:
-    """log P(#J = N_c), from the certified band of the Poisson-binomial DP.
-
-    The band is not cached: only ``sample_conditioned_indexset`` walks it
-    again, and a cached band at N = 10^5 holds over 20 MB.
-    """
-    return _banded(bernoulli_weights(params), params.N_c).log_prob
+    """log P(#J = N_c), by the tilted DFT of ``_log_count_prob``."""
+    m = params.N_c
+    return _log_count_prob(bernoulli_weights(params), m, _count_tilt(params, m))[0]
 
 
 def log_hole_factor(params: EnsembleParams) -> float:

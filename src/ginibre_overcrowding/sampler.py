@@ -38,10 +38,11 @@ Two samplers cover two different jobs:
 Both samplers draw r^2 through the same exact decompositions of the
 truncated Gamma law, ``_outer_t_block`` outside the disk and
 ``_inner_t_block`` inside it.  A block of any size is one uniform draw,
-one search of the truncated Poisson tables of all its indices laid end
-to end, and one Gamma or Beta call.  No tolerance enters but the upper
-cut of the inner Poisson table, which lies below the resolution of a
-uniform draw.
+one search of one log Poisson(N R^2) tail table for all its indices, and
+one Gamma or Beta call: the outer counts are searched among the
+log P(X <= i), which are the log weights log a_i, and the inner ones among
+the log P(X > j), extended past N.  No tolerance enters but the upper cut
+of the second table, which lies below the resolution of a uniform draw.
 
 Randomness comes from ``RandomStream``, a counter-based Philox generator
 keyed by (seed, stream_id).  Two streams with different ids are
@@ -68,7 +69,9 @@ from .mixture import (
     ConstraintViolation,
     EnsembleParams,
     IndexSet,
-    log_factorials,
+    _log_poisson_tails,
+    _tail_length,
+    bernoulli_weights,
     sample_conditioned_indexset,
 )
 
@@ -91,9 +94,6 @@ _POOL_ENTRIES = 1 << 15
 # A freshly accepted direction should never be this close to the span of
 # the previous ones; if it is, the Gram-Schmidt basis has degenerated.
 _MIN_DIRECTION_NORM = 1e-10
-# Mass neglected by an open Poisson table, relative to the kept mass: below
-# the 2^-53 spacing of the uniform draws that index the table.
-_TABLE_RESOLUTION = 2.0 ** -64
 
 _REGIONS = ("outer", "inner", "full")
 _SAMPLERS = ("radial", "sequential")
@@ -324,59 +324,17 @@ def sample_radii_outer(
     return out
 
 
-@lru_cache(maxsize=4096)
-def _truncated_poisson_cumulative(z0: float, lo: int, hi: "int | None" = None) -> np.ndarray:
-    """Cumulative weights of n ~ Poisson(z0) conditioned on lo <= n <= hi.
+@lru_cache(maxsize=16)
+def _neg_log_survival(params: EnsembleParams) -> np.ndarray:
+    """-log P(X > j) for X ~ Poisson(N R^2) and j = 0, ..., N + T - 1, nondecreasing.
 
-    Entry j belongs to n = lo + j.  The weights are normalized at their own
-    maximum, so a window deep in a tail does not underflow, and the last
-    entry is exactly 1.0.  With ``hi=None`` the window is open above and
-    ends at the first n with n + 1 > z0 where the geometric bound
-    p_n z0 / (n + 1 - z0) on the neglected tail falls below
-    ``_TABLE_RESOLUTION`` times the kept mass; past the Poisson mode that
-    bound only shrinks, so the first such n is the cut.
+    T is the tail length of ``mixture._log_poisson_tails`` at N, so the last
+    entry lies 2^-64 below P(X > N - 1), past the reach of any uniform draw.
     """
-    top = hi if hi is not None else max(lo, math.ceil(z0)) + math.ceil(12.0 * math.sqrt(z0)) + 64
-    while True:
-        n = np.arange(lo, top + 1)
-        logs = n * math.log(z0) - log_factorials(top + 1)[lo:]
-        w = np.exp(logs - logs.max())
-        cum = np.cumsum(w)
-        if hi is not None:
-            break
-        excess = n + 1.0 - z0
-        cut = (excess > 0.0) & (w * z0 < _TABLE_RESOLUTION * cum * excess)
-        if cut.any():
-            cum = cum[: int(np.argmax(cut)) + 1]
-            break
-        top *= 2
-    cum /= cum[-1]
-    cum[-1] = 1.0
-    cum.flags.writeable = False
-    return cum
-
-
-def _table_index(tables: list, picks: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(tables[picks[i]], u[i], side="right")`` for all i in one search.
-
-    The rows are laid end to end as complex keys r + i cum, which numpy
-    orders lexicographically, real part first; a query r + i u therefore
-    lands in row r, behind exactly the entries cum <= u, and subtracting
-    the row start gives the per-row index bit for bit.  (Integer keys
-    ceil(cum 2^53) + r 2^53 would do the same but overflow int64 past
-    1023 rows; a float offset r + u would round u.)
-    """
-    if picks.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    sizes = np.array([cum.size for cum in tables])
-    starts = np.cumsum(sizes) - sizes
-    keys = np.empty(int(sizes.sum()), dtype=complex)
-    keys.real = np.repeat(np.arange(len(tables), dtype=float), sizes)
-    keys.imag = np.concatenate(tables)
-    query = np.empty(picks.size, dtype=complex)
-    query.real = picks
-    query.imag = u
-    return np.searchsorted(keys, query, side="right") - starts[picks]
+    N, z0 = params.N, params.z
+    out = -_log_poisson_tails(N + _tail_length(N, z0), z0)[1]
+    out.flags.writeable = False
+    return out
 
 
 def _outer_t_block(
@@ -386,13 +344,16 @@ def _outer_t_block(
 
     Uses the arrival-time decomposition of the truncated Gamma law: with
     u = Nt ~ Gamma(k+1) conditioned on u > z0, the number i of Poisson
-    arrivals before z0 is a truncated Poisson(z0) and the overshoot past
-    z0 is an independent Gamma(k+1-i).  No tolerance enters anywhere.
+    arrivals before z0 is a Poisson(z0) conditioned on i <= k, and the
+    overshoot past z0 is an independent Gamma(k+1-i).  The CDF of i is
+    P(X <= i) / P(X <= k) = a_i / a_k, so for a uniform v, i counts the
+    log a_i at or below log v + log a_k.  No tolerance enters anywhere.
     """
     z0 = params.z
-    tables = [_truncated_poisson_cumulative(z0, 0, int(k)) for k in ks]
-    i = _table_index(tables, picks, gen.random(picks.size))
-    return (z0 + gen.standard_gamma(ks[picks] + 1.0 - i)) / params.N
+    log_a = bernoulli_weights(params).log_a
+    k = ks[picks]
+    i = np.minimum(k, np.searchsorted(log_a, np.log(gen.random(picks.size)) + log_a[k], side="right"))
+    return (z0 + gen.standard_gamma(k + 1.0 - i)) / params.N
 
 
 def _inner_t_block(
@@ -403,12 +364,15 @@ def _inner_t_block(
     Uses the order-statistics decomposition of the truncated Gamma law:
     with u = Nt ~ Gamma(k+1) conditioned on u < z0, the number n of Poisson
     arrivals before z0 is a Poisson(z0) conditioned on n >= k+1, and given
-    n the arrivals are uniform on (0, z0), so u = z0 Beta(k+1, n-k).
+    n the arrivals are uniform on (0, z0), so u = z0 Beta(k+1, n-k).  With
+    S_j = P(X > j), n exceeds j >= k with probability S_j / S_k, so for a
+    uniform v, n counts the S_j at or above (1 - v) S_k.
     """
     z0 = params.z
-    tables = [_truncated_poisson_cumulative(z0, int(k) + 1) for k in ks]
+    neg_log_s = _neg_log_survival(params)
     k = ks[picks]
-    n = k + 1 + _table_index(tables, picks, gen.random(picks.size))
+    bound = neg_log_s[k] - np.log1p(-gen.random(picks.size))
+    n = np.searchsorted(neg_log_s, bound, side="right")
     return z0 * gen.beta(k + 1.0, n - k) / params.N
 
 

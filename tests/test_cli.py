@@ -160,10 +160,10 @@ def test_sample_radial_only_replays_sampler(capsys, tmp_path):
 # (format, radial-only).  A change that alters replay bytes must update these
 # digests and name the change in CHANGES.md.
 REPLAY_DIGESTS = {
-    ("csv", False): "513ec2733a1bb894f103b0cab7bdccc9c1cfcd8e3bf01ae41de9d73cbdedd235",
-    ("csv", True): "af6fb21dd29553eb5ec92a70cd7e81fa0895da2a8fc784684931f04a322af137",
-    ("json", False): "f516e46f622f2e18e8b7153a7684a50d7d511c0681b708b9378b0da97732a46d",
-    ("json", True): "58834e34d5dc3f9be7299d5e6a5e976d064f952147b5b6245b7332e156b1715e",
+    ("csv", False): "169e065659b514079b05e8f063f1f9360c73809b17f533d140a6d9543ba9c591",
+    ("csv", True): "8094e4c1a0865b1ada1e607f45650864cf812aa2ad3b71788360651c829eaa8f",
+    ("json", False): "385273f71231e15230c4ac2d8c308fcf91a23a0468585679a980b21af6ed7d38",
+    ("json", True): "7e3d540004f89a024356d6d9e1b17dcc919c0ed029cc000b145e81f914a47988",
 }
 
 

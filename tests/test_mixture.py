@@ -22,7 +22,6 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 from scipy.stats import chisquare
 
-from ginibre_overcrowding import mixture
 from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
 from ginibre_overcrowding.mixture import (
     BernoulliWeights,
@@ -43,7 +42,7 @@ from ginibre_overcrowding.mixture import (
     overcrowding_probability_exact,
     sample_conditioned_indexset,
 )
-from ginibre_overcrowding.mixture import _banded, _count_band
+from ginibre_overcrowding.mixture import _count_tilt, _log_count_prob, _tilt
 
 
 # ----------------------------
@@ -183,7 +182,9 @@ def test_dp_on_synthetic_fair_coins():
     assert math.exp(F[3, 0]) == pytest.approx(1.0 / 8.0, rel=1e-14)
     coins = BernoulliWeights(log_a=log_half, log_one_minus_a=log_half)
     for m, prob in enumerate([1.0, 3.0, 3.0, 1.0]):
-        assert math.exp(_banded(coins, m).log_prob) == pytest.approx(prob / 8.0, rel=1e-14)
+        log_prob, certificate, _ = _log_count_prob(coins, m, _tilt(coins, m))
+        assert math.exp(log_prob) == pytest.approx(prob / 8.0, rel=1e-14)
+        assert certificate <= 2.0**-60
 
 
 @pytest.mark.parametrize(
@@ -200,35 +201,27 @@ def test_dp_on_synthetic_fair_coins():
     ],
 )
 def test_banded_probability_matches_dense_dp(N, c, R):
+    # the tilted DFT against the dense DP, at N_c and three counts to each side
     p = EnsembleParams(N=N, c=c, R=R)
     w = bernoulli_weights(p)
     F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
     for m in sorted({p.N_c, max(0, p.N_c - 3), min(N, p.N_c + 3)}):
-        band = _banded(w, m)
-        assert abs(band.log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
-        assert 0.0 <= band.neglected <= 2.0**-60
-    band = _count_band(p, p.N_c)
-    assert band.log_prob == overcrowding_probability_exact(p)
-    # a band, not the dense table
-    assert N < 60 or band.log_F.shape[1] < N // 4
+        log_prob, certificate, _ = _log_count_prob(w, m, _tilt(w, m))
+        assert abs(log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
+        assert 0.0 <= certificate <= 2.0**-60
+    assert _log_count_prob(w, p.N_c, _count_tilt(p, p.N_c))[0] == overcrowding_probability_exact(p)
     np.testing.assert_array_equal(count_distribution(p).log_probs, F[N])
 
 
-def test_band_widens_when_the_answer_is_below_its_guess(monkeypatch):
-    # tilted for m - 30, the first band sits off the mass and the guess at the
-    # answer is too high, so that pass cannot certify itself; the second pass
-    # sets its cut from the first pass's answer
-    p = EnsembleParams(N=300, c=0.5, R=0.75)
+@pytest.mark.parametrize("N, c, R", [(300, 0.5, 0.75), (4000, 0.515, 0.7), (1500, 0.95, 0.3)])
+def test_doubled_dft_size_agrees(N, c, R):
+    # the aliasing that L leaves is below what doubling it can show
+    p = EnsembleParams(N=N, c=c, R=R)
     w = bernoulli_weights(p)
-    F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
-    passes = []
-    forward, tilt = mixture._forward, mixture._tilt
-    monkeypatch.setattr(mixture, "_forward", lambda *args: passes.append(1) or forward(*args))
-    monkeypatch.setattr(mixture, "_tilt", lambda w, m: tilt(w, m - 30))
-    band = _banded(w, p.N_c)
-    assert len(passes) == 2
-    assert band.neglected <= 2.0**-60
-    assert abs(band.log_prob - F[p.N, p.N_c]) <= 1e-11 * abs(F[p.N, p.N_c])
+    tilt = _tilt(w, p.N_c)
+    log_prob, _, L = _log_count_prob(w, p.N_c, tilt)
+    assert L < N
+    assert mixed_err(_log_count_prob(w, p.N_c, tilt, size=2 * L)[0], log_prob) <= 1e-13
 
 
 def test_exact_probability_at_scale_stays_small():
@@ -242,7 +235,7 @@ def test_exact_probability_at_scale_stays_small():
         tracemalloc.stop()
     assert math.isfinite(exact) and exact < 0.0
     assert peak < 64 * 2**20
-    assert _count_band(p, p.N_c).neglected <= 2.0**-60
+    assert _log_count_prob(bernoulli_weights(p), p.N_c, _count_tilt(p, p.N_c))[1] <= 2.0**-60
 
 
 @pytest.mark.filterwarnings("error")
@@ -262,7 +255,8 @@ def test_edge_triples_raise_no_warnings(N, c, R):
     w = bernoulli_weights(p)
     assert np.all(np.isfinite(w.log_a)) and np.all(np.isfinite(w.log_one_minus_a))
     for m in {0, p.N_c, N}:
-        assert math.isfinite(_banded(w, m).log_prob)
+        log_prob, certificate, _ = _log_count_prob(w, m, _tilt(w, m))
+        assert math.isfinite(log_prob) and certificate <= 2.0**-60
     assert math.isfinite(log_hole_factor_rescaled(p))
     sample_conditioned_indexset(p, p.N_c, np.random.default_rng(0))
 
@@ -439,7 +433,7 @@ def test_sampler_exact_distribution_chisquare():
 
 
 def test_sampler_off_target_size_chisquare():
-    # m = 2 of 7 is not N_c = 5: the walk follows its own band
+    # m = 2 of 7 is not N_c = 5: the draws are tilted to their own mean
     p = EnsembleParams(N=7, c=0.75, R=0.8)
     m = 2
     a = oracle_weights(p)

@@ -24,6 +24,7 @@ from ginibre_overcrowding.mixture import (
     ConstraintViolation,
     EnsembleParams,
     IndexSet,
+    log_factorials,
     sample_conditioned_indexset,
 )
 from ginibre_overcrowding import sampler
@@ -56,6 +57,36 @@ def quad_survival(params: EnsembleParams, k: int, t: float) -> float:
     num, _ = integrate.quad(f, t, upper, limit=400)
     den, _ = integrate.quad(f, params.R**2, upper, limit=400)
     return num / den
+
+
+def truncated_poisson_cumulative(z0: float, lo: int, hi: "int | None" = None) -> np.ndarray:
+    """Oracle table: cumulative weights of n ~ Poisson(z0) conditioned on lo <= n <= hi.
+
+    Entry j belongs to n = lo + j.  The weights are normalized at their own
+    maximum, so a window deep in a tail does not underflow, and the last
+    entry is exactly 1.0.  With ``hi=None`` the window is open above and
+    ends at the first n with n + 1 > z0 where the geometric bound
+    p_n z0 / (n + 1 - z0) on the neglected tail falls below 2^-64 times
+    the kept mass; past the Poisson mode that bound only shrinks, so the
+    first such n is the cut.
+    """
+    top = hi if hi is not None else max(lo, math.ceil(z0)) + math.ceil(12.0 * math.sqrt(z0)) + 64
+    while True:
+        n = np.arange(lo, top + 1)
+        logs = n * math.log(z0) - log_factorials(top + 1)[lo:]
+        w = np.exp(logs - logs.max())
+        cum = np.cumsum(w)
+        if hi is not None:
+            break
+        excess = n + 1.0 - z0
+        cut = (excess > 0.0) & (w * z0 < 2.0**-64 * cum * excess)
+        if cut.any():
+            cum = cum[: int(np.argmax(cut)) + 1]
+            break
+        top *= 2
+    cum /= cum[-1]
+    cum[-1] = 1.0
+    return cum
 
 
 def overlap_matrix(params, ks, t_lo, t_hi, th_lo, th_hi) -> np.ndarray:
@@ -103,10 +134,11 @@ def test_random_stream_rejects_bad_keys(bad):
 
 
 def test_truncated_poisson_table_matches_scipy():
-    # Outer tables are closed windows [0, k]; inner ones are open windows
-    # [k+1, oo) cut by the tail bound, here once at a starved index.
+    # The oracle tables of the radial draws.  Outer tables are closed
+    # windows [0, k]; inner ones are open windows [k+1, oo) cut by the tail
+    # bound, here once at a starved index.
     for z0, lo, hi in [(7.3, 0, 12), (2.0, 0, 0), (7.3, 13, None), (16.9, 40, None)]:
-        cum = sampler._truncated_poisson_cumulative(z0, lo, hi)
+        cum = truncated_poisson_cumulative(z0, lo, hi)
         last = lo + cum.size - 1
         law = stats.poisson(z0)
         mass = law.sf(lo - 1) - (0.0 if hi is None else law.sf(hi))
@@ -225,43 +257,84 @@ def per_row_index(tables, picks, u):
     return np.array([np.searchsorted(tables[r], x, side="right") for r, x in zip(picks, u)])
 
 
-def test_flat_table_index_matches_per_row_searchsorted():
-    # One search over the laid-out rows gives each row's own searchsorted
-    # index for the same uniforms: outer closed rows with k = 0 among them,
-    # and inner open rows at the starved and well-fed indices above, with
-    # uniforms sitting exactly on table entries and at 0 besides the draws.
-    params = EnsembleParams(N=40, c=0.95, R=0.65)
+def oracle_tables(params, ks, outer):
     z0 = params.z
+    if outer:
+        return [truncated_poisson_cumulative(z0, 0, int(k)) for k in ks]
+    return [truncated_poisson_cumulative(z0, int(k) + 1) for k in ks]
+
+
+class EchoGenerator:
+    """Returns the given uniforms and echoes the Gamma shape or the second Beta
+    parameter, so a radial block's output gives back the Poisson index it drew."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+    def standard_gamma(self, shape):
+        return shape
+
+    def beta(self, a, b):
+        return b
+
+
+def block_index(params, ks, picks, u, outer):
+    """The index each radial block draws for uniforms u: i for outer rows, n - k - 1 inner."""
+    gen = EchoGenerator(u)
+    if outer:
+        t = sampler._outer_t_block(params, ks, picks, gen)
+        return np.rint(ks[picks] + 1.0 - (t * params.N - params.z)).astype(np.int64)
+    t = sampler._inner_t_block(params, ks, picks, gen)
+    return np.rint(t * params.N / params.z).astype(np.int64) - 1
+
+
+def test_flat_table_index_matches_per_row_searchsorted():
+    # The search of the one Poisson-tail table gives each oracle row's own
+    # searchsorted index for the same uniforms: outer closed rows with k = 0
+    # among them, and inner open rows at the starved and well-fed indices
+    # above.  Uniforms at 0 draw the lowest index.  Uniforms sitting exactly
+    # on table entries below 1 may land one entry off, since the log-space
+    # table rounds apart from the linear one.
+    params = EnsembleParams(N=40, c=0.95, R=0.65)
     gen = RandomStream(seed=4242).generator()
-    outer = [sampler._truncated_poisson_cumulative(z0, 0, k) for k in (0, 1, 8, 39)]
-    inner = [sampler._truncated_poisson_cumulative(z0, k + 1) for k in (8, 39)]
-    for tables in (outer, inner):
-        picks = gen.integers(0, len(tables), size=4000)
+    for ks, outer in ((np.array([0, 1, 8, 39]), True), (np.array([8, 39]), False)):
+        tables = oracle_tables(params, ks, outer)
+        picks = gen.integers(0, ks.size, size=4000)
         u = gen.random(picks.size)
-        on_entries = [(r, x) for r, cum in enumerate(tables) for x in (0.0, *cum[:-1])]
-        picks = np.concatenate([picks, [r for r, _ in on_entries]])
-        u = np.concatenate([u, [x for _, x in on_entries]])
-        assert np.array_equal(sampler._table_index(tables, picks, u), per_row_index(tables, picks, u))
+        got = block_index(params, ks, picks, u, outer)
+        assert np.array_equal(got, per_row_index(tables, picks, u))
+        rows = np.arange(ks.size)
+        with np.errstate(divide="ignore"):  # log 0 = -inf in the outer search
+            got = block_index(params, ks, rows, np.zeros(ks.size), outer)
+        assert np.array_equal(got, np.zeros(ks.size))
+        on_entries = [(r, x) for r, cum in enumerate(tables) for x in cum[:-1] if x < 1.0]
+        picks = np.array([r for r, _ in on_entries])
+        u = np.array([x for _, x in on_entries])
+        got = block_index(params, ks, picks, u, outer)
+        assert np.abs(got - per_row_index(tables, picks, u)).max() <= 1
 
 
 def test_radial_blocks_replay_the_per_row_draws():
     # Each block is one uniform draw, the per-row index, and one Gamma or
-    # Beta call; rebuilt by hand from the same stream it agrees bit for bit.
+    # Beta call; rebuilt by hand from the same stream and the oracle tables
+    # it agrees bit for bit.
     params = EnsembleParams(N=40, c=0.95, R=0.65)
     z0 = params.z
-    outer_ks = np.array([0, 1, 8, 39])
-    inner_ks = np.array([8, 39])
-    for block, ks, lo, hi in (
-        (sampler._outer_t_block, outer_ks, lambda k: 0, lambda k: k),
-        (sampler._inner_t_block, inner_ks, lambda k: k + 1, lambda k: None),
+    for block, ks in (
+        (sampler._outer_t_block, np.array([0, 1, 8, 39])),
+        (sampler._inner_t_block, np.array([8, 39])),
     ):
+        outer = block is sampler._outer_t_block
         picks = RandomStream(seed=17).generator().integers(0, ks.size, size=2000)
         t = block(params, ks, picks, RandomStream(seed=18).generator())
         gen = RandomStream(seed=18).generator()
-        tables = [sampler._truncated_poisson_cumulative(z0, lo(int(k)), hi(int(k))) for k in ks]
-        i = per_row_index(tables, picks, gen.random(picks.size))
+        i = per_row_index(oracle_tables(params, ks, outer), picks, gen.random(picks.size))
         k = ks[picks]
-        if block is sampler._outer_t_block:
+        if outer:
             want = (z0 + gen.standard_gamma(k + 1.0 - i)) / params.N
         else:
             want = z0 * gen.beta(k + 1.0, 1 + i) / params.N
