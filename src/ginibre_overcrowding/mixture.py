@@ -56,7 +56,6 @@ __all__ = [
     "EnsembleParams",
     "IndexSet",
     "OccupationVector",
-    "CountDistribution",
     "BernoulliWeights",
     "bernoulli_weights",
     "count_distribution",
@@ -132,12 +131,16 @@ class IndexSet:
 
     def __post_init__(self) -> None:
         ms = self.members
-        if any(m != int(m) for m in ms):
-            raise ConstraintViolation(f"index set members must be integers, got {ms!r}")
-        if any(not (0 <= m < self.N) for m in ms):
+        prev = -math.inf
+        for m in ms:
+            if m != int(m):
+                raise ConstraintViolation(f"index set members must be integers, got {ms!r}")
+            if m <= prev:
+                raise ConstraintViolation(f"index set members must be strictly increasing, got {ms!r}")
+            prev = m
+        # strictly increasing, so the ends bound every member
+        if ms and not (0 <= ms[0] and ms[-1] < self.N):
             raise ConstraintViolation(f"index set members must lie in [0, {self.N}), got {ms!r}")
-        if any(a >= b for a, b in zip(ms, ms[1:])):
-            raise ConstraintViolation(f"index set members must be strictly increasing, got {ms!r}")
 
     @property
     def size(self) -> int:
@@ -181,14 +184,6 @@ class BernoulliWeights:
 
     log_a: np.ndarray
     log_one_minus_a: np.ndarray
-
-
-@dataclass(frozen=True)
-class CountDistribution:
-    """Log-probabilities of #J = m for m = 0, ..., N."""
-
-    params: EnsembleParams
-    log_probs: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -290,11 +285,11 @@ def _forward(w: BernoulliWeights) -> np.ndarray:
     return row[1:]
 
 
-def count_distribution(params: EnsembleParams) -> CountDistribution:
-    """Poisson-binomial distribution of the number of points outside radius R."""
+def count_distribution(params: EnsembleParams) -> np.ndarray:
+    """log P(#J = m) for m = 0, ..., N, read-only: the law of the number of points outside radius R."""
     log_probs = _forward(bernoulli_weights(params))
     log_probs.flags.writeable = False
-    return CountDistribution(params=params, log_probs=log_probs)
+    return log_probs
 
 
 @dataclass(frozen=True)
@@ -524,7 +519,7 @@ def log_hole_factor(params: EnsembleParams) -> float:
     asymptotic overcrowding probability.  It is read off the cached weights
     that the exact probability uses.
     """
-    return sum(bernoulli_weights(params).log_a[params.N - params.N_c :].tolist())
+    return float(np.sum(bernoulli_weights(params).log_a[params.N - params.N_c :]))
 
 
 def log_hole_factor_rescaled(params: EnsembleParams) -> float:
@@ -538,7 +533,7 @@ def log_hole_factor_rescaled(params: EnsembleParams) -> float:
     one validated against the exact mixture probability.
     """
     z_small = params.N_c * params.R * params.R
-    return sum(_log_poisson_tails(params.N_c, z_small)[0].tolist())
+    return float(np.sum(_log_poisson_tails(params.N_c, z_small)[0]))
 
 
 def overcrowding_probability_asymptotic(params: EnsembleParams) -> float:

@@ -7,11 +7,11 @@ enumeration), measured convergence rates at moderate N (asymptotic
 statements become ratio or decay assertions with margins fixed from
 reference runs), and Monte-Carlo statistics for the samplers.
 
-``run_suite`` executes everything and returns one ``CriterionResult``
-per criterion; the command-line ``validate`` subcommand prints them and
-folds the outcome into its exit status.  Tolerances that a caller may
-reasonably want to tighten or relax are collected in
-``DEFAULT_TOLERANCES`` and can be overridden per run.
+``run_criterion`` runs one criterion and returns its ``CriterionResult``;
+the command-line ``validate`` subcommand runs them in order, prints one
+line each, and folds the outcome into its exit status.  Every threshold
+is a literal at the comparison that uses it, so no run can loosen the
+gate.
 """
 
 from __future__ import annotations
@@ -50,28 +50,14 @@ from .sampler import RandomStream, radial_survival, sample_conditioned_ensemble,
 
 __all__ = [
     "CriterionResult",
-    "DEFAULT_TOLERANCES",
     "ALL_CRITERIA",
     "QUICK_CRITERIA",
     "enumerate_count_log_probs",
     "run_criterion",
-    "run_suite",
 ]
 
-DEFAULT_TOLERANCES = {
-    # relative agreement between exact probabilities and subset enumeration
-    "exact_rel": 1e-12,
-    # mixed absolute/relative agreement between the two log Q routes
-    "route_rel": 1e-12,
-    # two-sample Kolmogorov-Smirnov distance for radial vs sequential moduli
-    "ks_distance": 0.02,
-    # chi-square consistency level for sampler frequency tests
-    "chi_p": 1e-3,
-    # most negative admissible eigenvalue of the limit-kernel Gram matrix
-    "psd_floor": -1e-10,
-    # one constant bounding |log_ratio_exact - log_ratio_approx| / (log^3 N / N)
-    "ratio_constant": 1.0,
-}
+# chi-square consistency level for the sampler frequency tests of criterion 7
+_CHI_P = 1e-3
 
 # Frozen stream seeds, one per randomized criterion, so reruns replay.
 _SEED_RATIO = 1_002_003
@@ -99,16 +85,6 @@ class CriterionResult:
         return f"{flag} criterion {self.cid:2d} [{self.seconds:7.2f}s] {self.title}: {self.detail}"
 
 
-def _merged(tolerances: "dict | None") -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys {sorted(unknown)}; known: {sorted(tol)}")
-        tol.update(tolerances)
-    return tol
-
-
 def enumerate_count_log_probs(params: EnsembleParams) -> np.ndarray:
     """log P(#J = m) by summing all 2^N subset products, for small N.
 
@@ -126,7 +102,7 @@ def enumerate_count_log_probs(params: EnsembleParams) -> np.ndarray:
     return np.log(acc) + shift
 
 
-def _criterion_1(tol: dict) -> tuple[bool, str]:
+def _criterion_1() -> tuple[bool, str]:
     """Exact mixture probabilities vs brute-force subset enumeration."""
     started = time.perf_counter()
     worst = 0.0
@@ -136,18 +112,19 @@ def _criterion_1(tol: dict) -> tuple[bool, str]:
             for R in (0.75, 0.85, 0.95):
                 params = EnsembleParams(N=N, c=c, R=R)
                 enum = enumerate_count_log_probs(params)
-                mine = count_distribution(params).log_probs
+                mine = count_distribution(params)
                 rel = np.abs(np.expm1(mine - enum))
                 worst = max(worst, float(rel.max()))
                 exact = overcrowding_probability_exact(params)
                 worst = max(worst, abs(math.expm1(exact - enum[params.N_c])))
                 cases += 1
     elapsed = time.perf_counter() - started
-    ok = worst <= tol["exact_rel"] and elapsed < 30.0
+    # relative agreement between exact probabilities and subset enumeration
+    ok = worst <= 1e-12 and elapsed < 30.0
     return ok, f"max rel err {worst:.2e} over {cases} parameter sets (budget 30s)"
 
 
-def _criterion_2(tol: dict) -> tuple[bool, str]:
+def _criterion_2() -> tuple[bool, str]:
     """Exact/asymptotic probability ratio tends to 1 at rate log^3(N)/N."""
     started = time.perf_counter()
     gaps = []
@@ -171,7 +148,7 @@ def _criterion_2(tol: dict) -> tuple[bool, str]:
     )
 
 
-def _criterion_3(tol: dict) -> tuple[bool, str]:
+def _criterion_3() -> tuple[bool, str]:
     """Eq-ratio approximation error bounded by one constant times log^3(N)/N."""
     ratios = {}
     for N in (200, 400, 800):
@@ -185,10 +162,11 @@ def _criterion_3(tol: dict) -> tuple[bool, str]:
             err = abs(log_ratio_exact(vec, params) - log_ratio_approx(vec, params))
             worst = max(worst, err / scale)
         ratios[N] = worst
+    # one constant bounds |log_ratio_exact - log_ratio_approx| / (log^3 N / N)
     fitted = max(ratios.values())
-    ok = fitted <= tol["ratio_constant"]
+    ok = fitted <= 1.0
     per_n = ", ".join(f"N={n}: {v:.3f}" for n, v in ratios.items())
-    return ok, f"fitted C={fitted:.3f} <= {tol['ratio_constant']} ({per_n})"
+    return ok, f"fitted C={fitted:.3f} <= 1.0 ({per_n})"
 
 
 def _kernel_values(spec: KernelSpec, points: list, pairs: list) -> np.ndarray:
@@ -197,7 +175,7 @@ def _kernel_values(spec: KernelSpec, points: list, pairs: list) -> np.ndarray:
     return np.concatenate([evaluate_diagonal(spec, points), np.diagonal(evaluate_grid(spec, zs, ws).values)])
 
 
-def _criterion_4(tol: dict) -> tuple[bool, str]:
+def _criterion_4() -> tuple[bool, str]:
     """Scaled edge kernel approaches the hard-wall limit at rate ~log^2(N)/N."""
     res = np.linspace(0.2, 3.0, 15)
     ims = np.linspace(-2.0, 2.0, 15)
@@ -221,7 +199,7 @@ def _criterion_4(tol: dict) -> tuple[bool, str]:
     return ok, f"sups {sups[0]:.3e}/{sups[1]:.3e}/{sups[2]:.3e}, doubling ratios {r1:.2f}, {r2:.2f} in [1.6, 2.6]"
 
 
-def _criterion_5(tol: dict) -> tuple[bool, str]:
+def _criterion_5() -> tuple[bool, str]:
     """Inner/outer kernels converge geometrically to their reference kernels."""
     sups_in, sups_out = [], []
     for N in (100, 200, 400):
@@ -275,9 +253,8 @@ def _criterion_5(tol: dict) -> tuple[bool, str]:
     )
 
 
-def _criterion_6(tol: dict) -> tuple[bool, str]:
+def _criterion_6() -> tuple[bool, str]:
     """Hard-wall limit kernel Gram matrices are positive semidefinite."""
-    floor = tol["psd_floor"]
     worst = math.inf
     for seed in range(20):
         gen = np.random.Generator(np.random.Philox(key=[_SEED_PSD, seed]))
@@ -285,11 +262,12 @@ def _criterion_6(tol: dict) -> tuple[bool, str]:
         gram = np.array([[eval_limit(a, b) for b in pts] for a in pts])
         gram = 0.5 * (gram + gram.conj().T)
         worst = min(worst, float(np.linalg.eigvalsh(gram).min()))
-    ok = worst >= floor
-    return ok, f"min eigenvalue {worst:.2e} over 20 seeds x 30 points (floor {floor:.0e})"
+    # most negative admissible eigenvalue of the limit-kernel Gram matrix
+    ok = worst >= -1e-10
+    return ok, f"min eigenvalue {worst:.2e} over 20 seeds x 30 points (floor -1e-10)"
 
 
-def _criterion_7(tol: dict) -> tuple[bool, str]:
+def _criterion_7() -> tuple[bool, str]:
     """Samplers: counts, radial law, binned intensity, index-set frequencies."""
     params = EnsembleParams(N=30, c=0.5, R=0.8)
     J = top_block(params)
@@ -310,8 +288,8 @@ def _criterion_7(tol: dict) -> tuple[bool, str]:
         pooled[i * J.size : (i + 1) * J.size] = [abs(z) for z in cfg.points]
     direct = sample_radii_outer(params, J, RandomStream(seed=_SEED_RADIAL), size=n_cfg).ravel()
     ks = stats.ks_2samp(pooled, direct)
-    if not ks.statistic < tol["ks_distance"]:
-        return False, f"(b) KS distance {ks.statistic:.4f} >= {tol['ks_distance']}"
+    if not ks.statistic < 0.02:
+        return False, f"(b) KS distance {ks.statistic:.4f} >= 0.02"
 
     # (c) binned 1-point intensity vs the kernel diagonal (survival masses)
     r_edges = [0.80, 0.86, 0.90, 0.94, 0.98, 1.02, 1.07, 1.13]
@@ -327,8 +305,8 @@ def _criterion_7(tol: dict) -> tuple[bool, str]:
     radial_mass = np.array([surv[i] - surv[i + 1] for i in range(len(r_edges))])
     expected = np.outer(radial_mass, np.full(n_sect, 1.0 / n_sect)) * n_cfg
     chi = stats.chisquare(obs.ravel(), expected.ravel())
-    if not chi.pvalue > tol["chi_p"]:
-        return False, f"(c) intensity chi-square p={chi.pvalue:.2e} <= {tol['chi_p']}"
+    if not chi.pvalue > _CHI_P:
+        return False, f"(c) intensity chi-square p={chi.pvalue:.2e} <= {_CHI_P}"
 
     # (d) conditioned index-set frequencies vs exact enumeration at N=6
     small = EnsembleParams(N=6, c=0.5, R=0.8)
@@ -349,16 +327,16 @@ def _criterion_7(tol: dict) -> tuple[bool, str]:
     for _ in range(n_draws):
         counts[lookup[sample_conditioned_indexset(small, small.N_c, gen).members]] += 1
     chi_d = stats.chisquare(counts, probs * n_draws)
-    if not chi_d.pvalue > tol["chi_p"]:
-        return False, f"(d) index-set chi-square p={chi_d.pvalue:.2e} <= {tol['chi_p']}"
+    if not chi_d.pvalue > _CHI_P:
+        return False, f"(d) index-set chi-square p={chi_d.pvalue:.2e} <= {_CHI_P}"
 
     return True, (
-        f"(a) 300 configs exact counts, (b) KS {ks.statistic:.4f} < {tol['ks_distance']}, "
+        f"(a) 300 configs exact counts, (b) KS {ks.statistic:.4f} < 0.02, "
         f"(c) intensity p={chi.pvalue:.3f}, (d) index-set p={chi_d.pvalue:.3f}"
     )
 
 
-def _criterion_8(tol: dict) -> tuple[bool, str]:
+def _criterion_8() -> tuple[bool, str]:
     """Incomplete gamma: route agreement, monotonicity, tail-estimate error."""
     # (i) real-parameter route vs anchored integer route, n <= 1e4, within
     # the double-precision agreement zone |log Q| <= 2500
@@ -375,8 +353,9 @@ def _criterion_8(tol: dict) -> tuple[bool, str]:
             rel = abs(log_q(float(n), z) - ref) / max(1.0, abs(ref))
             worst_rel = max(worst_rel, rel)
             compared += 1
-    if not worst_rel <= tol["route_rel"]:
-        return False, f"(i) route disagreement {worst_rel:.2e} > {tol['route_rel']}"
+    # mixed absolute/relative agreement between the two log Q routes
+    if not worst_rel <= 1e-12:
+        return False, f"(i) route disagreement {worst_rel:.2e} > 1e-12"
 
     # (ii) strict monotonicity Q(n, z) < Q(n+1, z) on a seeded 1e4 grid.
     # The grid stays where doubles resolve strictness: near the Poisson
@@ -425,7 +404,7 @@ def _partitions_by_recursion(n: int, largest: int, memo: dict) -> int:
     return memo[key]
 
 
-def _criterion_9(tol: dict) -> tuple[bool, str]:
+def _criterion_9() -> tuple[bool, str]:
     """Partition counts, generating-product identity, the partition series."""
     memo: dict = {}
     for n in range(41):
@@ -459,7 +438,7 @@ def _criterion_9(tol: dict) -> tuple[bool, str]:
     )
 
 
-def _criterion_10(tol: dict) -> tuple[bool, str]:
+def _criterion_10() -> tuple[bool, str]:
     """Normalization-mismatch diagnostic: envelope and maximizer location."""
     l, N = 10_000, 100_000
     width = 2.0 * math.sqrt(l)
@@ -478,7 +457,7 @@ def _criterion_10(tol: dict) -> tuple[bool, str]:
     )
 
 
-_CRITERIA: dict[int, tuple[str, Callable[[dict], tuple[bool, str]]]] = {
+_CRITERIA: dict[int, tuple[str, Callable[[], tuple[bool, str]]]] = {
     1: ("exact probabilities vs subset enumeration", _criterion_1),
     2: ("exact/asymptotic ratio converges to 1", _criterion_2),
     3: ("occupation-ratio error within C log^3(N)/N", _criterion_3),
@@ -496,15 +475,14 @@ ALL_CRITERIA = tuple(sorted(_CRITERIA))
 QUICK_CRITERIA = (1, 2, 3, 4, 5, 6, 8, 9, 10)
 
 
-def run_criterion(cid: int, tolerances: "dict | None" = None) -> CriterionResult:
+def run_criterion(cid: int) -> CriterionResult:
     """Run one criterion; exceptions are folded into a failed result."""
     if cid not in _CRITERIA:
         raise KeyError(f"unknown criterion {cid}; valid ids are {list(ALL_CRITERIA)}")
     title, func = _CRITERIA[cid]
-    tol = _merged(tolerances)
     started = time.perf_counter()
     try:
-        passed, detail = func(tol)
+        passed, detail = func()
     except Exception as exc:  # a numeric failure should fail the gate, not crash it
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     return CriterionResult(
@@ -514,22 +492,3 @@ def run_criterion(cid: int, tolerances: "dict | None" = None) -> CriterionResult
         detail=detail,
         seconds=time.perf_counter() - started,
     )
-
-
-def run_suite(
-    quick: bool = False,
-    tolerances: "dict | None" = None,
-    report: "Callable[[CriterionResult], None] | None" = None,
-) -> list[CriterionResult]:
-    """Run the acceptance criteria (all, or the quick subset) in order.
-
-    An unknown tolerance key raises ``ValueError`` before any criterion runs.
-    """
-    chosen = QUICK_CRITERIA if quick else ALL_CRITERIA
-    results = []
-    for cid in chosen:
-        result = run_criterion(cid, tolerances)
-        results.append(result)
-        if report is not None:
-            report(result)
-    return results

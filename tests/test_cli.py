@@ -19,6 +19,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import ginibre_overcrowding
+from ginibre_overcrowding import validation
 from ginibre_overcrowding.cli import main, read_radial_csv
 from ginibre_overcrowding.kernels import KernelGrid
 from ginibre_overcrowding.mixture import EnsembleParams, sample_conditioned_indexset
@@ -274,21 +275,29 @@ def test_kernel_partial_params_rejected(capsys):
     assert "must be given together" in err
 
 
-def test_validate_quick_passes_and_tolerance_override_fails(capsys):
+def test_validate_quick_passes(capsys):
     code, out, _ = run(capsys, "validate", "--quick")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
     assert len(lines) == 9
+    assert out.splitlines()[-1] == "all 9 criteria passed"
 
-    code, out, _ = run(capsys, "validate", "--quick", "--tol", "ratio_constant=0.01")
+
+def test_validate_reports_failed_criterion(capsys, monkeypatch):
+    title, _ = validation._CRITERIA[3]
+    monkeypatch.setitem(validation._CRITERIA, 3, (title, lambda: (False, "forced")))
+    code, out, _ = run(capsys, "validate", "--quick")
     assert code == 1
-    assert "FAILED criteria: [3]" in out
+    assert "FAIL criterion  3 " in out
+    assert out.splitlines()[-1] == "FAILED criteria: [3]"
 
 
-def test_validate_rejects_unknown_tolerance(capsys):
-    code, _, err = run(capsys, "validate", "--tol", "bogus=1")
-    assert code == 2
-    assert "unknown tolerance key" in err
+def test_validate_has_no_tolerance_flag(capsys):
+    # the thresholds are fixed, so argparse rejects an override flag
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--tol", "bogus=1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_every_public_name_resolves():

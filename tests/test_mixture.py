@@ -26,7 +26,6 @@ from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
 from ginibre_overcrowding.mixture import (
     BernoulliWeights,
     ConstraintViolation,
-    CountDistribution,
     EnsembleParams,
     IndexSet,
     OccupationVector,
@@ -210,7 +209,7 @@ def test_banded_probability_matches_dense_dp(N, c, R):
         assert abs(log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
         assert 0.0 <= certificate <= 2.0**-60
     assert _log_count_prob(w, p.N_c, _count_tilt(p, p.N_c))[0] == overcrowding_probability_exact(p)
-    np.testing.assert_array_equal(count_distribution(p).log_probs, F[N])
+    np.testing.assert_array_equal(count_distribution(p), F[N])
 
 
 @pytest.mark.parametrize("N, c, R", [(300, 0.5, 0.75), (4000, 0.515, 0.7), (1500, 0.95, 0.3)])
@@ -263,10 +262,11 @@ def test_edge_triples_raise_no_warnings(N, c, R):
 
 def test_count_distribution_matches_enumeration():
     p = EnsembleParams(N=10, c=0.7, R=0.6)
-    dist = count_distribution(p)
+    log_probs = count_distribution(p)
     ref = oracle_count_probs(p)
-    assert np.all(np.isfinite(dist.log_probs))
-    np.testing.assert_allclose(np.exp(dist.log_probs), ref, rtol=1e-12)
+    assert np.all(np.isfinite(log_probs))
+    assert not log_probs.flags.writeable
+    np.testing.assert_allclose(np.exp(log_probs), ref, rtol=1e-12)
 
 
 def test_count_distribution_normalizes():
@@ -275,14 +275,14 @@ def test_count_distribution_normalizes():
         EnsembleParams(N=120, c=0.7, R=0.8),
         EnsembleParams(N=400, c=0.9, R=0.7),
     ]:
-        total = np.logaddexp.reduce(count_distribution(p).log_probs)
+        total = np.logaddexp.reduce(count_distribution(p))
         assert abs(total) < 1e-10
 
 
 def test_count_distribution_mode_location():
     # the fraction outside tends to 1 - R^2
     p = EnsembleParams(N=100, c=0.9, R=0.6)
-    mode = int(np.argmax(count_distribution(p).log_probs))
+    mode = int(np.argmax(count_distribution(p)))
     assert abs(mode - (1.0 - p.R**2) * p.N) <= 3
 
 
@@ -335,10 +335,15 @@ def test_encoding_validation():
         occupation_to_indexset(OccupationVector(n=(1,)), p)  # wrong length
     with pytest.raises(ConstraintViolation):
         indexset_to_occupation(IndexSet(members=(0, 1, 2), N=5), p)  # wrong size
-    with pytest.raises(ConstraintViolation):
-        IndexSet(members=(1, 1), N=5)
-    with pytest.raises(ConstraintViolation):
-        IndexSet(members=(0, 7), N=5)
+    # one fault each; (-1, 2) is increasing, so only the range check may name it
+    for members, message in [
+        ((1.5,), "must be integers"),
+        ((0, 7), "must lie in"),
+        ((-1, 2), "must lie in"),
+        ((1, 1), "strictly increasing"),
+    ]:
+        with pytest.raises(ConstraintViolation, match=message):
+            IndexSet(members=members, N=5)
 
 
 # ----------------------------
@@ -528,3 +533,17 @@ def test_hole_factor_is_top_block_weight_sum():
     assert log_hole_factor(p) == pytest.approx(expected, rel=1e-13)
     # the rescaled convention is a different number at c < 1
     assert log_hole_factor_rescaled(p) != pytest.approx(log_hole_factor(p), abs=0.1)
+
+
+def test_hole_factor_sums_without_a_list():
+    # a list of N_c Python floats would hold about 4 MB at this size
+    p = EnsembleParams(N=200_000, c=0.7, R=0.6)
+    bernoulli_weights(p)
+    tracemalloc.start()
+    try:
+        hole = log_hole_factor(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(hole) and hole < 0.0
+    assert peak < 2**20
