@@ -30,9 +30,9 @@ Each subcommand is one ``cmd_*`` function of the parsed arguments.  -N,
 before any work, also by ``kernel --kind limit_hard_wall``, which does not
 use it.
 
-Exit codes: 2 for invalid parameters, malformed grids or bad flags, 3
-for numeric or sampling failures.  Randomized commands have no implicit
-seed; reproducibility is part of the contract.
+Exit codes: 2 for invalid parameters, malformed or oversize grids or bad
+flags, 3 for numeric or sampling failures.  Randomized commands have no
+implicit seed; reproducibility is part of the contract.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ _MAX_ORACLE_N = 16
 
 _RADIAL_SCHEMA = "radial-moduli/1"
 
+# kernel values one `kernel` call may write for P grid points: P^2 (``squared``) for --kind, P for --compare
+_MAX_GRID_VALUES = 2**22
+
 
 def _params(args: argparse.Namespace) -> "EnsembleParams | None":
     """The validated -N/-c/-R triple, or None when none of the three is given."""
@@ -81,18 +84,21 @@ def _params(args: argparse.Namespace) -> "EnsembleParams | None":
     return EnsembleParams(N=args.N, c=args.c, R=args.R)
 
 
-def _parse_grid(text: str) -> tuple[complex, ...]:
-    """``re0:re1:n,im0:im1:m`` -> row-major product of two linspaces."""
+def _parse_grid(text: str, squared: bool) -> tuple[complex, ...]:
+    """``re0:re1:n,im0:im1:m`` -> row-major product of two linspaces, refused first past the cap."""
     try:
-        re_part, im_part = text.split(",")
-        re0, re1, n = re_part.split(":")
-        im0, im1, m = im_part.split(":")
-        res = np.linspace(float(re0), float(re1), int(n))
-        ims = np.linspace(float(im0), float(im1), int(m))
-    except (ValueError, TypeError) as exc:
+        (re0, re1, n), (im0, im1, m) = (part.split(":") for part in text.split(","))
+        re0, re1, im0, im1 = float(re0), float(re1), float(im0), float(im1)
+        n, m = int(n), int(m)
+    except ValueError as exc:
         raise ValueError(f"malformed grid {text!r}, expected re0:re1:n,im0:im1:m") from exc
-    if len(res) < 1 or len(ims) < 1:
+    if n < 1 or m < 1:
         raise ValueError(f"grid {text!r} must have at least one point per axis")
+    count = (n * m) ** 2 if squared else n * m
+    if count > _MAX_GRID_VALUES:
+        raise ValueError(f"grid {text!r} would write {count} kernel values, over the cap of {_MAX_GRID_VALUES}")
+    res = np.linspace(re0, re1, n)
+    ims = np.linspace(im0, im1, m)
     return tuple(complex(a, b) for a in res for b in ims)
 
 
@@ -217,7 +223,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     kinds = args.compare or [args.kind]
     if args.x_scaled and "edge_rescaled_J" not in kinds:
         raise ValueError("--x-scaled applies only to edge_rescaled_J, which is neither --kind nor in --compare")
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, squared=args.compare is None)
     if args.compare is not None:
         diag_a, diag_b = (evaluate_diagonal(_make_spec(kind, params, args.x_scaled), grid) for kind in args.compare)
         rows = [(z, a, b, abs(a - b)) for z, a, b in zip(grid, map(complex, diag_a), map(complex, diag_b))]

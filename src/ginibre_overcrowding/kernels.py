@@ -33,8 +33,6 @@ limit; both are per-row factors too.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -278,7 +276,7 @@ class KernelGrid:
             "index_set": None,
             "z_points": [pair(z) for z in self.z_points],
             "w_points": [pair(w) for w in self.w_points],
-            "values": [[pair(v) for v in row] for row in self.values],
+            "values": [[pair(v) for v in row] for row in self.values.tolist()],
         }
         if self.spec.params is not None:
             p = self.spec.params
@@ -313,14 +311,14 @@ class KernelGrid:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["z_re", "z_im", "w_re", "w_im", "K_re", "K_im"])
-        for i, z in enumerate(self.z_points):
-            for j, w in enumerate(self.w_points):
-                v = self.values[i, j]
-                writer.writerow([z.real, z.imag, w.real, w.imag, v.real, v.imag])
-        return buf.getvalue()
+        """The header ``z_re,z_im,w_re,w_im,K_re,K_im``, then one row per pair, z outer and w inner.
+
+        Floats are shortest round-trip decimals and lines end in CRLF, as ``csv.writer`` writes them.
+        """
+        zs = [f"{z.real!r},{z.imag!r}," for z in self.z_points]
+        ws = [f"{w.real!r},{w.imag!r}," for w in self.w_points]
+        rows = (f"{z}{w}{v.real!r},{v.imag!r}\r\n" for z, vs in zip(zs, self.values.tolist()) for w, v in zip(ws, vs))
+        return "z_re,z_im,w_re,w_im,K_re,K_im\r\n" + "".join(rows)
 
 
 def evaluate_grid(

@@ -9,6 +9,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,40 @@ def test_kernel_malformed_grid(capsys):
     code, _, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "nonsense")
     assert code == 2
     assert "grid" in err
+
+
+def test_kernel_oversize_grid_refused_before_building_points(capsys):
+    # 10^10 points would write 10^20 values; the cap is checked on n m alone
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "0:1:100000,0:1:100000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "100000000000000000000 kernel values" in err and "cap of 4194304" in err
+    assert peak < 1 << 20
+
+
+def test_kernel_grid_cap_counts_written_values(capsys):
+    # 2049 points: a product table writes 2049^2 > 2^22 values, a compare 2049
+    code, out, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "0.2:1:2049,0:0:1")
+    assert code == 2
+    assert out == ""
+    assert "4198401 kernel values" in err
+    code, out, _ = run(
+        capsys, "kernel", "-N", "10", "-c", "0.9", "-R", "0.7",
+        "--compare", "ginibre_N", "limit_hard_wall", "--grid", "0.2:1:2049,0:0:1",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2049
+    code, out, err = run(
+        capsys, "kernel", "--compare", "limit_hard_wall", "limit_hard_wall", "--grid", "0:1:2049,0:1:2048",
+    )
+    assert code == 2
+    assert out == ""
+    assert "4196352 kernel values" in err
 
 
 def test_kernel_index_kind_needs_params(capsys):

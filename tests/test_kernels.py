@@ -9,6 +9,9 @@ scan for the normalization-mismatch maximum.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
+import json
 import math
 
 import mpmath
@@ -476,6 +479,79 @@ def test_diagonal_matches_grid_diagonal():
         assert np.all(np.abs(diag - want) <= 1e-13 * np.abs(want))
         assert np.all(diag.imag == 0) and np.all(diag.real >= 0)
         assert np.array_equal(diag == 0, want == 0)
+
+
+def _csv_writer_oracle(grid: KernelGrid) -> str:
+    """The grid written by ``csv.writer`` over the numpy scalars of ``values``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["z_re", "z_im", "w_re", "w_im", "K_re", "K_im"])
+    for i, z in enumerate(grid.z_points):
+        for j, w in enumerate(grid.w_points):
+            v = grid.values[i, j]
+            writer.writerow([z.real, z.imag, w.real, w.imag, v.real, v.imag])
+    return buf.getvalue()
+
+
+def _per_entry_json_oracle(grid: KernelGrid) -> str:
+    """The grid's JSON document built entry by entry from the numpy scalars."""
+
+    def pair(x) -> list[float]:
+        return [float(x.real), float(x.imag)]
+
+    spec = grid.spec
+    return json.dumps(
+        {
+            "kind": spec.kind,
+            "x_scaled": spec.x_scaled,
+            "params": None if spec.params is None else {"N": spec.params.N, "c": spec.params.c, "R": spec.params.R},
+            "index_set": None if spec.index_set is None else list(spec.index_set.members),
+            "z_points": [pair(z) for z in grid.z_points],
+            "w_points": [pair(w) for w in grid.w_points],
+            "values": [[pair(grid.values[i, j]) for j in range(len(grid.w_points))] for i in range(len(grid.z_points))],
+        },
+        indent=2,
+    )
+
+
+def _lines(text: str) -> list[str]:
+    """Lines with their ends kept: equal lists mean equal texts, and a mismatch reports one line."""
+    return text.splitlines(keepends=True)
+
+
+def test_grid_serialization_matches_oracles_on_every_kind():
+    # a 9 x 7 grid across |z| = R and Re z = 0, so the outer, inner and edge
+    # kinds have entries off their support, which are exactly 0
+    p = EnsembleParams(N=25, c=0.8, R=0.7)
+    J = top_block(p)
+    pts = [complex(a, b) for a in np.linspace(-0.9, 1.1, 9) for b in np.linspace(-0.6, 0.6, 7)]
+    for spec in (
+        KernelSpec(kind="ginibre_N", params=p),
+        KernelSpec(kind="outer_J", params=p, index_set=J),
+        KernelSpec(kind="inner_J_complement", params=p, index_set=J),
+        KernelSpec(kind="edge_rescaled_J", params=p, index_set=J),
+        KernelSpec(kind="edge_rescaled_J", params=p, index_set=J, x_scaled=True),
+        KernelSpec(kind="limit_hard_wall"),
+    ):
+        grid = evaluate_grid(spec, pts, pts)
+        if spec.kind in ("outer_J", "inner_J_complement", "edge_rescaled_J"):
+            assert np.any(grid.values == 0) and np.any(grid.values != 0)
+        assert _lines(grid.to_csv()) == _lines(_csv_writer_oracle(grid))
+        assert _lines(grid.to_json()) == _lines(_per_entry_json_oracle(grid))
+
+
+def test_grid_serialization_matches_oracles_on_edge_floats():
+    # signed zero, the smallest subnormal, the repr exponent switches,
+    # infinities and nan, in points and values; z and w differ in length
+    special = [-0.0, 5e-324, 1e16, 1e-5, 1e22, math.inf, -math.inf, math.nan, 0.1, -2.5e-300]
+    z_points = tuple(complex(a, b) for a, b in zip(special, special[::-1]))
+    w_points = tuple(complex(a, 0.3) for a in special[:4])
+    values = np.array([[complex(a, b) for b in special[:4]] for a in special])
+    grid = KernelGrid(spec=KernelSpec(kind="limit_hard_wall"), z_points=z_points, w_points=w_points, values=values)
+    text = grid.to_csv()
+    assert _lines(text) == _lines(_csv_writer_oracle(grid))
+    assert text.count("\r\n") == 1 + len(z_points) * len(w_points)
+    assert _lines(grid.to_json()) == _lines(_per_entry_json_oracle(grid))
 
 
 def test_grid_json_limit_kernel_without_params():
