@@ -31,8 +31,8 @@ before any work, also by ``kernel --kind limit_hard_wall``, which does not
 use it.
 
 Exit codes: 2 for invalid parameters, malformed or oversize grids or bad
-flags, 3 for numeric or sampling failures.  Randomized commands have no
-implicit seed; reproducibility is part of the contract.
+flags, 3 when a sampler exhausts its proposal budget.  Randomized commands
+have no implicit seed; reproducibility is part of the contract.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gamma import ConvergenceError, GammaDomainError
 from .kernels import KERNEL_KINDS, KernelSpec, evaluate_diagonal, evaluate_grid
 from .mixture import (
-    ConstraintViolation,
     EnsembleParams,
     IndexSet,
     log_hole_factor,
@@ -325,14 +323,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser as it found it, and building costs far more than parsing
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
-    except (ConstraintViolation, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-    except (SamplingError, ConvergenceError, GammaDomainError, FloatingPointError) as exc:
+    except SamplingError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
 

@@ -1,7 +1,7 @@
 """Log-space regularized incomplete gamma functions.
 
-Everything downstream (Bernoulli weights, radial survival laws, kernel
-normalizations) consumes the regularized upper tail
+The scalar routes here are the references (``sampler.radial_survival``,
+acceptance criterion 8, the tests) for the regularized upper tail
 
     Q(a, z) = Gamma(a, z) / Gamma(a),   Gamma(a, z) = int_z^inf x^(a-1) e^(-x) dx,
 
@@ -9,7 +9,8 @@ and its complement P(a, z) = gammainc_lower(a, z) / Gamma(a), at arguments where
 both tails underflow double precision.  All functions here therefore return
 natural logs, and each of the two tails is computed directly by the branch that
 targets it (lower series for z < a + 1, upper continued fraction otherwise), so
-no result is ever produced by exponentiating and subtracting from 1.
+no result is ever produced by exponentiating and subtracting from 1.  The Bernoulli
+weights, kernel norms and both radial draws read ``mixture``'s vectorized pass instead.
 
 Accuracy notes
 --------------

@@ -219,6 +219,8 @@ class KernelSpec:
             raise ValueError(f"kernel kind {self.kind!r} does not take an index set")
         if self.kind != "limit_hard_wall" and self.params is None:
             raise ValueError(f"kernel kind {self.kind!r} requires ensemble parameters")
+        if needs_set and self.index_set.N != self.params.N:
+            raise ValueError(f"index set is over {{0..{self.index_set.N - 1}}} but N = {self.params.N}")
         if self.x_scaled and self.kind != "edge_rescaled_J":
             raise ValueError("x_scaled applies to the edge kernel only")
 

@@ -23,7 +23,10 @@ log(1 - a_k), the backward sum cut where a geometric bound puts the rest
 below 2^-64 of it.  At each k the smaller of the two tails is kept and the
 larger is log1mexp of it.  a_k underflows double precision for k well below
 N R^2 and 1 - a_k for k well above it, so each is kept exact in relative
-terms where it is small.
+terms where it is small.  The pass runs T terms past N, and the cached
+``BernoulliWeights`` keeps its log P(X > j) for all j < N + T: the one
+Poisson(N R^2) tail table, read by the weights, the tilt, the DFT, the hole
+factor, the kernel norms and both radial draws of ``sampler``.
 
 Tilt.  Tilting every Bernoulli by the theta at which E #J = m gives
 P(#J = m) = exp(K) P_theta(#J = m), with K = log E exp(theta (#J - m)).
@@ -180,10 +183,13 @@ class OccupationVector:
 
 @dataclass(frozen=True)
 class BernoulliWeights:
-    """log a_k and log(1 - a_k) for k = 0, ..., N-1, each from its own tail."""
+    """The Poisson(N R^2) tails of one ensemble from one ``_log_poisson_tails`` pass, read-only:
+    ``log_survival`` is log P(X > j) for j < N + T, T = ``_tail_length(N, N R^2)``, and ``log_a``
+    and ``log_one_minus_a`` are the pass's first-N views, log P(X <= k) and log P(X > k) for k < N."""
 
     log_a: np.ndarray
     log_one_minus_a: np.ndarray
+    log_survival: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -266,10 +272,11 @@ def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def bernoulli_weights(params: EnsembleParams) -> BernoulliWeights:
-    log_a, log_one_minus_a = _log_poisson_tails(params.N, params.z)
-    log_a.flags.writeable = False
-    log_one_minus_a.flags.writeable = False
-    return BernoulliWeights(log_a=log_a, log_one_minus_a=log_one_minus_a)
+    N, z = params.N, params.z
+    log_lower, log_survival = _log_poisson_tails(N + _tail_length(N, z), z)
+    log_lower.flags.writeable = False
+    log_survival.flags.writeable = False
+    return BernoulliWeights(log_lower[:N], log_survival[:N], log_survival)
 
 
 def _forward(w: BernoulliWeights) -> np.ndarray:

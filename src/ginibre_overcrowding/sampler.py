@@ -39,10 +39,10 @@ Both samplers draw r^2 through the same exact decompositions of the
 truncated Gamma law, ``_outer_t_block`` outside the disk and
 ``_inner_t_block`` inside it.  A block of any size is one uniform draw,
 one search of one log Poisson(N R^2) tail table for all its indices, and
-one Gamma or Beta call: the outer counts are searched among the
-log P(X <= i), which are the log weights log a_i, and the inner ones among
-the log P(X > j), extended past N.  No tolerance enters but the upper cut
-of the second table, which lies below the resolution of a uniform draw.
+one Gamma or Beta call.  The table is ``mixture.bernoulli_weights``: the
+outer counts are searched among the log P(X <= i), which are the log
+weights log a_i, and the inner ones among its log P(X > j), which run past
+N until they fall below 2^-64 of P(X > N - 1), past any uniform draw.
 
 Randomness comes from ``RandomStream``, a counter-based Philox generator
 keyed by (seed, stream_id).  Two streams with different ids are
@@ -58,7 +58,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +68,6 @@ from .mixture import (
     ConstraintViolation,
     EnsembleParams,
     IndexSet,
-    _log_poisson_tails,
-    _tail_length,
     bernoulli_weights,
     sample_conditioned_indexset,
 )
@@ -324,19 +321,6 @@ def sample_radii_outer(
     return out
 
 
-@lru_cache(maxsize=16)
-def _neg_log_survival(params: EnsembleParams) -> np.ndarray:
-    """-log P(X > j) for X ~ Poisson(N R^2) and j = 0, ..., N + T - 1, nondecreasing.
-
-    T is the tail length of ``mixture._log_poisson_tails`` at N, so the last
-    entry lies 2^-64 below P(X > N - 1), past the reach of any uniform draw.
-    """
-    N, z0 = params.N, params.z
-    out = -_log_poisson_tails(N + _tail_length(N, z0), z0)[1]
-    out.flags.writeable = False
-    return out
-
-
 def _outer_t_block(
     params: EnsembleParams, ks: np.ndarray, picks: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
@@ -369,7 +353,7 @@ def _inner_t_block(
     uniform v, n counts the S_j at or above (1 - v) S_k.
     """
     z0 = params.z
-    neg_log_s = _neg_log_survival(params)
+    neg_log_s = -bernoulli_weights(params).log_survival
     k = ks[picks]
     bound = neg_log_s[k] - np.log1p(-gen.random(picks.size))
     n = np.searchsorted(neg_log_s, bound, side="right")

@@ -20,7 +20,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import ginibre_overcrowding
-from ginibre_overcrowding import validation
+from ginibre_overcrowding import sampler, validation
 from ginibre_overcrowding.cli import main, read_radial_csv
 from ginibre_overcrowding.kernels import KernelGrid
 from ginibre_overcrowding.mixture import EnsembleParams, sample_conditioned_indexset
@@ -68,6 +68,29 @@ def test_prob_oracle_refuses_large_n(capsys):
     assert "2^N" in err
 
 
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    # the parser is built once; one call's flags and errors must not reach the next
+    code, out, _ = run(capsys, "prob", "-N", "10", "-c", "0.5", "-R", "0.8", "--oracle")
+    assert code == 0 and "log_prob_enumerated" in json.loads(out)
+    code, out, _ = run(capsys, "prob", "-N", "10", "-c", "0.5", "-R", "0.8")
+    assert code == 0
+    report = json.loads(out)
+    assert "log_prob_enumerated" not in report and "enumeration_rel_err" not in report
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--kind", "outer_J", "--compare", "ginibre_N", "limit_hard_wall", "--grid", "0:1:2,0:0:1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "0.2:1:2,0:0:1")
+    assert code == 0 and out.startswith("z_re,")
+    with pytest.raises(SystemExit) as exc:
+        main(["prob", "-N", "ten", "-c", "0.5", "-R", "0.8"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "prob", "-N", "10", "-c", "0.5", "-R", "0.8", "--format", "csv")
+    assert code == 0 and out.startswith("field,value\nN,10\n")
+    assert "log_prob_enumerated" not in out
+
+
 def test_prob_invalid_regime_names_condition(capsys):
     code, _, err = run(capsys, "prob", "-N", "10", "-c", "0.3", "-R", "0.5")
     assert code == 2
@@ -113,6 +136,18 @@ def test_sample_rejects_fewer_than_one_replica(capsys, tmp_path, replicas):
     )
     assert code == 2
     assert "--replicas must be at least 1" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_exhausted_proposal_budget_exits_3(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(sampler, "_MAX_PROPOSALS", 0)
+    code, out, err = run(
+        capsys,
+        "sample", "-N", "30", "-c", "0.8", "-R", "0.7", "--seed", "5", "--out", str(tmp_path / "none"),
+    )
+    assert code == 3
+    assert err.startswith("numeric failure: no acceptance within 0 proposals")
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 

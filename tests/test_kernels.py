@@ -407,6 +407,11 @@ def test_kernel_spec_validation():
         KernelSpec(kind="ginibre_N")  # missing params
     with pytest.raises(ValueError):
         KernelSpec(kind="limit_hard_wall", x_scaled=True)
+    # an index set over another N: out of range, or in range but the wrong ensemble
+    for kind in ("outer_J", "inner_J_complement", "edge_rescaled_J"):
+        for J_other in (IndexSet((11,), N=12), IndexSet((1, 2), N=5)):
+            with pytest.raises(ValueError, match=f"over \\{{0..{J_other.N - 1}\\}} but N = 10"):
+                KernelSpec(kind=kind, params=p, index_set=J_other)
     # valid ones
     assert KernelSpec(kind="limit_hard_wall").rank() == math.inf
     assert KernelSpec(kind="outer_J", params=p, index_set=J).rank() == p.N_c

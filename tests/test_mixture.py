@@ -41,7 +41,7 @@ from ginibre_overcrowding.mixture import (
     overcrowding_probability_exact,
     sample_conditioned_indexset,
 )
-from ginibre_overcrowding.mixture import _count_tilt, _log_count_prob, _tilt
+from ginibre_overcrowding.mixture import _count_tilt, _log_count_prob, _log_poisson_tails, _tail_length, _tilt
 
 
 # ----------------------------
@@ -129,6 +129,24 @@ def test_weights_first_entry_and_monotone():
     assert np.allclose(np.exp(w.log_a) + np.exp(w.log_one_minus_a), 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "N, c, R", [(4000, 0.95, math.sqrt(0.98)), (300, 0.2, math.sqrt(0.98)), (1, 1.0, 0.6), (1, 1.0, 0.99)]
+)
+def test_weights_are_the_first_n_entries_of_the_one_tail_pass(N, c, R):
+    # the pass runs T entries past N for the inner radial law; its first N
+    # entries are bit for bit the N-entry pass
+    p = EnsembleParams(N=N, c=c, R=R)
+    w = bernoulli_weights(p)
+    log_a, log_one_minus_a = _log_poisson_tails(p.N, p.z)
+    assert np.array_equal(w.log_a, log_a)
+    assert np.array_equal(w.log_one_minus_a, log_one_minus_a)
+    assert w.log_survival.size == N + _tail_length(N, p.z)
+    assert np.array_equal(w.log_survival[:N], w.log_one_minus_a)
+    assert np.all(np.diff(w.log_survival) <= 0)
+    for table in (w.log_a, w.log_one_minus_a, w.log_survival):
+        assert not table.flags.writeable
+
+
 def _params_at(N: int, x: float) -> EnsembleParams:
     """A valid triple with R^2 / (1 - c) = x; N = 1 needs c = 1 and then keeps R^2 = x / 4."""
     c = 1.0 if N == 1 else 0.75
@@ -179,7 +197,7 @@ def test_dp_on_synthetic_fair_coins():
     F = _poisson_binomial_dp(log_half, log_half)
     assert math.exp(F[3, 2]) == pytest.approx(3.0 / 8.0, rel=1e-14)
     assert math.exp(F[3, 0]) == pytest.approx(1.0 / 8.0, rel=1e-14)
-    coins = BernoulliWeights(log_a=log_half, log_one_minus_a=log_half)
+    coins = BernoulliWeights(log_a=log_half, log_one_minus_a=log_half, log_survival=log_half)
     for m, prob in enumerate([1.0, 3.0, 3.0, 1.0]):
         log_prob, certificate, _ = _log_count_prob(coins, m, _tilt(coins, m))
         assert math.exp(log_prob) == pytest.approx(prob / 8.0, rel=1e-14)
