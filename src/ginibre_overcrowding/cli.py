@@ -30,8 +30,9 @@ Each subcommand is one ``cmd_*`` function of the parsed arguments.  -N,
 before any work, also by ``kernel --kind limit_hard_wall``, which does not
 use it.
 
-Exit codes: 2 for invalid parameters, malformed or oversize grids or bad
-flags, 3 when a sampler exhausts its proposal budget.  Randomized commands
+Exit codes: 2 for invalid parameters, malformed or oversize grids, bad
+flags, or a draw or kernel past the sampler's span cap or the kernels'
+feature-row cap; 3 when a sampler exhausts its proposal budget.  Randomized commands
 have no implicit seed; reproducibility is part of the contract.
 """
 

@@ -40,8 +40,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import xlogy
 
 from .gamma import log1mexp
 from .mixture import EnsembleParams, IndexSet, bernoulli_weights, log_factorials
@@ -61,6 +59,11 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
+
+# (point, k) entries of the feature rows one finite-N evaluation may build,
+# about 56 bytes each at the peak of ``feature_rows``: the largest admitted
+# evaluation (470 MB) fits in a 1.5 GB address space
+_MAX_ROW_ENTRIES = 1 << 23
 
 KERNEL_KINDS = (
     "ginibre_N",
@@ -112,7 +115,11 @@ def feature_rows(
     with shift 0.
     """
     half = 0.5 * ((ks + 1.0) * math.log(params.N) - _LOG_PI - log_h)
-    log_mag = xlogy(0.5 * ks, t[:, None]) - (0.5 * params.N) * t[:, None]
+    # (k/2) log t with 0 log 0 = 0; math.log is libm's log, as in scipy's xlogy
+    log_t = np.array([math.log(v) if v > 0.0 else -math.inf for v in t.tolist()])
+    log_mag = np.zeros((t.size, ks.size))
+    np.multiply(log_t[:, None], 0.5 * ks, out=log_mag, where=ks != 0)
+    log_mag -= (0.5 * params.N) * t[:, None]
     log_mag += half[None, :]
     shift = log_mag.max(axis=1, initial=-math.inf)
     shift[shift == -math.inf] = 0.0
@@ -126,7 +133,14 @@ def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, n
 
     ``on`` marks the points on the kernel's support; off it the kernel is 0.
     The edge kind's coordinate map and per-row factors are applied here.
+    Past ``_MAX_ROW_ENTRIES`` points x rank it refuses before any row is built.
     """
+    entries = pts.size * spec.rank()
+    if entries > _MAX_ROW_ENTRIES:
+        raise ValueError(
+            f"{pts.size} points x rank {spec.rank()} = {entries} feature-row entries, "
+            f"over the cap of {_MAX_ROW_ENTRIES}"
+        )
     params, R = spec.params, spec.params.R
     scale = np.ones(pts.size, dtype=complex)
     kind = spec.kind
@@ -392,8 +406,12 @@ def g_max_diagnostic(l: int, n: int, N: int) -> tuple[float, float, float]:
 
     |h| vanishes at u = u0 = (l!/(l-n)!)^(1/n) where the bracket changes
     sign, and at 0 and infinity, so each flank of u0 holds one interior
-    maximum; both are located by bounded scalar minimization.
+    maximum; both are located by bounded scalar minimization
+    (``scipy.optimize.minimize_scalar``, imported here so that only this
+    diagnostic loads scipy).
     """
+    from scipy.optimize import minimize_scalar
+
     if l != int(l) or l < 1 or n != int(n) or n < 0 or N != int(N) or N < 1:
         raise ValueError(f"g_max_diagnostic needs integers l >= 1, n >= 0, N >= 1")
     if n > l:

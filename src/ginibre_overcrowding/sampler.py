@@ -88,6 +88,9 @@ _TWO_PI = 2.0 * math.pi
 _MAX_PROPOSALS = 1_000_000
 # Entries (proposals x rank) of one proposal pool's feature-row matrix.
 _POOL_ENTRIES = 1 << 15
+# Entries (rank m squared) of the sequential sampler's span, 16 bytes each:
+# m <= 2048, a 64 MiB span, where a draw, which costs O(m^3), takes over a minute.
+_MAX_SPAN_ENTRIES = 1 << 22
 # A freshly accepted direction should never be this close to the span of
 # the previous ones; if it is, the Gram-Schmidt basis has degenerated.
 _MIN_DIRECTION_NORM = 1e-10
@@ -360,6 +363,15 @@ def _inner_t_block(
     return z0 * gen.beta(k + 1.0, n - k) / params.N
 
 
+def _check_span(m: int) -> None:
+    """Refuse a rank-m projection draw whose m x m span would exceed ``_MAX_SPAN_ENTRIES``."""
+    if m * m > _MAX_SPAN_ENTRIES:
+        raise ValueError(
+            f"the sequential sampler's span at rank m = {m} would hold m^2 = {m * m} entries, "
+            f"over the cap of {_MAX_SPAN_ENTRIES}"
+        )
+
+
 def _pool_rows(m: int, j: int) -> int:
     """Pool size before step j: the expected m H_(m-j) remaining proposals, capped."""
     expected = m * np.reciprocal(np.arange(1.0, m - j + 1)).sum()
@@ -441,6 +453,7 @@ def sample_sequential(
     if basis not in _BASES:
         raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
     _check_index_set(params, J)
+    _check_span(J.size if basis == "outer_J" else params.N - J.size)
     stream = _require_stream(rng)
     points = _sample_projection(params, J, basis, stream.generator())
     return PointConfiguration(
@@ -460,6 +473,7 @@ def sample_conditioned_ensemble(params: EnsembleParams, rng: RandomStream) -> Po
     inner point sets from their projection kernels; given J the two are
     independent, so they simply consume the same stream in a fixed order.
     """
+    _check_span(max(params.N_c, params.N - params.N_c))
     stream = _require_stream(rng)
     gen = stream.generator()
     J = sample_conditioned_indexset(params, params.N_c, gen)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .gamma import (
     log_gamma_lower,
@@ -268,7 +267,13 @@ def _criterion_6() -> tuple[bool, str]:
 
 
 def _criterion_7() -> tuple[bool, str]:
-    """Samplers: counts, radial law, binned intensity, index-set frequencies."""
+    """Samplers: counts, radial law, binned intensity, index-set frequencies.
+
+    The KS and chi-square tests come from ``scipy.stats``, imported here so
+    that importing this module (``prob --oracle`` does) loads no scipy.
+    """
+    from scipy import stats
+
     params = EnsembleParams(N=30, c=0.5, R=0.8)
     J = top_block(params)
 

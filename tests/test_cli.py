@@ -140,6 +140,20 @@ def test_sample_rejects_fewer_than_one_replica(capsys, tmp_path, replicas):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sample_oversize_span_refused_before_any_file(capsys, tmp_path):
+    # outer rank 14000: a 14000^2 complex span is 2.9 GiB
+    args = ("sample", "-N", "20000", "-c", "0.7", "-R", "0.8", "--seed", "1")
+    code, out, err = run(capsys, *args, "--replicas", "2", "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert out == ""
+    assert "rank m = 14000 would hold m^2 = 196000000 entries, over the cap of 4194304" in err
+    assert list(tmp_path.iterdir()) == []
+    # the radial sampler holds no span and is not gated
+    code, out, _ = run(capsys, *args, "--radial-only", "--out", str(tmp_path / "r"))
+    assert code == 0
+    assert len(read_radial_csv(out.strip())[0]) == 14_000
+
+
 def test_sample_exhausted_proposal_budget_exits_3(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sampler, "_MAX_PROPOSALS", 0)
     code, out, err = run(
@@ -299,6 +313,24 @@ def test_kernel_oversize_grid_refused_before_building_points(capsys):
     assert peak < 1 << 20
 
 
+def test_kernel_oversize_feature_rows_refused_before_any_row(capsys):
+    # a 9x9 grid at N = 200000: 162 stacked points x rank 200000 feature-row entries
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "kernel", "--kind", "ginibre_N", "-N", "200000", "-c", "0.7", "-R", "0.8",
+            "--grid=-0.5:0.5:9,-0.5:0.5:9",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "162 points x rank 200000 = 32400000 feature-row entries, over the cap of 8388608" in err
+    # log N! alone for N = 200000 would take 1.6 MB
+    assert peak < 1 << 20
+
+
 def test_kernel_grid_cap_counts_written_values(capsys):
     # 2049 points: a product table writes 2049^2 > 2^22 values, a compare 2049
     code, out, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "0.2:1:2049,0:0:1")
@@ -390,6 +422,14 @@ def check_script_run(proc):
     assert json.loads(proc.stdout)["N_c"] == 7
 
 
+def source_tree_env() -> dict:
+    """The environment for a subprocess that runs the source tree this suite imports, installed or not."""
+    src = str(Path(ginibre_overcrowding.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_is_wired():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
@@ -401,15 +441,50 @@ def test_console_script_is_wired():
         "from importlib.metadata import EntryPoint\n"
         f"sys.exit(EntryPoint(name={SCRIPT!r}, value={value!r}, group='console_scripts').load()())\n"
     )
-    # run the same source tree that this suite imports, installed or not
-    src = str(Path(ginibre_overcrowding.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", launcher, *SCRIPT_ARGS],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=source_tree_env(),
     )
     check_script_run(proc)
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+from ginibre_overcrowding.cli import main
+from ginibre_overcrowding.kernels import KERNEL_KINDS
+
+loaded = {"import": scipy_modules()}
+params = ["-N", "40", "-c", "0.9", "-R", "0.7"]
+out = Path(sys.argv[1])
+runs = {
+    "prob": ["prob", *params],
+    "prob --oracle": ["prob", "-N", "10", "-c", "0.5", "-R", "0.8", "--oracle"],
+    **{f"kernel --kind {kind}": ["kernel", *params, "--kind", kind, "--grid", "0.2:1:3,0:0.5:2"] for kind in KERNEL_KINDS},
+    "kernel --compare": ["kernel", *params, "--compare", "edge_rescaled_J", "limit_hard_wall", "--grid", "0.2:1:3,0:0.5:2"],
+    "sample": ["sample", *params, "--seed", "11", "--replicas", "2", "--out", str(out / "s")],
+    "sample --radial-only": ["sample", *params, "--seed", "11", "--radial-only", "--out", str(out / "r")],
+}
+for label, argv in runs.items():
+    if main(argv) != 0:
+        sys.exit(f"{label} failed")
+    loaded[label] = scipy_modules()
+print("RESULT", [(label, names) for label, names in loaded.items() if names])
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # only validate needs scipy (criterion 7's tests, criterion 10's minimization)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=source_tree_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT []"
 
 
 @pytest.mark.skipif(shutil.which(SCRIPT) is None, reason=f"{SCRIPT} is not installed on PATH")

@@ -13,11 +13,15 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import xlogy
+
+from ginibre_overcrowding import kernels
 
 from ginibre_overcrowding.kernels import (
     CorrelationResult,
@@ -28,6 +32,7 @@ from ginibre_overcrowding.kernels import (
     evaluate_diagonal,
     evaluate_grid,
     evaluate_kernel,
+    feature_rows,
     g_max_diagnostic,
 )
 from ginibre_overcrowding.mixture import EnsembleParams, IndexSet, top_block
@@ -599,6 +604,58 @@ def test_correlation_rank_guard():
         correlation([0.95, 1.0, 1.05], spec)
     with pytest.raises(ValueError):
         correlation([], spec)
+
+
+# ----------------------------
+# feature rows
+# ----------------------------
+
+
+def xlogy_feature_rows(params, ks, log_h, t, theta):
+    """The feature rows as first written, with scipy's xlogy for (k/2) log t."""
+    half = 0.5 * ((ks + 1.0) * math.log(params.N) - math.log(math.pi) - log_h)
+    log_mag = xlogy(0.5 * ks, t[:, None]) - (0.5 * params.N) * t[:, None]
+    log_mag += half[None, :]
+    shift = log_mag.max(axis=1, initial=-math.inf)
+    shift[shift == -math.inf] = 0.0
+    log_mag -= shift[:, None]
+    phase = np.multiply.outer(theta, ks.astype(float))
+    return np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase)), shift
+
+
+@pytest.mark.parametrize("kind", ["ginibre_N", "outer_J", "inner_J_complement"])
+def test_feature_rows_match_xlogy_bit_for_bit(kind):
+    # ginibre_N and inner_J_complement rows hold k = 0, outer_J rows do not
+    # thousands of t: numpy's SIMD log can differ from libm's in the last bit on about 1 t in 700
+    params = EnsembleParams(N=60, c=0.7, R=0.8)
+    ks, log_h = kernels.basis(params, top_block(params), kind)
+    assert (ks[0] == 0) == (kind != "outer_J")
+    gen = np.random.default_rng(17)
+    t = np.concatenate([[0.0, 5e-324, 1e-300, 1.0, 0.64], 3.0 * gen.random(4000), np.exp(8.0 * gen.normal(size=1000))])
+    theta = 2.0 * math.pi * gen.random(t.size)
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        rows, shift = feature_rows(params, ks, log_h, t, theta)
+    want_rows, want_shift = xlogy_feature_rows(params, ks, log_h, t, theta)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert shift.tobytes() == want_shift.tobytes()
+    # at z = 0 only k = 0 survives
+    assert np.count_nonzero(rows[0]) == (kind != "outer_J")
+
+
+def test_feature_row_cap_refuses_before_any_row(monkeypatch):
+    params = EnsembleParams(N=20, c=0.7, R=0.8)
+    spec = KernelSpec("ginibre_N", params)
+    pts = [0.1 * i + 0.05j for i in range(5)]
+    # z and w are stacked: 10 points x rank 20
+    monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 200)
+    assert evaluate_grid(spec, pts, pts).values.shape == (5, 5)
+    monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 199)
+    monkeypatch.setattr(kernels, "basis", None)  # any row built would fail on this
+    with pytest.raises(ValueError, match=r"10 points x rank 20 = 200 feature-row entries, over the cap of 199"):
+        evaluate_grid(spec, pts, pts)
+    with pytest.raises(ValueError, match="10 points x rank 20"):
+        evaluate_diagonal(spec, pts + pts)
 
 
 # ----------------------------

@@ -526,6 +526,34 @@ def test_sequential_validation():
         sample_sequential(params, IndexSet(members=(0,), N=11), "outer_J", RandomStream(seed=3))
 
 
+def test_span_cap_refuses_before_any_draw(monkeypatch):
+    # N = 20000, c = 0.7: outer rank 14000, inner rank 6000, both past 2048^2 span entries
+    params = EnsembleParams(N=20_000, c=0.7, R=0.8)
+    J = top_block(params)
+    monkeypatch.setattr(sampler, "sample_conditioned_indexset", None)  # a draw would fail on this
+    monkeypatch.setattr(sampler, "_sample_projection", None)
+    for basis, m in (("outer_J", 14_000), ("inner_complement_J", 6_000)):
+        with pytest.raises(ValueError, match=rf"rank m = {m} would hold m\^2 = {m * m} entries, over the cap of 4194304"):
+            sample_sequential(params, J, basis, RandomStream(seed=3))
+    with pytest.raises(ValueError, match="rank m = 14000"):
+        sample_conditioned_ensemble(params, RandomStream(seed=3))
+    # the larger of the two ranks is gated: here the inner one, 2100 > 2048
+    with pytest.raises(ValueError, match="rank m = 2100"):
+        sample_conditioned_ensemble(EnsembleParams(N=3000, c=0.3, R=0.9), RandomStream(seed=3))
+
+
+def test_span_cap_boundary(monkeypatch):
+    params = EnsembleParams(N=10, c=0.5, R=0.8)  # ranks 5 and 5
+    J = top_block(params)
+    monkeypatch.setattr(sampler, "_MAX_SPAN_ENTRIES", 25)
+    assert len(sample_conditioned_ensemble(params, RandomStream(seed=3)).points) == 10
+    monkeypatch.setattr(sampler, "_MAX_SPAN_ENTRIES", 24)
+    with pytest.raises(ValueError, match="rank m = 5"):
+        sample_sequential(params, J, "inner_complement_J", RandomStream(seed=3))
+    with pytest.raises(ValueError, match="rank m = 5"):
+        sample_conditioned_ensemble(params, RandomStream(seed=3))
+
+
 # ---------------------------------------------------------------------------
 # Full conditioned ensemble
 
