@@ -31,14 +31,18 @@ before any work, also by ``kernel --kind limit_hard_wall``, which does not
 use it.
 
 Exit codes: 2 for invalid parameters, malformed or oversize grids, bad
-flags, or a draw or kernel past the sampler's span cap or the kernels'
-feature-row cap; 3 when a sampler exhausts its proposal budget.  Randomized commands
-have no implicit seed; reproducibility is part of the contract.
+flags, a ``prob`` (or any command) whose Poisson tail table of N + T
+entries would pass ``mixture``'s cap of 10 * 2^20, ``--oracle`` past
+N = 16, or a draw or kernel past the sampler's span cap or the kernels'
+feature-row cap; 3 when a sampler exhausts its proposal budget.  Nothing
+is written when a command exits 2 or 3.  Randomized commands have no
+implicit seed; reproducibility is part of the contract.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -101,11 +105,19 @@ def _parse_grid(text: str, squared: bool) -> tuple[complex, ...]:
     return tuple(complex(a, b) for a in res for b in ims)
 
 
-def _emit(text: str, out: "str | None") -> None:
+@contextlib.contextmanager
+def _output(out: "str | None"):
+    """A text handle on stdout, or on the file ``out``, which is closed on exit."""
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            yield handle
+
+
+def _emit(text: str, out: "str | None") -> None:
+    with _output(out) as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------- prob
@@ -253,7 +265,11 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     values = evaluate_grid(_make_spec(args.kind, params, args.x_scaled), grid, grid)
-    _emit(values.to_csv() if args.format == "csv" else values.to_json() + "\n", args.out)
+    with _output(args.out) as handle:
+        if args.format == "csv":
+            values.write_csv(handle)
+        else:
+            handle.write(values.to_json() + "\n")
     return 0
 
 

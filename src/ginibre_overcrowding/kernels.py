@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -326,15 +326,17 @@ class KernelGrid:
             values=values,
         )
 
-    def to_csv(self) -> str:
-        """The header ``z_re,z_im,w_re,w_im,K_re,K_im``, then one row per pair, z outer and w inner.
+    def write_csv(self, handle: TextIO) -> None:
+        """Write the header ``z_re,z_im,w_re,w_im,K_re,K_im``, then one row per pair, z outer and w inner.
 
         Floats are shortest round-trip decimals and lines end in CRLF, as ``csv.writer`` writes them.
+        Each z point's rows go out as one string, so the text of the whole grid is never held.
         """
-        zs = [f"{z.real!r},{z.imag!r}," for z in self.z_points]
+        handle.write("z_re,z_im,w_re,w_im,K_re,K_im\r\n")
         ws = [f"{w.real!r},{w.imag!r}," for w in self.w_points]
-        rows = (f"{z}{w}{v.real!r},{v.imag!r}\r\n" for z, vs in zip(zs, self.values.tolist()) for w, v in zip(ws, vs))
-        return "z_re,z_im,w_re,w_im,K_re,K_im\r\n" + "".join(rows)
+        for z, vs in zip(self.z_points, self.values):
+            prefix = f"{z.real!r},{z.imag!r},"
+            handle.write("".join(f"{prefix}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(ws, vs.tolist())))
 
 
 def evaluate_grid(

@@ -26,7 +26,10 @@ N R^2 and 1 - a_k for k well above it, so each is kept exact in relative
 terms where it is small.  The pass runs T terms past N, and the cached
 ``BernoulliWeights`` keeps its log P(X > j) for all j < N + T: the one
 Poisson(N R^2) tail table, read by the weights, the tilt, the DFT, the hole
-factor, the kernel norms and both radial draws of ``sampler``.
+factor, the kernel norms and both radial draws of ``sampler``.  A table
+longer than ``_MAX_TAIL_ENTRIES`` is refused with ``ValueError`` before
+the pass: N + T entries peak at up to about 100 bytes each over a ``prob``
+call, and T grows like 1 / (1 - R^2 + 1/N) as R nears 1.
 
 Tilt.  Tilting every Bernoulli by the theta at which E #J = m gives
 P(#J = m) = exp(K) P_theta(#J = m), with K = log E exp(theta (#J - m)).
@@ -200,6 +203,8 @@ def log_factorials(n: int) -> np.ndarray:
     return out
 
 
+# N + T entries of one Poisson tail table; ``prob`` at the cap peaked at 1.07 GB RSS
+_MAX_TAIL_ENTRIES = 10 << 20
 # the DFT for P(#J = m) may alias at most 2^-60 of the floor of its tilted value
 _ALIASED = 2.0**-60
 # factors with min(p, 1 - p) below this enter that DFT at first order
@@ -273,7 +278,13 @@ def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def bernoulli_weights(params: EnsembleParams) -> BernoulliWeights:
     N, z = params.N, params.z
-    log_lower, log_survival = _log_poisson_tails(N + _tail_length(N, z), z)
+    entries = N + _tail_length(N, z)
+    if entries > _MAX_TAIL_ENTRIES:
+        raise ValueError(
+            f"N = {N} at R = {params.R!r} needs a Poisson tail table of {entries} entries, "
+            f"over the cap of {_MAX_TAIL_ENTRIES}"
+        )
+    log_lower, log_survival = _log_poisson_tails(entries, z)
     log_lower.flags.writeable = False
     log_survival.flags.writeable = False
     return BernoulliWeights(log_lower[:N], log_survival[:N], log_survival)

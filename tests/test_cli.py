@@ -68,6 +68,27 @@ def test_prob_oracle_refuses_large_n(capsys):
     assert "2^N" in err
 
 
+def test_prob_oversize_tail_table_refused_before_any_output(capsys, tmp_path):
+    # N + T table entries past 10 * 2^20: N = 2 * 10^7 away from R = 1, and
+    # N = 10^6 at R^2 = 1 - 10^-6, where the tail T adds 28.7 million entries
+    for argv, entries in (
+        (("-N", "20000000", "-c", "0.7", "-R", "0.6"), 20_000_044),
+        (("-N", "1000000", "-c", "0.000001", "-R", "0.9999995"), 29_741_896),
+    ):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "prob", *argv, "--out", str(tmp_path / "p.json"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert f"N = {argv[1]} at R = {argv[5]} needs a Poisson tail table of {entries} entries" in err
+        assert "over the cap of 10485760" in err
+        assert peak < 1 << 20
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reused_parser_leaks_nothing_between_calls(capsys):
     # the parser is built once; one call's flags and errors must not reach the next
     code, out, _ = run(capsys, "prob", "-N", "10", "-c", "0.5", "-R", "0.8", "--oracle")

@@ -450,7 +450,7 @@ def test_grid_hermitian_defect_and_serialization():
     assert clone.z_points == grid.z_points
     np.testing.assert_allclose(clone.values, grid.values, rtol=0, atol=0)
 
-    csv_text = grid.to_csv()
+    csv_text = _csv_text(grid)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "z_re,z_im,w_re,w_im,K_re,K_im"
     assert len(lines) == 1 + len(pts) * len(pts)
@@ -489,6 +489,22 @@ def test_diagonal_matches_grid_diagonal():
         assert np.all(np.abs(diag - want) <= 1e-13 * np.abs(want))
         assert np.all(diag.imag == 0) and np.all(diag.real >= 0)
         assert np.array_equal(diag == 0, want == 0)
+
+
+class _CountedWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def _csv_text(grid: KernelGrid) -> str:
+    """What ``write_csv`` writes, one write for the header and one per z point."""
+    buf = _CountedWrites()
+    grid.write_csv(buf)
+    assert buf.writes == 1 + len(grid.z_points)
+    return buf.getvalue()
 
 
 def _csv_writer_oracle(grid: KernelGrid) -> str:
@@ -546,7 +562,7 @@ def test_grid_serialization_matches_oracles_on_every_kind():
         grid = evaluate_grid(spec, pts, pts)
         if spec.kind in ("outer_J", "inner_J_complement", "edge_rescaled_J"):
             assert np.any(grid.values == 0) and np.any(grid.values != 0)
-        assert _lines(grid.to_csv()) == _lines(_csv_writer_oracle(grid))
+        assert _lines(_csv_text(grid)) == _lines(_csv_writer_oracle(grid))
         assert _lines(grid.to_json()) == _lines(_per_entry_json_oracle(grid))
 
 
@@ -558,7 +574,7 @@ def test_grid_serialization_matches_oracles_on_edge_floats():
     w_points = tuple(complex(a, 0.3) for a in special[:4])
     values = np.array([[complex(a, b) for b in special[:4]] for a in special])
     grid = KernelGrid(spec=KernelSpec(kind="limit_hard_wall"), z_points=z_points, w_points=w_points, values=values)
-    text = grid.to_csv()
+    text = _csv_text(grid)
     assert _lines(text) == _lines(_csv_writer_oracle(grid))
     assert text.count("\r\n") == 1 + len(z_points) * len(w_points)
     assert _lines(grid.to_json()) == _lines(_per_entry_json_oracle(grid))

@@ -22,6 +22,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 from scipy.stats import chisquare
 
+from ginibre_overcrowding import mixture
 from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
 from ginibre_overcrowding.mixture import (
     BernoulliWeights,
@@ -42,6 +43,7 @@ from ginibre_overcrowding.mixture import (
     sample_conditioned_indexset,
 )
 from ginibre_overcrowding.mixture import _count_tilt, _log_count_prob, _log_poisson_tails, _tail_length, _tilt
+from ginibre_overcrowding.validation import enumerate_count_log_probs
 
 
 # ----------------------------
@@ -187,6 +189,17 @@ def test_weights_against_quadrature():
         assert w.log_a[k] == pytest.approx(math.log(val), abs=1e-10)
 
 
+def test_tail_table_cap_admits_its_own_size(monkeypatch):
+    p = EnsembleParams(N=300, c=0.7, R=0.99)
+    bernoulli_weights.cache_clear()
+    entries = p.N + _tail_length(p.N, p.z)
+    monkeypatch.setattr(mixture, "_MAX_TAIL_ENTRIES", entries - 1)
+    with pytest.raises(ValueError, match=f"{entries} entries, over the cap of {entries - 1}"):
+        bernoulli_weights(p)
+    monkeypatch.setattr(mixture, "_MAX_TAIL_ENTRIES", entries)
+    assert len(bernoulli_weights(p).log_survival) == entries
+
+
 # ----------------------------
 # count distribution
 # ----------------------------
@@ -285,6 +298,67 @@ def test_count_distribution_matches_enumeration():
     assert np.all(np.isfinite(log_probs))
     assert not log_probs.flags.writeable
     np.testing.assert_allclose(np.exp(log_probs), ref, rtol=1e-12)
+
+
+def _bit_matrix_count_log_probs(params: EnsembleParams) -> np.ndarray:
+    """log P(#J = m) from the (2^N, N) matrix of subset bits: the enumeration before doubling."""
+    w = bernoulli_weights(params)
+    N = params.N
+    bits = ((np.arange(1 << N, dtype=np.uint32)[:, None] >> np.arange(N)[None, :]) & 1).astype(float)
+    log_p = bits @ w.log_a + (1.0 - bits) @ w.log_one_minus_a
+    sizes = bits.sum(axis=1).astype(int)
+    shift = log_p.max()
+    acc = np.zeros(N + 1)
+    np.add.at(acc, sizes, np.exp(log_p - shift))
+    with np.errstate(divide="ignore"):
+        return np.log(acc) + shift
+
+
+def _enumeration_triples():
+    # x = R^2 / (1 - c) in {1.01, 1.5, 3} where R < 1; c = 1 at three radii;
+    # c = 0.2 gives N_c = 1 for N = 5..9, and N = 1, c = 1 gives N_c = N = 1
+    for N in range(1, 15):
+        for c in (0.2, 0.5, 0.8):
+            for x in (1.01, 1.5, 3.0):
+                if math.floor(c * N) >= 1 and x * (1 - c) < 1:
+                    yield EnsembleParams(N=N, c=c, R=math.sqrt(x * (1 - c)))
+        for R in (0.3, 0.7, 0.95):
+            yield EnsembleParams(N=N, c=1.0, R=R)
+
+
+def test_doubling_enumeration_matches_bit_matrix():
+    cases = list(_enumeration_triples())
+    assert any(p.N_c == 1 and p.N > 1 for p in cases)
+    for p in cases:
+        got = enumerate_count_log_probs(p)
+        want = _bit_matrix_count_log_probs(p)
+        assert got.shape == (p.N + 1,)
+        assert np.all(np.isfinite(want))
+        assert np.all(np.abs(np.expm1(got - want)) <= 1e-13), p
+    # at c = 1, R = 0.01, N = 14, P(#J = 0) is about e^-840 and underflows to
+    # -inf on both sides; the other log-probabilities reach -722, where
+    # rounding in a sum of 14 logs is about 1e-13 of the probability
+    p = EnsembleParams(N=14, c=1.0, R=0.01)
+    with np.errstate(divide="ignore"):
+        got = enumerate_count_log_probs(p)
+    want = _bit_matrix_count_log_probs(p)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want)) and np.isneginf(want[0])
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-15 * np.abs(want[finite]))
+
+
+def test_doubling_enumeration_memory_at_n16():
+    # a few length-2^16 arrays; the bit matrices held 17 MB at once
+    p = EnsembleParams(N=16, c=0.5, R=0.8)
+    bernoulli_weights(p)
+    tracemalloc.start()
+    try:
+        log_probs = enumerate_count_log_probs(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    np.testing.assert_allclose(np.exp(log_probs), np.exp(count_distribution(p)), rtol=1e-12)
 
 
 def test_count_distribution_normalizes():
