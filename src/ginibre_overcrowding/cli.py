@@ -30,7 +30,7 @@ Each subcommand is one ``cmd_*`` function of the parsed arguments.  -N,
 before any work, also by ``kernel --kind limit_hard_wall``, which does not
 use it.
 
-Exit codes: 2 for invalid parameters, malformed or oversize grids, bad
+Exit codes: 2 for invalid parameters, malformed, non-finite or oversize grids, bad
 flags, a ``prob`` (or any command) whose Poisson tail table of N + T
 entries would pass ``mixture``'s cap of 10 * 2^20, ``--oracle`` past
 N = 16, or a draw or kernel past the sampler's span cap or the kernels'
@@ -97,6 +97,8 @@ def _parse_grid(text: str, squared: bool) -> tuple[complex, ...]:
         raise ValueError(f"malformed grid {text!r}, expected re0:re1:n,im0:im1:m") from exc
     if n < 1 or m < 1:
         raise ValueError(f"grid {text!r} must have at least one point per axis")
+    if not np.isfinite([re0, re1, im0, im1]).all():
+        raise ValueError(f"grid {text!r} has a non-finite bound")
     count = (n * m) ** 2 if squared else n * m
     if count > _MAX_GRID_VALUES:
         raise ValueError(f"grid {text!r} would write {count} kernel values, over the cap of {_MAX_GRID_VALUES}")

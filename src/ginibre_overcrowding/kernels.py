@@ -27,12 +27,13 @@ the outer rows scaled by the 1/N Jacobian factor.  Its x-scaled variant
 divides by beta = (R^2 - 1 + c)/R and removes the pure gauge phase
 exp(-i R (Im zeta - Im omega)), which cancels in every determinant but
 would otherwise keep the finite-N kernel from converging pointwise to the
-limit; both are per-row factors too.
+limit; both are per-row factors too.  The hard-wall limit kernel is a
+closed form in s = z + conj(w), which ``eval_limit`` takes elementwise over
+broadcast arrays, so a grid of any kind is one array computation.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -163,51 +164,31 @@ def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, n
     return rows, shift, on
 
 
-def _projection_grid(
-    spec: "KernelSpec", z_points: Sequence[complex], w_points: Sequence[complex]
-) -> np.ndarray:
-    """K(z_i, w_j) of a finite-N kind as one product of feature rows."""
-    pts = np.array([complex(p) for p in (*z_points, *w_points)], dtype=complex)
-    rows, shift, on = _projection_rows(spec, pts)
-    n = len(z_points)
-    nz = int(np.count_nonzero(on[:n]))
-    values = np.zeros((n, pts.size - n), dtype=complex)
-    gram = rows[:nz] @ rows[nz:].conj().T
-    values[np.ix_(on[:n], on[n:])] = np.exp(shift[:nz, None] + shift[None, nz:]) * gram
-    return values
+# Taylor coefficients of (1 - (s+1)e^(-s))/s^2 = sum_m (-1)^m (m+1)/(m+2)! s^m, highest degree first
+_LIMIT_TAYLOR = [(-1.0) ** m * (m + 1) / math.factorial(m + 2) for m in range(15, -1, -1)]
 
 
-def _cexpm1(x: complex) -> complex:
-    """e^x - 1 with full relative accuracy for small |x| (complex expm1)."""
-    a, b = x.real, x.imag
-    half = math.sin(0.5 * b)
-    return complex(
-        math.expm1(a) * math.cos(b) - 2.0 * half * half,
-        math.exp(a) * math.sin(b),
-    )
+def eval_limit(z: complex | np.ndarray, w: complex | np.ndarray) -> complex | np.ndarray:
+    """Hard-wall edge kernel (1 - (s+1)e^(-s)) / (pi s^2), s = z + conj(w), elementwise.
 
-
-# Taylor coefficients of (1 - (s+1)e^(-s))/s^2 = sum_m (-1)^m (m+1)/(m+2)! s^m
-_LIMIT_TAYLOR = [(-1.0) ** m * (m + 1) / math.factorial(m + 2) for m in range(16)]
-
-
-def eval_limit(z: complex, w: complex) -> complex:
-    """Hard-wall edge kernel (1 - (s+1)e^(-s)) / (pi s^2), s = z + conj(w).
-
-    For |s| < 1e-3 the removable singularity is handled by the Taylor
-    series of the numerator over s^2 (value 1/(2 pi) at s = 0); the two
+    ``z`` and ``w`` broadcast against each other; the result has their
+    broadcast shape (a numpy scalar for two scalars).  Where |s| >= 1e-3 the
+    closed form is taken with the numerator written -expm1(-s) - s e^(-s);
+    where |s| < 1e-3 the removable singularity is handled by the Taylor
+    series of the numerator over s^2 (value 1/(2 pi) at s = 0).  The two
     branches agree to about 1e-13 at the switch radius.
     """
-    s = complex(z) + complex(w).conjugate()
-    if abs(s) < 1e-3:
-        acc = 0j
-        power = 1.0 + 0j
-        for coeff in _LIMIT_TAYLOR:
-            acc += coeff * power
-            power *= s
-        return acc / math.pi
-    numerator = -_cexpm1(-s) - s * cmath.exp(-s)
-    return numerator / (math.pi * s * s)
+    s = np.asarray(np.add(z, np.conj(w)), dtype=complex)
+    small = np.abs(s) < 1e-3
+    values = np.empty_like(s)
+    far = s[~small]
+    e = np.exp(-far)
+    # the numerator cancels to about s^2/2, scaling the rounding of s e^(-s) by 1/|s|: that product
+    # is formed from real parts, so it rounds as the textbook complex product on every machine
+    s_e = far.real * e.real - far.imag * e.imag + 1j * (far.real * e.imag + far.imag * e.real)
+    values[~small] = (-np.expm1(-far) - s_e) / (math.pi * far * far)
+    values[small] = np.polyval(_LIMIT_TAYLOR, s[small]) / math.pi
+    return values[()]
 
 
 @dataclass(frozen=True)
@@ -250,18 +231,17 @@ class KernelSpec:
 
 
 def evaluate_kernel(spec: KernelSpec, z: complex, w: complex) -> complex:
-    """K(z, w) of one kernel; a finite-N kind is the 1x1 case of ``evaluate_grid``."""
-    if spec.kind == "limit_hard_wall":
-        return eval_limit(z, w)
-    return complex(_projection_grid(spec, (z,), (w,))[0, 0])
+    """K(z, w) of one kernel, for every kind the 1x1 case of ``evaluate_grid``."""
+    return complex(evaluate_grid(spec, (z,), (w,)).values[0, 0])
 
 
 def evaluate_diagonal(spec: KernelSpec, points: Sequence[complex]) -> np.ndarray:
-    """K(z_i, z_i) over a point list; a finite-N kind takes one pass over its feature rows."""
+    """K(z_i, z_i) over a point list: one pass over the feature rows, or one ``eval_limit`` call."""
+    pts = np.array([complex(p) for p in points], dtype=complex)
     if spec.kind == "limit_hard_wall":
-        return np.array([eval_limit(z, z) for z in points], dtype=complex)
-    rows, shift, on = _projection_rows(spec, np.array([complex(p) for p in points], dtype=complex))
-    values = np.zeros(len(points), dtype=complex)
+        return eval_limit(pts, pts)
+    rows, shift, on = _projection_rows(spec, pts)
+    values = np.zeros(pts.size, dtype=complex)
     values[on] = np.exp(2.0 * shift) * np.einsum("ij,ij->i", rows, rows.conj())
     return values
 
@@ -339,21 +319,19 @@ class KernelGrid:
             handle.write("".join(f"{prefix}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(ws, vs.tolist())))
 
 
-def evaluate_grid(
-    spec: KernelSpec, z_points: Sequence[complex], w_points: Sequence[complex]
-) -> KernelGrid:
+def evaluate_grid(spec: KernelSpec, z_points: Sequence[complex], w_points: Sequence[complex]) -> KernelGrid:
+    """K(z_i, w_j) over the product of two point lists: one ``eval_limit`` call, or one product of feature rows."""
+    z = np.array([complex(p) for p in z_points], dtype=complex)
+    w = np.array([complex(p) for p in w_points], dtype=complex)
     if spec.kind == "limit_hard_wall":
-        values = np.array(
-            [[evaluate_kernel(spec, z, w) for w in w_points] for z in z_points]
-        ).reshape(len(z_points), len(w_points))
+        values = eval_limit(z[:, None], w[None, :])
     else:
-        values = _projection_grid(spec, z_points, w_points)
-    return KernelGrid(
-        spec=spec,
-        z_points=tuple(complex(z) for z in z_points),
-        w_points=tuple(complex(w) for w in w_points),
-        values=values,
-    )
+        rows, shift, on = _projection_rows(spec, np.concatenate([z, w]))
+        on_z, on_w = on[: z.size], on[z.size :]
+        nz = int(np.count_nonzero(on_z))
+        values = np.zeros((z.size, w.size), dtype=complex)
+        values[np.ix_(on_z, on_w)] = np.exp(shift[:nz, None] + shift[None, nz:]) * (rows[:nz] @ rows[nz:].conj().T)
+    return KernelGrid(spec=spec, z_points=tuple(z.tolist()), w_points=tuple(w.tolist()), values=values)
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,18 @@ Weights.  Q(k+1, z) = P(Poisson(z) <= k), so all N weights come from one
 pass over the Poisson(z) pmf at z = N R^2.  The pmf is evaluated at every k
 at once with the cancellation-free formula of ``gamma.log_poisson_pmf``; a
 forward running log-sum-exp gives log a_k and a backward one gives
-log(1 - a_k), the backward sum cut where a geometric bound puts the rest
-below 2^-64 of it.  At each k the smaller of the two tails is kept and the
-larger is log1mexp of it.  a_k underflows double precision for k well below
-N R^2 and 1 - a_k for k well above it, so each is kept exact in relative
-terms where it is small.  The pass runs T terms past N, and the cached
-``BernoulliWeights`` keeps its log P(X > j) for all j < N + T: the one
-Poisson(N R^2) tail table, read by the weights, the tilt, the DFT, the hole
-factor, the kernel norms and both radial draws of ``sampler``.  A table
-longer than ``_MAX_TAIL_ENTRIES`` is refused with ``ValueError`` before
-the pass: N + T entries peak at up to about 100 bytes each over a ``prob``
-call, and T grows like 1 / (1 - R^2 + 1/N) as R nears 1.
+log(1 - a_k), the backward sum cut at the first T past N where a bound on
+the rest falls below 2^-64 of pmf(N).  At each k the smaller of the two
+tails is kept and the larger is log1mexp of it.  a_k underflows double
+precision for k well below N R^2 and 1 - a_k for k well above it, so each
+is kept exact in relative terms where it is small.  The pass runs T terms
+past N, and the cached ``BernoulliWeights`` keeps its log P(X > j) for all
+j < N + T: the one Poisson(N R^2) tail table, read by the weights, the
+tilt, the DFT, the hole factor, the kernel norms and both radial draws of
+``sampler``.  A table longer than ``_MAX_TAIL_ENTRIES`` is refused with
+``ValueError`` before the pass: N + T entries peak at up to about 100
+bytes each over a ``prob`` call, and T stays near 10 sqrt(N) or below even
+as R nears 1 (9,912 at N = 10^6, R^2 = 1 - 10^-6).
 
 Tilt.  Tilting every Bernoulli by the theta at which E #J = m gives
 P(#J = m) = exp(K) P_theta(#J = m), with K = log E exp(theta (#J - m)).
@@ -253,18 +254,34 @@ def _log1mexp(x: np.ndarray) -> np.ndarray:
 
 
 def _tail_length(n: int, z: float) -> int:
-    """The T with rho^(T+1)/(1-rho) <= 2^-64 for rho = z/(n+1) < 1."""
-    rho = z / (n + 1.0)
-    return math.ceil((64.0 * math.log(2.0) - math.log1p(-rho)) / -math.log(rho))
+    """The first T at which the Poisson(z) mass past n + T is at most 2^-64 pmf(n), for 0 < z < n + 1.
+
+    The pmf ratios past n + T + 1 are at most z/(n+T+2), so that mass over pmf(n) is at most e^f(T),
+    f(t) = sum_{i <= t+1} log(z/(n+i)) - log1p(-z/(n+t+2)), which decreases in t: T is found by
+    doubling t, then bisecting, with the sum taken as a difference of lgammas.
+    """
+
+    log_z, lgamma_n, floor = math.log(z), math.lgamma(n + 1.0), -64.0 * math.log(2.0)
+
+    def above(t: int) -> bool:
+        m = n + t + 2.0
+        return (t + 1) * log_z - math.lgamma(m) + lgamma_n - math.log1p(-z / m) > floor
+
+    lo, hi = -1, 1
+    while above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """(log Q(k+1, z), log P(k+1, z)) for k = 0, ..., n-1, with 0 < z < n + 1.
 
-    Q(k+1, z) = P(X <= k) and P(k+1, z) = P(X > k) for X ~ Poisson(z).  Past
-    X = n every pmf ratio z/(j+1) is at most rho = z/(n+1), so stopping the
-    upper sum T terms after n, with rho^(T+1)/(1-rho) <= 2^-64, leaves out
-    less than 2^-64 of every upper tail.
+    Q(k+1, z) = P(X <= k) and P(k+1, z) = P(X > k) for X ~ Poisson(z).  The
+    upper sum stops T = ``_tail_length(n, z)`` terms after n, which leaves
+    out at most 2^-64 pmf(n), so less than 2^-64 of every upper tail.
     """
     log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
     lower = np.logaddexp.accumulate(log_pmf[:n])

@@ -31,7 +31,7 @@ from .gamma import (
     log_q_asymptotic,
     log_q_integer,
 )
-from .kernels import KernelSpec, eval_limit, evaluate_diagonal, evaluate_grid, g_max_diagnostic
+from .kernels import KernelSpec, evaluate_diagonal, evaluate_grid, g_max_diagnostic
 from .mixture import (
     EnsembleParams,
     bernoulli_weights,
@@ -190,7 +190,7 @@ def _criterion_4() -> tuple[bool, str]:
         )
         for _ in range(50)
     ]
-    limit = np.array([eval_limit(z, z) for z in diag] + [eval_limit(z, w) for z, w in pairs])
+    limit = _kernel_values(KernelSpec("limit_hard_wall"), diag, pairs)
     sups = []
     for N in (200, 400, 800):
         params = EnsembleParams(N=N, c=0.9, R=0.7)
@@ -261,7 +261,7 @@ def _criterion_6() -> tuple[bool, str]:
     for seed in range(20):
         gen = np.random.Generator(np.random.Philox(key=[_SEED_PSD, seed]))
         pts = [complex(gen.uniform(0.05, 3.0), gen.uniform(-3.0, 3.0)) for _ in range(30)]
-        gram = np.array([[eval_limit(a, b) for b in pts] for a in pts])
+        gram = evaluate_grid(KernelSpec("limit_hard_wall"), pts, pts).values
         gram = 0.5 * (gram + gram.conj().T)
         worst = min(worst, float(np.linalg.eigvalsh(gram).min()))
     # most negative admissible eigenvalue of the limit-kernel Gram matrix

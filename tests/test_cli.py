@@ -69,24 +69,29 @@ def test_prob_oracle_refuses_large_n(capsys):
 
 
 def test_prob_oversize_tail_table_refused_before_any_output(capsys, tmp_path):
-    # N + T table entries past 10 * 2^20: N = 2 * 10^7 away from R = 1, and
-    # N = 10^6 at R^2 = 1 - 10^-6, where the tail T adds 28.7 million entries
-    for argv, entries in (
-        (("-N", "20000000", "-c", "0.7", "-R", "0.6"), 20_000_044),
-        (("-N", "1000000", "-c", "0.000001", "-R", "0.9999995"), 29_741_896),
-    ):
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "prob", *argv, "--out", str(tmp_path / "p.json"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 2
-        assert out == ""
-        assert f"N = {argv[1]} at R = {argv[5]} needs a Poisson tail table of {entries} entries" in err
-        assert "over the cap of 10485760" in err
-        assert peak < 1 << 20
+    # N + T table entries past 10 * 2^20: N = 2 * 10^7 away from R = 1, T = 43
+    tracemalloc.start()
+    try:
+        argv = ("prob", "-N", "20000000", "-c", "0.7", "-R", "0.6", "--out", str(tmp_path / "p.json"))
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "N = 20000000 at R = 0.6 needs a Poisson tail table of 20000043 entries" in err
+    assert "over the cap of 10485760" in err
+    assert peak < 1 << 20
     assert list(tmp_path.iterdir()) == []
+
+
+def test_prob_near_r_one_tail_table_is_answered(capsys):
+    # N = 10^6 at R^2 = 1 - 10^-6: the tail adds T = 9,912 entries, not 28.7 million
+    code, out, _ = run(capsys, "prob", "-N", "1000000", "-c", "0.000001", "-R", "0.9999995")
+    assert code == 0
+    report = json.loads(out)
+    assert report["N_c"] == 1
+    assert math.isfinite(report["log_prob_exact"]) and report["log_prob_exact"] <= 0.0
 
 
 def test_reused_parser_leaks_nothing_between_calls(capsys):
@@ -318,6 +323,16 @@ def test_kernel_malformed_grid(capsys):
     code, _, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "nonsense")
     assert code == 2
     assert "grid" in err
+
+
+@pytest.mark.parametrize("kind", ["limit_hard_wall", "ginibre_N"])
+@pytest.mark.parametrize("grid", ["nan:1:2,0:1:2", "0:inf:2,0:1:2", "0:1:2,-inf:1:2"])
+def test_kernel_non_finite_grid_bound_refused(capsys, kind, grid):
+    params = ("-N", "20", "-c", "0.7", "-R", "0.8") if kind == "ginibre_N" else ()
+    code, out, err = run(capsys, "kernel", "--kind", kind, *params, f"--grid={grid}")
+    assert code == 2
+    assert out == ""
+    assert "non-finite bound" in err
 
 
 def test_kernel_oversize_grid_refused_before_building_points(capsys):

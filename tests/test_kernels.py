@@ -269,9 +269,15 @@ def test_edge_limit_convergence_rate():
 def mp_kernel(spec: KernelSpec, z: complex, w: complex) -> mpmath.mpc:
     """sum_k N^(k+1) (z conj(w))^k e^(-N(|z|^2+|w|^2)/2) / (pi h_k) at 40 digits.
 
+    The hard-wall limit kind is its closed form (1 - (s+1) e^(-s)) / (pi s^2),
+    s = z + conj(w).
     Edge kinds map to the outer kernel at R + zeta/N with the 1/(N beta)^2
     Jacobian and, x-scaled, the gauge phase exp(-i R (Im zeta - Im omega)).
     """
+    if spec.kind == "limit_hard_wall":
+        with mpmath.workdps(40):
+            s = mpmath.mpc(z) + mpmath.conj(mpmath.mpc(w))
+            return (1 - (s + 1) * mpmath.exp(-s)) / (mpmath.pi * s * s)
     p, J = spec.params, spec.index_set
     with mpmath.workdps(40):
         N, R = p.N, mpmath.mpf(p.R)
@@ -307,6 +313,10 @@ _ORACLE_PARAMS = EnsembleParams(N=400, c=0.7, R=0.8)
 _TOP = top_block(_ORACLE_PARAMS)
 _EVEN = IndexSet(members=tuple(range(0, 400, 2)), N=400)  # 0 in J: inner rows vanish at z = 0
 _RIGHT_HALF = [0.05 + 0j, 1.0 + 1.0j, 3.0 - 2.0j, 6.0 + 0.5j]
+# |z + conj(w)| from 2e-6 to 1.4e-3 between the first seven points, on both
+# sides of the limit kernel's switch radius 1e-3 (9.9e-4 and 1.01e-3 on the
+# diagonal); the closed form would lose about 6e-12 at |s| = 4e-5
+_NEAR_WALL = [1e-6 + 0j, 2e-5 + 1e-5j, 2e-4 + 0j, 4e-4 + 3e-4j, 4.95e-4 + 0j, 5.05e-4 + 1e-5j, 7e-4 - 5e-4j, 0.3 - 0.2j, 2.0 + 1.0j]
 
 
 @pytest.mark.parametrize(
@@ -320,15 +330,22 @@ _RIGHT_HALF = [0.05 + 0j, 1.0 + 1.0j, 3.0 - 2.0j, 6.0 + 0.5j]
         (KernelSpec("inner_J_complement", _ORACLE_PARAMS, _EVEN), [0j, 0.2, -0.45 + 0.45j, 0.795j]),
         (KernelSpec("edge_rescaled_J", _ORACLE_PARAMS, _TOP), _RIGHT_HALF),
         (KernelSpec("edge_rescaled_J", _ORACLE_PARAMS, _TOP, x_scaled=True), _RIGHT_HALF),
+        (KernelSpec("limit_hard_wall"), _RIGHT_HALF),
+        (KernelSpec("limit_hard_wall"), _NEAR_WALL),
     ],
-    ids=["ginibre", "ginibre-small", "outer-top", "outer-even", "inner-top", "inner-even", "edge", "edge-x"],
+    ids=[
+        "ginibre", "ginibre-small", "outer-top", "outer-even", "inner-top", "inner-even", "edge", "edge-x",
+        "limit", "limit-near-wall",
+    ],
 )
 def test_kernels_match_direct_sum(spec, pts):
     # normalized error: entries far below sqrt(K(z,z) K(w,w)) come from
     # cancelling phases and carry no relative accuracy
     ref = {(z, w): complex(mp_kernel(spec, z, w)) for z in pts for w in pts}
     grid = evaluate_grid(spec, pts, pts).values
+    diag = evaluate_diagonal(spec, pts)
     for i, z in enumerate(pts):
+        assert abs(diag[i] - ref[z, z]) <= 1e-12 * abs(ref[z, z])
         for j, w in enumerate(pts):
             scale = math.sqrt(abs(ref[z, z]) * abs(ref[w, w]))
             assert abs(grid[i, j] - ref[z, w]) <= 1e-12 * scale
@@ -370,19 +387,30 @@ def test_limit_branch_continuity():
 
 
 def test_limit_branch_defect_at_switch():
-    # evaluate the two branch formulas at identical s on the switch circle
-    from ginibre_overcrowding.kernels import _LIMIT_TAYLOR, _cexpm1
+    # each branch's formula against eval_limit's other branch, just across
+    # the switch circle: Taylor just outside it, the closed form just inside
+    from ginibre_overcrowding.kernels import _LIMIT_TAYLOR
 
-    worst = 0.0
-    for ang in np.linspace(0.0, 2.0 * math.pi, 17):
-        s = 1e-3 * cmath.exp(1j * ang)
-        direct = (-_cexpm1(-s) - s * cmath.exp(-s)) / (math.pi * s * s)
-        acc, power = 0j, 1.0 + 0j
-        for coeff in _LIMIT_TAYLOR:
-            acc += coeff * power
-            power *= s
-        worst = max(worst, abs(direct - acc / math.pi))
-    assert worst < 1e-12
+    circle = 1e-3 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 17))
+    outside, inside = circle * (1.0 + 1e-9), circle * (1.0 - 1e-9)
+    assert np.all(np.abs(outside) >= 1e-3) and np.all(np.abs(inside) < 1e-3)
+    taylor = np.polyval(_LIMIT_TAYLOR, outside) / math.pi
+    closed = (-np.expm1(-inside) - inside * np.exp(-inside)) / (math.pi * inside * inside)
+    assert np.max(np.abs(eval_limit(outside, 0.0) - taylor)) < 1e-12
+    assert np.max(np.abs(eval_limit(inside, 0.0) - closed)) < 1e-12
+
+
+def test_limit_broadcasts_like_its_scalar_calls():
+    rng = np.random.default_rng(8)
+    z = rng.uniform(0.0, 2.0, (5, 1)) + 1j * rng.uniform(-2.0, 2.0, (5, 1))
+    w = rng.uniform(0.0, 2.0, (1, 4)) + 1j * rng.uniform(-2.0, 2.0, (1, 4))
+    z[0, 0] = -w[0, 0].conjugate() + 5e-4j  # one entry on the series branch
+    values = eval_limit(z, w)
+    assert values.shape == (5, 4)
+    scalars = [[eval_limit(complex(a), complex(b)) for b in w[0]] for a in z[:, 0]]
+    assert np.array_equal(values, np.array(scalars))
+    assert np.ndim(eval_limit(1.0, 1.0)) == 0 and not isinstance(eval_limit(1.0, 1.0), np.ndarray)
+    assert eval_limit(0.0, 0.0) == 1.0 / (2.0 * math.pi)
 
 
 def test_limit_positive_semidefinite():
@@ -424,13 +452,15 @@ def test_kernel_spec_validation():
 
 
 def test_evaluate_kernel_dispatch():
-    # a finite-N kind is the 1x1 grid, the limit kind the scalar formula
+    # every kind is the 1x1 grid; for the limit kind that is the closed form
     p = EnsembleParams(N=30, c=0.8, R=0.7)
     J = top_block(p)
     for spec, z in [
         (KernelSpec(kind="ginibre_N", params=p), 0.2),
         (KernelSpec(kind="edge_rescaled_J", params=p, index_set=J, x_scaled=True), 1.0),
+        (KernelSpec(kind="limit_hard_wall"), 0.7 - 0.1j),
     ]:
+        assert type(evaluate_kernel(spec, z, z)) is complex
         assert evaluate_kernel(spec, z, z) == evaluate_grid(spec, [z], [z]).values[0, 0]
     assert evaluate_kernel(KernelSpec(kind="limit_hard_wall"), 1.0, 1.0) == eval_limit(1.0, 1.0)
 

@@ -42,7 +42,14 @@ from ginibre_overcrowding.mixture import (
     overcrowding_probability_exact,
     sample_conditioned_indexset,
 )
-from ginibre_overcrowding.mixture import _count_tilt, _log_count_prob, _log_poisson_tails, _tail_length, _tilt
+from ginibre_overcrowding.mixture import (
+    _count_tilt,
+    _log_count_prob,
+    _log_poisson_pmfs,
+    _log_poisson_tails,
+    _tail_length,
+    _tilt,
+)
 from ginibre_overcrowding.validation import enumerate_count_log_probs
 
 
@@ -198,6 +205,48 @@ def test_tail_table_cap_admits_its_own_size(monkeypatch):
         bernoulli_weights(p)
     monkeypatch.setattr(mixture, "_MAX_TAIL_ENTRIES", entries)
     assert len(bernoulli_weights(p).log_survival) == entries
+
+
+def _geometric_tail_length(n: int, z: float) -> int:
+    """The looser cut: rho^(T+1)/(1-rho) <= 2^-64 with rho = z/(n+1), every ratio past n bounded by rho."""
+    rho = z / (n + 1.0)
+    return math.ceil((64.0 * math.log(2.0) - math.log1p(-rho)) / -math.log(rho))
+
+
+_TAIL_CASES = [
+    (30, 1e-18), (1, 0.36), (1, 1e-4), (1, 0.98), (7, 6.5), (40, 19.6), (300, 294.0), (1000, 360.0),
+    (1000, 999.0), (4000, 3920.0), (20_000, 19_999.99), (100_000, 36_000.0),
+]
+
+
+@pytest.mark.parametrize("n, z", _TAIL_CASES)
+def test_tail_length_is_the_tight_cut(n, z, monkeypatch):
+    T = _tail_length(n, z)
+    T_geo = _geometric_tail_length(n, z)
+    assert 0 <= T <= T_geo
+    # the omitted mass past n + T against a table twice as long as the geometric cut
+    log_pmf = _log_poisson_pmfs(n + 2 * T_geo + 64, z)
+    omitted = np.logaddexp.reduce(log_pmf[n + T + 1 :]) - log_pmf[n]
+    assert omitted <= -64.0 * math.log(2.0)
+    # T is the first t whose bound on that mass over pmf(n) reaches 2^-64
+    def log_bound(t: int) -> float:
+        i = np.arange(1.0, t + 2.0)
+        return float(np.sum(np.log(z / (n + i))) - math.log1p(-z / (n + t + 2.0)))
+
+    assert log_bound(T) <= -64.0 * math.log(2.0)
+    assert T == 0 or log_bound(T - 1) > -64.0 * math.log(2.0)
+    # the first-n tails are bit for bit those of the geometric cut
+    tight = _log_poisson_tails(n, z)
+    monkeypatch.setattr(mixture, "_tail_length", _geometric_tail_length)
+    for new, old in zip(tight, _log_poisson_tails(n, z)):
+        assert np.array_equal(new, old)
+
+
+def test_tail_length_near_r_one():
+    # N = 10^6 at R^2 = 1 - 10^-6: 28.7 million geometric terms, under 10^4 tight ones
+    n, z = 1_000_000, 1_000_000 * (1.0 - 1e-6)
+    assert _geometric_tail_length(n, z) == 28_741_892
+    assert _tail_length(n, z) == 9_912
 
 
 # ----------------------------
