@@ -7,10 +7,11 @@ acceptance criterion 8, the tests) for the regularized upper tail
 
 and its complement P(a, z) = gammainc_lower(a, z) / Gamma(a), at arguments where
 both tails underflow double precision.  All functions here therefore return
-natural logs, and each of the two tails is computed directly by the branch that
-targets it (lower series for z < a + 1, upper continued fraction otherwise), so
-no result is ever produced by exponentiating and subtracting from 1.  The Bernoulli
-weights, kernel norms and both radial draws read ``mixture``'s vectorized pass instead.
+natural logs.  One branch split, ``_log_tails``, serves both tails: the lower
+series gives log P for z < a + 1 and the continued fraction gives log Q
+otherwise, and the other tail is the log1mexp of it, so no result is produced
+by exponentiating and subtracting from 1.  The Bernoulli weights, kernel norms
+and both radial draws read ``mixture``'s vectorized pass instead.
 
 Accuracy notes
 --------------
@@ -194,47 +195,44 @@ def _upper_cf_factor(a: float, z: float) -> float:
             raise ConvergenceError(f"continued fraction stalled at a={a}, z={z}")
 
 
-def log_q(a: float, z: float) -> float:
-    """log Q(a, z), the log of the regularized upper incomplete gamma.
+def _log_tails(a: float, z: float, caller: str) -> tuple[float, float]:
+    """(log P(a, z), log Q(a, z)): the branch's own tail directly, the other as its log1mexp.
 
-    Branches: for z < a + 1 the lower tail is summed directly and Q recovered
-    via log(1 - P) (P <= ~0.9 there, so no cancellation); for z >= a + 1 the
-    upper tail comes straight from the continued fraction.  Q(a, 0) = 1 gives
-    exactly 0.0, and the result is never -inf for finite z.
+    For z < a + 1 the lower series gives P; otherwise the continued fraction
+    gives Q.  A direct tail that rounds to 0 in log space is taken as -5e-324
+    before log1mexp, and both logs are capped at 0.  z = 0 gives exactly
+    (-inf, 0.0).
+    """
+    _check_args(a, z, caller)
+    if z == 0.0:
+        return -math.inf, 0.0
+    lower = z < a + 1.0
+    if lower:
+        direct = log_poisson_pmf(a, z) + math.log(_lower_series_factor(a, z))
+    else:
+        direct = log_poisson_pmf(a - 1.0, z) + math.log(z) + math.log(_upper_cf_factor(a, z))
+    other = min(log1mexp(min(direct, -5e-324)), 0.0)
+    direct = min(direct, 0.0)
+    return (direct, other) if lower else (other, direct)
+
+
+def log_q(a: float, z: float) -> float:
+    """log Q(a, z), the log of the regularized upper incomplete gamma, from ``_log_tails``.
+
+    Q(a, 0) = 1 gives exactly 0.0, and the result is never -inf for finite z.
 
     >>> log_q(1.0, 3.0)    # Q(1, z) = e^-z
     -3.0...
     """
-    _check_args(a, z, "log_q")
-    if z == 0.0:
-        return 0.0
-    if z < a + 1.0:
-        log_p = log_poisson_pmf(a, z) + math.log(_lower_series_factor(a, z))
-        if log_p >= 0.0:
-            # only reachable through rounding when P is within an ulp of 1
-            log_p = -5e-324
-        return min(log1mexp(log_p), 0.0)
-    f = _upper_cf_factor(a, z)
-    return min(log_poisson_pmf(a - 1.0, z) + math.log(z) + math.log(f), 0.0)
+    return _log_tails(a, z, "log_q")[1]
 
 
 def log_gamma_lower(a: float, z: float) -> float:
-    """log P(a, z), the log of the regularized lower incomplete gamma.
+    """log P(a, z), the log of the regularized lower incomplete gamma, from ``_log_tails``.
 
-    Same branch split as ``log_q``; each branch computes its own small tail
-    directly, so the pair (log_q, log_gamma_lower) is cancellation-free on
-    both sides.  P(a, 0) = 0 gives -inf.
+    P(a, 0) = 0 gives -inf.
     """
-    _check_args(a, z, "log_gamma_lower")
-    if z == 0.0:
-        return -math.inf
-    if z < a + 1.0:
-        return min(log_poisson_pmf(a, z) + math.log(_lower_series_factor(a, z)), 0.0)
-    f = _upper_cf_factor(a, z)
-    log_q_val = log_poisson_pmf(a - 1.0, z) + math.log(z) + math.log(f)
-    if log_q_val >= 0.0:
-        log_q_val = -5e-324
-    return min(log1mexp(log_q_val), 0.0)
+    return _log_tails(a, z, "log_gamma_lower")[0]
 
 
 def log_q_integer(n: int, z: float) -> float:

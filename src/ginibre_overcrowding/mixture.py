@@ -6,8 +6,8 @@ J of {0, ..., N-1}.  The unconditioned law of J factorizes over independent
 Bernoulli variables with success probabilities a_k = Q(k+1, N R^2), so
 everything here reduces to log-space work on those weights:
 
-* the law of #J is Poisson-binomial; P(#J = m) comes from that law tilted
-  to mean m,
+* the law of #J is Poisson-binomial; P(#J = m), for each m asked for,
+  comes from that law tilted to mean m,
 * conditional sampling of J given #J = m draws from the same tilted law and
   keeps the first draw with m members,
 * subsets of size N_c are encoded by occupation vectors n, with
@@ -27,7 +27,8 @@ is kept exact in relative terms where it is small.  The pass runs T terms
 past N, and the cached ``BernoulliWeights`` keeps its log P(X > j) for all
 j < N + T: the one Poisson(N R^2) tail table, read by the weights, the
 tilt, the DFT, the hole factor, the kernel norms and both radial draws of
-``sampler``.  A table longer than ``_MAX_TAIL_ENTRIES`` is refused with
+``sampler``; the rescaled hole factor reads the table of the N_c-point
+ensemble.  A table longer than ``_MAX_TAIL_ENTRIES`` is refused with
 ``ValueError`` before the pass: N + T entries peak at up to about 100
 bytes each over a ``prob`` call, and T stays near 10 sqrt(N) or below even
 as R nears 1 (9,912 at N = 10^6, R^2 = 1 - 10^-6).
@@ -65,7 +66,6 @@ __all__ = [
     "OccupationVector",
     "BernoulliWeights",
     "bernoulli_weights",
-    "count_distribution",
     "occupation_to_indexset",
     "indexset_to_occupation",
     "log_ratio_exact",
@@ -152,6 +152,12 @@ class IndexSet:
     @property
     def size(self) -> int:
         return len(self.members)
+
+
+def _check_index_set(params: EnsembleParams, J: IndexSet) -> None:
+    """Refuse an index set drawn from another ensemble size than ``params``."""
+    if J.N != params.N:
+        raise ConstraintViolation(f"index set is over {{0..{J.N - 1}}} but N = {params.N}")
 
 
 def top_block(params: EnsembleParams) -> IndexSet:
@@ -307,26 +313,6 @@ def bernoulli_weights(params: EnsembleParams) -> BernoulliWeights:
     return BernoulliWeights(log_lower[:N], log_survival[:N], log_survival)
 
 
-def _forward(w: BernoulliWeights) -> np.ndarray:
-    """log P(#J = r) for r = 0, ..., N: the Poisson-binomial DP in one rolling row.
-
-    After layer k, column r + 1 of the row holds log P(B_0 + ... + B_{k-1} = r);
-    column 0 stays -inf.
-    """
-    row = np.full(len(w.log_a) + 2, -np.inf)
-    row[1] = 0.0
-    for log_a, log_b in zip(w.log_a.tolist(), w.log_one_minus_a.tolist()):
-        row[1:] = np.logaddexp(row[1:] + log_b, row[:-1] + log_a)
-    return row[1:]
-
-
-def count_distribution(params: EnsembleParams) -> np.ndarray:
-    """log P(#J = m) for m = 0, ..., N, read-only: the law of the number of points outside radius R."""
-    log_probs = _forward(bernoulli_weights(params))
-    log_probs.flags.writeable = False
-    return log_probs
-
-
 @dataclass(frozen=True)
 class CountTilt:
     """The Bernoulli field tilted to mean m: p_k = a_k e^theta / (1 - a_k + a_k e^theta).
@@ -473,8 +459,7 @@ def occupation_to_indexset(n: OccupationVector, params: EnsembleParams) -> Index
 
 def indexset_to_occupation(J: IndexSet, params: EnsembleParams) -> OccupationVector:
     """Inverse encoding; requires |J| = N_c."""
-    if J.N != params.N:
-        raise ConstraintViolation(f"index set is over {{0..{J.N - 1}}}, params have N={params.N}")
+    _check_index_set(params, J)
     if J.size != params.N_c:
         raise ConstraintViolation(f"index set must have size N_c={params.N_c}, got {J.size}")
     base = params.N - params.N_c
@@ -565,10 +550,11 @@ def log_hole_factor_rescaled(params: EnsembleParams) -> float:
     ``log_hole_factor`` is meant by "hole probability of the small ensemble"
     is a normalization convention, and the two differ at finite N.  All
     asymptotic formulas in this package use ``log_hole_factor``, which is the
-    one validated against the exact mixture probability.
+    one validated against the exact mixture probability.  It is
+    ``log_hole_factor`` of the N_c-point ensemble at c = 1, summed here so
+    that a traced run does not time one hole factor inside the other.
     """
-    z_small = params.N_c * params.R * params.R
-    return float(np.sum(_log_poisson_tails(params.N_c, z_small)[0]))
+    return float(np.sum(bernoulli_weights(EnsembleParams(N=params.N_c, c=1.0, R=params.R)).log_a))
 
 
 def overcrowding_probability_asymptotic(params: EnsembleParams) -> float:

@@ -68,6 +68,7 @@ from .mixture import (
     ConstraintViolation,
     EnsembleParams,
     IndexSet,
+    _check_index_set,
     bernoulli_weights,
     sample_conditioned_indexset,
 )
@@ -173,10 +174,7 @@ class PointConfiguration:
             raise ValueError(f"region must be one of {_REGIONS}, got {self.region!r}")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
-        if self.index_set.N != self.params.N:
-            raise ConstraintViolation(
-                f"index set is over {{0..{self.index_set.N - 1}}} but N = {self.params.N}"
-            )
+        _check_index_set(self.params, self.index_set)
         R = self.params.R
         if self.region == "outer" and any(abs(z) <= R for z in self.points):
             raise ConstraintViolation("outer configuration contains a point with |z| <= R")
@@ -222,17 +220,8 @@ class PointConfiguration:
     @classmethod
     def from_json(cls, text: str) -> "PointConfiguration":
         doc = json.loads(text)
-        if doc.get("schema") != _SCHEMA:
-            raise ValueError(f"unrecognized schema {doc.get('schema')!r}")
-        params = EnsembleParams(N=doc["params"]["N"], c=doc["params"]["c"], R=doc["params"]["R"])
-        return cls(
-            points=tuple(complex(re, im) for re, im in doc["points"]),
-            params=params,
-            index_set=IndexSet(members=tuple(doc["index_set"]), N=params.N),
-            region=doc["region"],
-            seed=doc["seed"],
-            sampler=doc["sampler"],
-        )
+        fields = _header_fields(doc)
+        return cls(points=tuple(complex(re, im) for re, im in doc["points"]), **fields)
 
     def write_csv(self, path: "str | Path") -> Path:
         """Write ``re,im,region`` rows plus a JSON metadata sidecar.
@@ -252,9 +241,7 @@ class PointConfiguration:
     @classmethod
     def read_csv(cls, path: "str | Path") -> "PointConfiguration":
         path = Path(path)
-        header = json.loads(Path(str(path) + ".meta.json").read_text())
-        if header.get("schema") != _SCHEMA:
-            raise ValueError(f"unrecognized schema {header.get('schema')!r}")
+        fields = _header_fields(json.loads(Path(str(path) + ".meta.json").read_text()))
         points = []
         lines = path.read_text().splitlines()
         if not lines or lines[0] != "re,im,region":
@@ -262,22 +249,22 @@ class PointConfiguration:
         for line in lines[1:]:
             re_s, im_s, _tag = line.split(",")
             points.append(complex(float(re_s), float(im_s)))
-        params = EnsembleParams(
-            N=header["params"]["N"], c=header["params"]["c"], R=header["params"]["R"]
-        )
-        return cls(
-            points=tuple(points),
-            params=params,
-            index_set=IndexSet(members=tuple(header["index_set"]), N=params.N),
-            region=header["region"],
-            seed=header["seed"],
-            sampler=header["sampler"],
-        )
+        return cls(points=tuple(points), **fields)
 
 
-def _check_index_set(params: EnsembleParams, J: IndexSet) -> None:
-    if J.N != params.N:
-        raise ConstraintViolation(f"index set is over {{0..{J.N - 1}}} but N = {params.N}")
+def _header_fields(header: dict) -> dict:
+    """Every field but the points from a header as ``PointConfiguration._header`` writes it."""
+    if header.get("schema") != _SCHEMA:
+        raise ValueError(f"unrecognized schema {header.get('schema')!r}")
+    p = header["params"]
+    params = EnsembleParams(N=p["N"], c=p["c"], R=p["R"])
+    return {
+        "params": params,
+        "index_set": IndexSet(members=tuple(header["index_set"]), N=params.N),
+        "region": header["region"],
+        "seed": header["seed"],
+        "sampler": header["sampler"],
+    }
 
 
 def radial_survival(params: EnsembleParams, k: int, t: float) -> float:

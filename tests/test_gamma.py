@@ -168,6 +168,18 @@ def test_against_quadrature(a, z):
 # ----------------------------
 
 
+def test_each_tail_pair_comes_from_one_branch_split():
+    # below z = a + 1 the series gives P and Q is its log1mexp, above it the
+    # continued fraction gives Q and P is its log1mexp, bit for bit
+    for a in [0.01, 1.0, 3.7, 50.0, 1e4]:
+        for z in [1e-3 * a, 0.5 * a, math.nextafter(a + 1.0, 0.0), a + 1.0, 2.0 * a + 5.0]:
+            log_p, log_q_val = log_gamma_lower(a, z), log_q(a, z)
+            if z < a + 1.0:
+                assert log_q_val == min(log1mexp(log_p), 0.0)
+            else:
+                assert log_p == min(log1mexp(log_q_val), 0.0)
+
+
 def test_complement_identity_designed_grid():
     for a in [0.1, 1.0, 3.7, 50.0, 1000.0, 10000.0]:
         for frac in [0.1, 0.5, 0.9, 1.0, 1.1, 2.0]:

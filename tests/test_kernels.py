@@ -313,10 +313,17 @@ _ORACLE_PARAMS = EnsembleParams(N=400, c=0.7, R=0.8)
 _TOP = top_block(_ORACLE_PARAMS)
 _EVEN = IndexSet(members=tuple(range(0, 400, 2)), N=400)  # 0 in J: inner rows vanish at z = 0
 _RIGHT_HALF = [0.05 + 0j, 1.0 + 1.0j, 3.0 - 2.0j, 6.0 + 0.5j]
-# |z + conj(w)| from 2e-6 to 1.4e-3 between the first seven points, on both
-# sides of the limit kernel's switch radius 1e-3 (9.9e-4 and 1.01e-3 on the
-# diagonal); the closed form would lose about 6e-12 at |s| = 4e-5
+# |z + conj(w)| from 2e-6 to 1.4e-3 between the first seven points, all on
+# the limit kernel's series branch; the closed form would lose about 6e-12
+# at |s| = 4e-5
 _NEAR_WALL = [1e-6 + 0j, 2e-5 + 1e-5j, 2e-4 + 0j, 4e-4 + 3e-4j, 4.95e-4 + 0j, 5.05e-4 + 1e-5j, 7e-4 - 5e-4j, 0.3 - 0.2j, 2.0 + 1.0j]
+# |z + conj(w)| from 1e-3 to 1 between these points, on both sides of the
+# switch radius 0.5 (0.498 and 0.502 on the diagonal), where the closed form
+# would lose up to 5e-13
+_MID_WALL = [
+    5e-4 + 2e-4j, 2e-3 - 1e-3j, 0.01 + 0.02j, 0.04 - 0.05j, 0.1 + 0.1j,
+    0.2 - 0.15j, 0.249 + 0.01j, 0.251 - 0.02j, 0.35 + 0.2j, 0.5 - 0.1j,
+]
 
 
 @pytest.mark.parametrize(
@@ -332,24 +339,28 @@ _NEAR_WALL = [1e-6 + 0j, 2e-5 + 1e-5j, 2e-4 + 0j, 4e-4 + 3e-4j, 4.95e-4 + 0j, 5.
         (KernelSpec("edge_rescaled_J", _ORACLE_PARAMS, _TOP, x_scaled=True), _RIGHT_HALF),
         (KernelSpec("limit_hard_wall"), _RIGHT_HALF),
         (KernelSpec("limit_hard_wall"), _NEAR_WALL),
+        (KernelSpec("limit_hard_wall"), _MID_WALL),
     ],
     ids=[
         "ginibre", "ginibre-small", "outer-top", "outer-even", "inner-top", "inner-even", "edge", "edge-x",
-        "limit", "limit-near-wall",
+        "limit", "limit-near-wall", "limit-mid",
     ],
 )
 def test_kernels_match_direct_sum(spec, pts):
     # normalized error: entries far below sqrt(K(z,z) K(w,w)) come from
-    # cancelling phases and carry no relative accuracy
+    # cancelling phases and carry no relative accuracy; the limit kernel is a
+    # closed form or a series in s = z + conj(w), so every entry is held to a
+    # relative error
+    limit = spec.kind == "limit_hard_wall"
     ref = {(z, w): complex(mp_kernel(spec, z, w)) for z in pts for w in pts}
     grid = evaluate_grid(spec, pts, pts).values
     diag = evaluate_diagonal(spec, pts)
     for i, z in enumerate(pts):
-        assert abs(diag[i] - ref[z, z]) <= 1e-12 * abs(ref[z, z])
+        assert abs(diag[i] - ref[z, z]) <= (2e-15 if limit else 1e-12) * abs(ref[z, z])
         for j, w in enumerate(pts):
-            scale = math.sqrt(abs(ref[z, z]) * abs(ref[w, w]))
-            assert abs(grid[i, j] - ref[z, w]) <= 1e-12 * scale
-            assert abs(evaluate_kernel(spec, z, w) - ref[z, w]) <= 1e-12 * scale
+            scale = 2e-15 * abs(ref[z, w]) if limit else 1e-12 * math.sqrt(abs(ref[z, z]) * abs(ref[w, w]))
+            assert abs(grid[i, j] - ref[z, w]) <= scale
+            assert abs(evaluate_kernel(spec, z, w) - ref[z, w]) <= scale
 
 
 # ----------------------------
@@ -368,36 +379,36 @@ def test_limit_far_diagonal():
 
 
 def test_limit_branch_continuity():
-    # 50-digit references on the switch circle |s| = 1e-3, evaluated from
+    # 50-digit references on the switch circle |s| = 0.5, evaluated from
     # both sides (mpmath: (1-(s+1)e^-s)/(pi s^2) at dps=50); w = 0 makes s = z
     refs = {
-        (1.0 + 0.0j): 0.15904887957462839242,
-        (0.6 + 0.8j): 0.1590912699837419658 - 0.000084844442865359434515j,
-        (0.0 + 1.0j): 0.15915490330316177328 - 0.00010610328478426772999j,
+        (1.0 + 0.0j): 0.11485131317451579565,
+        (0.6 + 0.8j): 0.12566515425834124806 - 0.033421918231820186056j,
+        (0.0 + 1.0j): 0.14934505408706599809 - 0.051737143722417647033j,
     }
     for direction, ref in refs.items():
-        # 0.999 stays on the series branch, 1.001 on the direct branch; the
-        # genuine variation over that radius step is ~2.1e-7, so both sides
-        # matching the midpoint to 1.2e-7 pins the branch defect below 1e-8
-        inside = eval_limit(direction * 0.999e-3, 0.0)
-        outside = eval_limit(direction * 1.001e-3, 0.0)
-        assert inside == pytest.approx(ref, abs=1.2e-7)
-        assert outside == pytest.approx(ref, abs=1.2e-7)
-        assert abs(inside - outside) < 2.5e-7
+        # a relative step of 1e-14 to each side moves the kernel by about
+        # 5e-16, so both sides matching the reference to 1e-15 pins the
+        # branch defect below 2e-15
+        inside, outside = direction * 0.5 * (1.0 - 1e-14), direction * 0.5 * (1.0 + 1e-14)
+        assert abs(inside) < 0.5 <= abs(outside)
+        assert abs(eval_limit(inside, 0.0) - ref) < 1e-15
+        assert abs(eval_limit(outside, 0.0) - ref) < 1e-15
 
 
 def test_limit_branch_defect_at_switch():
     # each branch's formula against eval_limit's other branch, just across
-    # the switch circle: Taylor just outside it, the closed form just inside
+    # the switch circle: Taylor just outside it, the closed form just inside;
+    # at |s| = 0.5 both are good to about 1e-15, so they agree to that
     from ginibre_overcrowding.kernels import _LIMIT_TAYLOR
 
-    circle = 1e-3 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 17))
+    circle = 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 17))
     outside, inside = circle * (1.0 + 1e-9), circle * (1.0 - 1e-9)
-    assert np.all(np.abs(outside) >= 1e-3) and np.all(np.abs(inside) < 1e-3)
+    assert np.all(np.abs(outside) >= 0.5) and np.all(np.abs(inside) < 0.5)
     taylor = np.polyval(_LIMIT_TAYLOR, outside) / math.pi
     closed = (-np.expm1(-inside) - inside * np.exp(-inside)) / (math.pi * inside * inside)
-    assert np.max(np.abs(eval_limit(outside, 0.0) - taylor)) < 1e-12
-    assert np.max(np.abs(eval_limit(inside, 0.0) - closed)) < 1e-12
+    assert np.max(np.abs(eval_limit(outside, 0.0) - taylor)) < 1e-15
+    assert np.max(np.abs(eval_limit(inside, 0.0) - closed)) < 1e-15
 
 
 def test_limit_broadcasts_like_its_scalar_calls():

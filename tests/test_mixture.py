@@ -2,7 +2,7 @@
 
 Primary oracle: brute-force enumeration over all 2^N subsets of the Bernoulli
 field law, with weights computed by scipy.special.gammaincc (a code path the
-package does not use).  Everything the module computes by DP, telescoping or
+package does not use).  Everything the module computes by DFT, telescoping or
 encoding tricks is compared against that enumeration on small instances.
 At larger N the oracles are the dense (N+1)^2 Poisson-binomial DP below and
 the scalar gamma routes ``log_q_integer`` and ``log_gamma_lower``.
@@ -23,7 +23,7 @@ from scipy.special import gammaincc
 from scipy.stats import chisquare
 
 from ginibre_overcrowding import mixture
-from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
+from ginibre_overcrowding.gamma import log_gamma_lower, log_poisson_pmf, log_q_integer
 from ginibre_overcrowding.mixture import (
     BernoulliWeights,
     ConstraintViolation,
@@ -31,7 +31,6 @@ from ginibre_overcrowding.mixture import (
     IndexSet,
     OccupationVector,
     bernoulli_weights,
-    count_distribution,
     indexset_to_occupation,
     log_hole_factor,
     log_hole_factor_rescaled,
@@ -81,6 +80,12 @@ def _poisson_binomial_dp(log_a: np.ndarray, log_one_minus_a: np.ndarray) -> np.n
         F[k, 0] = F[k - 1, 0] + lna
         F[k, 1 : k + 1] = np.logaddexp(F[k - 1, 1 : k + 1] + lna, F[k - 1, 0:k] + la)
     return F
+
+
+def dft_count_log_probs(params: EnsembleParams) -> np.ndarray:
+    """log P(#J = m) for m = 0, ..., N, each by its own tilted DFT."""
+    w = bernoulli_weights(params)
+    return np.array([_log_count_prob(w, m, _tilt(w, m))[0] for m in range(params.N + 1)])
 
 
 def mixed_err(value, ref) -> float:
@@ -249,6 +254,29 @@ def test_tail_length_near_r_one():
     assert _tail_length(n, z) == 9_912
 
 
+@pytest.mark.parametrize(
+    "n, z",
+    [(60, 1e-10), (60, 0.37), (60, 7.5), (60, 19.5), (60, 25.0), (400, 30.0), (400, 399.0), (3000, 1000.0),
+     (5000, 4990.0), (2000, 1e4)],
+)
+def test_array_pmf_matches_scalar_reference(n, z):
+    # every k < n: the direct formula below k = 20, Stirling's series past it, k near z and both far tails
+    ref = [log_poisson_pmf(float(k), z) for k in range(n)]
+    assert mixed_err(_log_poisson_pmfs(n, z), ref) <= 2e-15
+
+
+def test_rescaled_hole_factor_reads_the_capped_table(monkeypatch):
+    # the N_c-point ensemble at c = 1 owns the table, so its cap refuses the rescaled factor too
+    p = EnsembleParams(N=300, c=0.5, R=0.9)
+    small = EnsembleParams(N=p.N_c, c=1.0, R=p.R)
+    assert log_hole_factor_rescaled(p) == log_hole_factor(small) == float(np.sum(bernoulli_weights(small).log_a))
+    bernoulli_weights.cache_clear()
+    entries = small.N + _tail_length(small.N, small.z)
+    monkeypatch.setattr(mixture, "_MAX_TAIL_ENTRIES", entries - 1)
+    with pytest.raises(ValueError, match=f"{entries} entries, over the cap of {entries - 1}"):
+        log_hole_factor_rescaled(p)
+
+
 # ----------------------------
 # count distribution
 # ----------------------------
@@ -280,16 +308,15 @@ def test_dp_on_synthetic_fair_coins():
     ],
 )
 def test_banded_probability_matches_dense_dp(N, c, R):
-    # the tilted DFT against the dense DP, at N_c and three counts to each side
+    # the tilted DFT against the dense DP at every count m = 0, ..., N
     p = EnsembleParams(N=N, c=c, R=R)
     w = bernoulli_weights(p)
     F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
-    for m in sorted({p.N_c, max(0, p.N_c - 3), min(N, p.N_c + 3)}):
+    for m in range(N + 1):
         log_prob, certificate, _ = _log_count_prob(w, m, _tilt(w, m))
         assert abs(log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
         assert 0.0 <= certificate <= 2.0**-60
     assert _log_count_prob(w, p.N_c, _count_tilt(p, p.N_c))[0] == overcrowding_probability_exact(p)
-    np.testing.assert_array_equal(count_distribution(p), F[N])
 
 
 @pytest.mark.parametrize("N, c, R", [(300, 0.5, 0.75), (4000, 0.515, 0.7), (1500, 0.95, 0.3)])
@@ -341,12 +368,13 @@ def test_edge_triples_raise_no_warnings(N, c, R):
 
 
 def test_count_distribution_matches_enumeration():
+    # the tilted DFT at every count, the untilted m = 0 and m = N included, against scipy's weights
     p = EnsembleParams(N=10, c=0.7, R=0.6)
-    log_probs = count_distribution(p)
+    log_probs = dft_count_log_probs(p)
     ref = oracle_count_probs(p)
     assert np.all(np.isfinite(log_probs))
-    assert not log_probs.flags.writeable
     np.testing.assert_allclose(np.exp(log_probs), ref, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(log_probs), np.exp(enumerate_count_log_probs(p)), rtol=1e-13)
 
 
 def _bit_matrix_count_log_probs(params: EnsembleParams) -> np.ndarray:
@@ -407,7 +435,9 @@ def test_doubling_enumeration_memory_at_n16():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    np.testing.assert_allclose(np.exp(log_probs), np.exp(count_distribution(p)), rtol=1e-12)
+    w = bernoulli_weights(p)
+    F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
+    np.testing.assert_allclose(np.exp(log_probs), np.exp(F[p.N]), rtol=1e-12)
 
 
 def test_count_distribution_normalizes():
@@ -416,14 +446,14 @@ def test_count_distribution_normalizes():
         EnsembleParams(N=120, c=0.7, R=0.8),
         EnsembleParams(N=400, c=0.9, R=0.7),
     ]:
-        total = np.logaddexp.reduce(count_distribution(p))
+        total = np.logaddexp.reduce(dft_count_log_probs(p))
         assert abs(total) < 1e-10
 
 
 def test_count_distribution_mode_location():
     # the fraction outside tends to 1 - R^2
     p = EnsembleParams(N=100, c=0.9, R=0.6)
-    mode = int(np.argmax(count_distribution(p)))
+    mode = int(np.argmax(dft_count_log_probs(p)))
     assert abs(mode - (1.0 - p.R**2) * p.N) <= 3
 
 

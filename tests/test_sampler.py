@@ -526,6 +526,25 @@ def test_sequential_validation():
         sample_sequential(params, IndexSet(members=(0,), N=11), "outer_J", RandomStream(seed=3))
 
 
+def test_index_set_of_another_size_refused_with_one_message():
+    # every reader of an (params, J) pair refuses a J over another N the same way
+    from ginibre_overcrowding.kernels import KernelSpec
+    from ginibre_overcrowding.mixture import indexset_to_occupation
+
+    params = EnsembleParams(N=12, c=0.5, R=0.8)
+    J = IndexSet(members=(6, 7, 8, 9, 10, 11), N=13)
+    refusals = [
+        lambda: indexset_to_occupation(J, params),
+        lambda: KernelSpec("outer_J", params, J),
+        lambda: PointConfiguration(points=(), params=params, index_set=J, region="outer", seed=0, sampler="radial"),
+        lambda: sample_radii_outer(params, J, RandomStream(seed=3)),
+        lambda: sample_sequential(params, J, "outer_J", RandomStream(seed=3)),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ConstraintViolation, match=r"^index set is over \{0..12\} but N = 12$"):
+            refuse()
+
+
 def test_span_cap_refuses_before_any_draw(monkeypatch):
     # N = 20000, c = 0.7: outer rank 14000, inner rank 6000, both past 2048^2 span entries
     params = EnsembleParams(N=20_000, c=0.7, R=0.8)
@@ -686,6 +705,14 @@ def test_csv_roundtrip_and_byte_determinism(tmp_path):
     (tmp_path / "bad.csv.meta.json").write_text(json.dumps(json.loads((tmp_path / "a.csv.meta.json").read_text())))
     with pytest.raises(ValueError, match="header"):
         PointConfiguration.read_csv(tmp_path / "bad.csv")
+    # the sidecar goes through the same header decoder as the JSON reader
+    meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+    (tmp_path / "a.csv.meta.json").write_text(json.dumps({**meta, "schema": "nope"}))
+    with pytest.raises(ValueError, match="schema"):
+        PointConfiguration.read_csv(p1)
+    (tmp_path / "a.csv.meta.json").write_text(json.dumps({**meta, "index_set": [0, 12]}))
+    with pytest.raises(ConstraintViolation, match="must lie in"):
+        PointConfiguration.read_csv(p1)
 
 
 @settings(max_examples=25, deadline=None)
