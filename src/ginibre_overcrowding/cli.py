@@ -87,8 +87,8 @@ def _params(args: argparse.Namespace) -> "EnsembleParams | None":
     return EnsembleParams(N=args.N, c=args.c, R=args.R)
 
 
-def _parse_grid(text: str, squared: bool) -> tuple[complex, ...]:
-    """``re0:re1:n,im0:im1:m`` -> row-major product of two linspaces, refused first past the cap."""
+def _parse_grid(text: str, squared: bool) -> np.ndarray:
+    """``re0:re1:n,im0:im1:m`` -> row-major product of two linspaces as a complex array, refused first past the cap."""
     try:
         (re0, re1, n), (im0, im1, m) = (part.split(":") for part in text.split(","))
         re0, re1, im0, im1 = float(re0), float(re1), float(im0), float(im1)
@@ -102,9 +102,10 @@ def _parse_grid(text: str, squared: bool) -> tuple[complex, ...]:
     count = (n * m) ** 2 if squared else n * m
     if count > _MAX_GRID_VALUES:
         raise ValueError(f"grid {text!r} would write {count} kernel values, over the cap of {_MAX_GRID_VALUES}")
-    res = np.linspace(re0, re1, n)
-    ims = np.linspace(im0, im1, m)
-    return tuple(complex(a, b) for a in res for b in ims)
+    points = np.empty((n, m), dtype=complex)
+    points.real = np.linspace(re0, re1, n)[:, None]
+    points.imag = np.linspace(im0, im1, m)[None, :]
+    return points.ravel()
 
 
 @contextlib.contextmanager
@@ -120,6 +121,27 @@ def _output(out: "str | None"):
 def _emit(text: str, out: "str | None") -> None:
     with _output(out) as handle:
         handle.write(text)
+
+
+def _write_table(handle, fmt: str, head: dict, columns: tuple, blocks) -> None:
+    """Write one table as CSV, or as one JSON document: ``head``'s fields, ``columns`` and ``rows``.
+
+    ``blocks`` yields the CSV text of consecutive rows: floats as shortest round-trip decimals, lines
+    ending in CRLF, as ``csv.writer`` writes them.  A JSON row is the same row as a list, one a line,
+    with non-finite floats as ``json`` spells them.  Only one block's text is held at a time.
+    """
+    if fmt == "csv":
+        handle.write(",".join(columns) + "\r\n")
+        handle.writelines(blocks)
+        return
+    handle.write(json.dumps({**head, "columns": columns})[:-1] + ', "rows": [')
+    lead = "\n["
+    for text in blocks:
+        rows = text[:-2].replace(",", ", ").replace("\r\n", "],\n[")
+        # a row holds floats only, so these letters spell the non-finite values and nothing else
+        handle.write(lead + rows.replace("nan", "NaN").replace("inf", "Infinity") + "]")
+        lead = ",\n["
+    handle.write("\n]}\n")
 
 
 # ---------------------------------------------------------------- prob
@@ -229,6 +251,27 @@ def _make_spec(kind: str, params: "EnsembleParams | None", x_scaled: bool) -> Ke
     return KernelSpec(kind, params, index_set, x_scaled=x_scaled and kind == "edge_rescaled_J")
 
 
+_GRID_COLUMNS = ("z_re", "z_im", "w_re", "w_im", "K_re", "K_im")
+_COMPARE_COLUMNS = ("z_re", "z_im", "a_re", "a_im", "b_re", "b_im", "diff_abs")
+
+_COMPARE_BLOCK = 1024  # points per block of --compare rows: a few hundred kB of text
+
+
+def _grid_blocks(points: np.ndarray, values: np.ndarray):
+    """Rows of K(z_i, z_j), z outer and w inner, one z point a block; each point's text is formatted once."""
+    texts = [f"{re!r},{im!r}," for re, im in zip(points.real.tolist(), points.imag.tolist())]
+    for z, vs in zip(texts, values):
+        yield "".join(f"{z}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(texts, vs.tolist()))
+
+
+def _compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray):
+    """Rows of z, A(z, z), B(z, z) and |A - B|, ``_COMPARE_BLOCK`` points a block."""
+    columns = (points.real, points.imag, a.real, a.imag, b.real, b.imag, diff)
+    for start in range(0, points.size, _COMPARE_BLOCK):
+        block = zip(*(column[start : start + _COMPARE_BLOCK].tolist() for column in columns))
+        yield "".join(",".join(map(repr, row)) + "\r\n" for row in block)
+
+
 def cmd_kernel(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.kind is None and args.compare is None:
@@ -237,41 +280,29 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if args.x_scaled and "edge_rescaled_J" not in kinds:
         raise ValueError("--x-scaled applies only to edge_rescaled_J, which is neither --kind nor in --compare")
     grid = _parse_grid(args.grid, squared=args.compare is None)
-    if args.compare is not None:
-        diag_a, diag_b = (evaluate_diagonal(_make_spec(kind, params, args.x_scaled), grid) for kind in args.compare)
-        rows = [(z, a, b, abs(a - b)) for z, a, b in zip(grid, map(complex, diag_a), map(complex, diag_b))]
-        sup_z, _, _, sup = max(rows, key=lambda row: row[3])
-        if args.format == "csv":
-            lines = ["z_re,z_im,a_re,a_im,b_re,b_im,diff_abs"]
-            for z, va, vb, diff in rows:
-                lines.append(
-                    f"{z.real!r},{z.imag!r},{va.real!r},{va.imag!r},{vb.real!r},{vb.imag!r},{diff!r}"
-                )
-            _emit("\n".join(lines) + "\n", args.out)
-            print(f"sup |A-B| = {sup!r} at z = {sup_z!r}", file=sys.stderr)
-        else:
-            payload = {
-                "compare": args.compare,
-                "sup": sup,
-                "at": [sup_z.real, sup_z.imag],
-                "points": [
-                    {
-                        "z": [z.real, z.imag],
-                        "a": [va.real, va.imag],
-                        "b": [vb.real, vb.imag],
-                        "diff_abs": diff,
-                    }
-                    for z, va, vb, diff in rows
-                ],
-            }
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    if args.compare is None:
+        spec = _make_spec(args.kind, params, args.x_scaled)
+        head = {
+            "kind": spec.kind,
+            "x_scaled": spec.x_scaled,
+            "params": None if spec.params is None else {"N": spec.params.N, "c": spec.params.c, "R": spec.params.R},
+            "index_set": None if spec.index_set is None else list(spec.index_set.members),
+        }
+        values = evaluate_grid(spec, grid, grid)
+        with _output(args.out) as handle:
+            _write_table(handle, args.format, head, _GRID_COLUMNS, _grid_blocks(grid, values))
         return 0
-    values = evaluate_grid(_make_spec(args.kind, params, args.x_scaled), grid, grid)
+    a, b = (evaluate_diagonal(_make_spec(kind, params, args.x_scaled), grid) for kind in args.compare)
+    # |a - b| by hypot, as abs of a Python complex takes it; numpy's complex abs can differ in the last bit
+    diff = np.hypot(a.real - b.real, a.imag - b.imag)
+    # the first largest difference, as max() finds it: a nan in first place stays, a later one never wins
+    i = 0 if np.isnan(diff[0]) else int(np.nanargmax(diff))
+    sup, at = float(diff[i]), complex(grid[i])
+    head = {"compare": args.compare, "sup": sup, "at": [at.real, at.imag]}
     with _output(args.out) as handle:
-        if args.format == "csv":
-            values.write_csv(handle)
-        else:
-            handle.write(values.to_json() + "\n")
+        _write_table(handle, args.format, head, _COMPARE_COLUMNS, _compare_blocks(grid, a, b, diff))
+    if args.format == "csv":
+        print(f"sup |A-B| = {sup!r} at z = {at!r}", file=sys.stderr)
     return 0
 
 

@@ -34,11 +34,10 @@ broadcast arrays, so a grid of any kind is one array computation.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .mixture import EnsembleParams, IndexSet, _check_index_set, bernoulli_weigh
 
 __all__ = [
     "KernelSpec",
-    "KernelGrid",
     "CorrelationResult",
     "basis",
     "feature_rows",
@@ -167,6 +165,9 @@ def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, n
 # Taylor coefficients of (1 - (s+1)e^(-s))/s^2 = sum_m (-1)^m (m+1)/(m+2)! s^m, highest degree first
 _LIMIT_TAYLOR = [(-1.0) ** m * (m + 1) / math.factorial(m + 2) for m in range(15, -1, -1)]
 
+# entries of s that ``eval_limit`` takes at a time: its temporaries stay near 7 MB whatever the grid
+_LIMIT_BLOCK = 1 << 16
+
 
 def eval_limit(z: complex | np.ndarray, w: complex | np.ndarray) -> complex | np.ndarray:
     """Hard-wall edge kernel (1 - (s+1)e^(-s)) / (pi s^2), s = z + conj(w), elementwise.
@@ -180,17 +181,19 @@ def eval_limit(z: complex | np.ndarray, w: complex | np.ndarray) -> complex | np
     so the closed form loses relative accuracy as |s| falls: about 1e-15 at
     the switch radius, against 5e-13 at |s| = 1e-3.
     """
-    s = np.asarray(np.add(z, np.conj(w)), dtype=complex)
-    small = np.abs(s) < 0.5
-    values = np.empty_like(s)
-    far = s[~small]
-    e = np.exp(-far)
-    # the numerator cancels to about s^2/2, scaling the rounding of s e^(-s) by 1/|s|: that product
-    # is formed from real parts, so it rounds as the textbook complex product on every machine
-    s_e = far.real * e.real - far.imag * e.imag + 1j * (far.real * e.imag + far.imag * e.real)
-    values[~small] = (-np.expm1(-far) - s_e) / (math.pi * far * far)
-    values[small] = np.polyval(_LIMIT_TAYLOR, s[small]) / math.pi
-    return values[()]
+    s = np.asarray(np.add(z, np.conj(w)), dtype=complex, order="C")  # C order: each block is a view of s
+    flat = s.reshape(-1)
+    for start in range(0, flat.size, _LIMIT_BLOCK):
+        block = flat[start : start + _LIMIT_BLOCK]
+        small = np.abs(block) < 0.5
+        far = block[~small]
+        e = np.exp(-far)
+        # the numerator cancels to about s^2/2, scaling the rounding of s e^(-s) by 1/|s|: that product
+        # is formed from real parts, so it rounds as the textbook complex product on every machine
+        s_e = far.real * e.real - far.imag * e.imag + 1j * (far.real * e.imag + far.imag * e.real)
+        block[~small] = (-np.expm1(-far) - s_e) / (math.pi * far * far)
+        block[small] = np.polyval(_LIMIT_TAYLOR, block[small]) / math.pi
+    return s[()]
 
 
 @dataclass(frozen=True)
@@ -234,12 +237,12 @@ class KernelSpec:
 
 def evaluate_kernel(spec: KernelSpec, z: complex, w: complex) -> complex:
     """K(z, w) of one kernel, for every kind the 1x1 case of ``evaluate_grid``."""
-    return complex(evaluate_grid(spec, (z,), (w,)).values[0, 0])
+    return complex(evaluate_grid(spec, (z,), (w,))[0, 0])
 
 
 def evaluate_diagonal(spec: KernelSpec, points: Sequence[complex]) -> np.ndarray:
     """K(z_i, z_i) over a point list: one pass over the feature rows, or one ``eval_limit`` call."""
-    pts = np.array([complex(p) for p in points], dtype=complex)
+    pts = np.asarray(points, dtype=complex)
     if spec.kind == "limit_hard_wall":
         return eval_limit(pts, pts)
     rows, shift, on = _projection_rows(spec, pts)
@@ -248,92 +251,18 @@ def evaluate_diagonal(spec: KernelSpec, points: Sequence[complex]) -> np.ndarray
     return values
 
 
-@dataclass(frozen=True)
-class KernelGrid:
-    """Kernel values on a product grid of evaluation points."""
-
-    spec: KernelSpec
-    z_points: tuple[complex, ...]
-    w_points: tuple[complex, ...]
-    values: np.ndarray = field(repr=False)
-
-    def hermitian_defect(self) -> float:
-        """max |K(z_i, z_j) - conj(K(z_j, z_i))| when the two grids coincide."""
-        if self.z_points != self.w_points:
-            raise ValueError("hermitian defect needs coinciding grids")
-        return float(np.max(np.abs(self.values - self.values.conj().T)))
-
-    def to_json(self) -> str:
-        def pair(x: complex) -> list[float]:
-            return [float(x.real), float(x.imag)]
-
-        payload: dict = {
-            "kind": self.spec.kind,
-            "x_scaled": self.spec.x_scaled,
-            "params": None,
-            "index_set": None,
-            "z_points": [pair(z) for z in self.z_points],
-            "w_points": [pair(w) for w in self.w_points],
-            "values": [[pair(v) for v in row] for row in self.values.tolist()],
-        }
-        if self.spec.params is not None:
-            p = self.spec.params
-            payload["params"] = {"N": p.N, "c": p.c, "R": p.R}
-        if self.spec.index_set is not None:
-            payload["index_set"] = list(self.spec.index_set.members)
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelGrid":
-        payload = json.loads(text)
-        params = None
-        if payload["params"] is not None:
-            params = EnsembleParams(**payload["params"])
-        index_set = None
-        if payload["index_set"] is not None:
-            index_set = IndexSet(members=tuple(payload["index_set"]), N=params.N)
-        spec = KernelSpec(
-            kind=payload["kind"],
-            params=params,
-            index_set=index_set,
-            x_scaled=payload.get("x_scaled", False),
-        )
-        values = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["values"]]
-        ).reshape(len(payload["z_points"]), len(payload["w_points"]))
-        return cls(
-            spec=spec,
-            z_points=tuple(complex(re, im) for re, im in payload["z_points"]),
-            w_points=tuple(complex(re, im) for re, im in payload["w_points"]),
-            values=values,
-        )
-
-    def write_csv(self, handle: TextIO) -> None:
-        """Write the header ``z_re,z_im,w_re,w_im,K_re,K_im``, then one row per pair, z outer and w inner.
-
-        Floats are shortest round-trip decimals and lines end in CRLF, as ``csv.writer`` writes them.
-        Each z point's rows go out as one string, so the text of the whole grid is never held.
-        """
-        handle.write("z_re,z_im,w_re,w_im,K_re,K_im\r\n")
-        ws = [f"{w.real!r},{w.imag!r}," for w in self.w_points]
-        for z, vs in zip(self.z_points, self.values):
-            prefix = f"{z.real!r},{z.imag!r},"
-            handle.write("".join(f"{prefix}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(ws, vs.tolist())))
-
-
-def evaluate_grid(spec: KernelSpec, z_points: Sequence[complex], w_points: Sequence[complex]) -> KernelGrid:
-    """K(z_i, w_j) over the product of two point lists: one ``eval_limit`` call, or one product of feature rows."""
-    z = np.array([complex(p) for p in z_points], dtype=complex)
-    w = np.array([complex(p) for p in w_points], dtype=complex)
+def evaluate_grid(spec: KernelSpec, z_points: Sequence[complex], w_points: Sequence[complex]) -> np.ndarray:
+    """K(z_i, w_j) as a complex (P_z, P_w) array: one ``eval_limit`` call, or one product of feature rows."""
+    z = np.asarray(z_points, dtype=complex)
+    w = np.asarray(w_points, dtype=complex)
     if spec.kind == "limit_hard_wall":
-        values = eval_limit(z[:, None], w[None, :])
-    else:
-        rows, shift, on = _projection_rows(spec, np.concatenate([z, w]))
-        on_z, on_w = on[: z.size], on[z.size :]
-        nz = int(np.count_nonzero(on_z))
-        values = np.zeros((z.size, w.size), dtype=complex)
-        values[np.ix_(on_z, on_w)] = np.exp(shift[:nz, None] + shift[None, nz:]) * (rows[:nz] @ rows[nz:].conj().T)
-    return KernelGrid(spec=spec, z_points=tuple(z.tolist()), w_points=tuple(w.tolist()), values=values)
+        return eval_limit(z[:, None], w[None, :])
+    rows, shift, on = _projection_rows(spec, np.concatenate([z, w]))
+    on_z, on_w = on[: z.size], on[z.size :]
+    nz = int(np.count_nonzero(on_z))
+    values = np.zeros((z.size, w.size), dtype=complex)
+    values[np.ix_(on_z, on_w)] = np.exp(shift[:nz, None] + shift[None, nz:]) * (rows[:nz] @ rows[nz:].conj().T)
+    return values
 
 
 @dataclass(frozen=True)
@@ -356,7 +285,7 @@ def correlation(points: Sequence[complex], spec: KernelSpec) -> CorrelationResul
         raise ValueError("correlation needs at least one point")
     if k > spec.rank():
         raise ValueError(f"{k} points exceed the kernel rank {spec.rank()}")
-    gram = evaluate_grid(spec, pts, pts).values
+    gram = evaluate_grid(spec, pts, pts)
     raw = float(np.linalg.det(gram).real)
     return CorrelationResult(value=max(raw, 0.0), raw=raw)
 

@@ -35,6 +35,7 @@ from .kernels import KernelSpec, evaluate_diagonal, evaluate_grid, g_max_diagnos
 from .mixture import (
     EnsembleParams,
     _log_count_prob,
+    _log_poisson_tails,
     _tilt,
     bernoulli_weights,
     indexset_to_occupation,
@@ -175,7 +176,7 @@ def _criterion_3() -> tuple[bool, str]:
 def _kernel_values(spec: KernelSpec, points: list, pairs: list) -> np.ndarray:
     """K(z, z) over ``points``, then K(z, w) over ``pairs``: one kernel product per list."""
     zs, ws = zip(*pairs)
-    return np.concatenate([evaluate_diagonal(spec, points), np.diagonal(evaluate_grid(spec, zs, ws).values)])
+    return np.concatenate([evaluate_diagonal(spec, points), np.diagonal(evaluate_grid(spec, zs, ws))])
 
 
 def _criterion_4() -> tuple[bool, str]:
@@ -262,7 +263,7 @@ def _criterion_6() -> tuple[bool, str]:
     for seed in range(20):
         gen = np.random.Generator(np.random.Philox(key=[_SEED_PSD, seed]))
         pts = [complex(gen.uniform(0.05, 3.0), gen.uniform(-3.0, 3.0)) for _ in range(30)]
-        gram = evaluate_grid(KernelSpec("limit_hard_wall"), pts, pts).values
+        gram = evaluate_grid(KernelSpec("limit_hard_wall"), pts, pts)
         gram = 0.5 * (gram + gram.conj().T)
         worst = min(worst, float(np.linalg.eigvalsh(gram).min()))
     # most negative admissible eigenvalue of the limit-kernel Gram matrix
@@ -347,8 +348,10 @@ def _criterion_7() -> tuple[bool, str]:
 
 def _criterion_8() -> tuple[bool, str]:
     """Incomplete gamma: route agreement, monotonicity, tail-estimate error."""
-    # (i) real-parameter route vs anchored integer route, n <= 1e4, within
-    # the double-precision agreement zone |log Q| <= 2500
+    # (i) real-parameter route and the vectorized Poisson tail pass that the
+    # weights read, each vs the anchored integer route, n <= 1e4, within the
+    # double-precision agreement zone |log Q| <= 2500; Q(n, z) is entry n-1
+    # of a pass of length max(n, floor(z)), which the pass needs above z - 1
     worst_rel = 0.0
     compared = skipped = 0
     ns = sorted({int(v) for v in np.geomspace(1, 10_000, 40)})
@@ -359,10 +362,11 @@ def _criterion_8() -> tuple[bool, str]:
             if abs(ref) > 2500.0:
                 skipped += 1
                 continue
-            rel = abs(log_q(float(n), z) - ref) / max(1.0, abs(ref))
-            worst_rel = max(worst_rel, rel)
+            tail = float(_log_poisson_tails(max(n, math.floor(z)), z)[0][n - 1])
+            for value in (log_q(float(n), z), tail):
+                worst_rel = max(worst_rel, abs(value - ref) / max(1.0, abs(ref)))
             compared += 1
-    # mixed absolute/relative agreement between the two log Q routes
+    # mixed absolute/relative agreement of both routes with the integer one
     if not worst_rel <= 1e-12:
         return False, f"(i) route disagreement {worst_rel:.2e} > 1e-12"
 
@@ -396,7 +400,8 @@ def _criterion_8() -> tuple[bool, str]:
         return False, f"(iii) a * rel err {worst_scaled:.1f} > 40"
 
     return True, (
-        f"(i) {compared} route pairs agree to {worst_rel:.1e} ({skipped} beyond zone), "
+        f"(i) {compared} (n, z) pairs, log_q and the tail pass agree with log_q_integer to {worst_rel:.1e} "
+        f"({skipped} beyond zone), "
         f"(ii) 1e4 monotone, (iii) max a*err {worst_scaled:.1f} <= 40"
     )
 

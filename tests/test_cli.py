@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -20,9 +22,9 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import ginibre_overcrowding
-from ginibre_overcrowding import sampler, validation
+from ginibre_overcrowding import cli, sampler, validation
 from ginibre_overcrowding.cli import main, read_radial_csv
-from ginibre_overcrowding.kernels import KernelGrid
+from ginibre_overcrowding.kernels import KernelSpec, evaluate_diagonal, evaluate_grid
 from ginibre_overcrowding.mixture import EnsembleParams, sample_conditioned_indexset
 from ginibre_overcrowding.sampler import PointConfiguration, RandomStream, sample_radii_outer
 
@@ -268,32 +270,74 @@ def test_kernel_tabulate_csv_and_json_round_trip(capsys, tmp_path):
     assert code == 0
     assert again == out
 
-    json_file = tmp_path / "grid.json"
-    code, _, _ = run(
-        capsys,
-        "kernel", "-N", "50", "-c", "0.9", "-R", "0.7",
-        "--kind", "outer_J", "--grid", "0.75:1.1:3,0:0.2:2",
-        "--format", "json", "--out", str(json_file),
-    )
+    outer = ["kernel", "-N", "50", "-c", "0.9", "-R", "0.7", "--kind", "outer_J", "--grid", "0.75:1.1:3,0:0.2:2"]
+    code, csv_out, _ = run(capsys, *outer)
     assert code == 0
-    grid = KernelGrid.from_json(json_file.read_text())
-    assert grid.spec.kind == "outer_J"
-    assert grid.hermitian_defect() < 1e-12
+    json_file = tmp_path / "grid.json"
+    code, _, _ = run(capsys, *outer, "--format", "json", "--out", str(json_file))
+    assert code == 0
+    doc = json.loads(json_file.read_text())
+    assert doc["kind"] == "outer_J" and doc["params"] == {"N": 50, "c": 0.9, "R": 0.7}
+    header, *rows = (line.split(",") for line in csv_out.splitlines())
+    assert doc["columns"] == header
+    assert [[repr(v) for v in row] for row in doc["rows"]] == rows
+    values = np.array([complex(*row[4:]) for row in doc["rows"]]).reshape(6, 6)
+    assert np.max(np.abs(values - values.conj().T)) < 1e-12
 
 
 def test_kernel_compare_reports_sup(capsys):
-    code, out, _ = run(
-        capsys,
+    argv = [
         "kernel", "-N", "200", "-c", "0.9", "-R", "0.7",
-        "--compare", "edge_rescaled_J", "limit_hard_wall", "--x-scaled",
-        "--grid", "0.2:3:5,-2:2:5", "--format", "json",
-    )
+        "--compare", "edge_rescaled_J", "limit_hard_wall", "--x-scaled", "--grid", "0.2:3:5,-2:2:5",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    diffs = [p["diff_abs"] for p in payload["points"]]
-    assert payload["sup"] == max(diffs)
-    assert payload["at"] == max(payload["points"], key=lambda p: p["diff_abs"])["z"]
+    assert payload["columns"] == ["z_re", "z_im", "a_re", "a_im", "b_re", "b_im", "diff_abs"]
+    top = max(payload["rows"], key=lambda row: row[6])
+    assert payload["sup"] == top[6]
+    assert payload["at"] == top[:2]
     assert 0.0 < payload["sup"] < 0.05
+    # the CSV holds the same rows, CRLF-terminated, and the sup goes to stderr
+    code, csv_out, err = run(capsys, *argv)
+    assert code == 0
+    assert csv_out.count("\r\n") == 1 + 25 and "\n" not in csv_out.replace("\r\n", "")
+    header, *rows = (line.split(",") for line in csv_out.splitlines())
+    assert [[repr(v) for v in row] for row in payload["rows"]] == rows
+    assert err == f"sup |A-B| = {payload['sup']!r} at z = {complex(*payload['at'])!r}\n"
+
+
+class _CountingSink(io.TextIOBase):
+    """A text handle that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_output_is_streamed(fmt):
+    # 65,536 rows each: --kind over 256 points, --compare over 65,536 points; the values are
+    # computed first, so the traced peak is the writer's own
+    limit = KernelSpec("limit_hard_wall")
+    points = cli._parse_grid("0.05:3:16,-2:2:16", squared=True)
+    grid_blocks = cli._grid_blocks(points, evaluate_grid(limit, points, points))
+    points = cli._parse_grid("0.05:3:256,-2:2:256", squared=False)
+    a = evaluate_diagonal(limit, points)
+    b = 0.999 * a
+    compare_blocks = cli._compare_blocks(points, a, b, np.abs(a - b))
+    for columns, blocks in ((cli._GRID_COLUMNS, grid_blocks), (cli._COMPARE_COLUMNS, compare_blocks)):
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            cli._write_table(sink, fmt, {"sup": 0.0}, columns, blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 4_000_000
+        assert peak < sink.chars / 4
 
 
 @pytest.mark.parametrize(

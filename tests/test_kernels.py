@@ -21,11 +21,10 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import xlogy
 
-from ginibre_overcrowding import kernels
+from ginibre_overcrowding import cli, kernels
 
 from ginibre_overcrowding.kernels import (
     CorrelationResult,
-    KernelGrid,
     KernelSpec,
     correlation,
     eval_limit,
@@ -353,7 +352,7 @@ def test_kernels_match_direct_sum(spec, pts):
     # relative error
     limit = spec.kind == "limit_hard_wall"
     ref = {(z, w): complex(mp_kernel(spec, z, w)) for z in pts for w in pts}
-    grid = evaluate_grid(spec, pts, pts).values
+    grid = evaluate_grid(spec, pts, pts)
     diag = evaluate_diagonal(spec, pts)
     for i, z in enumerate(pts):
         assert abs(diag[i] - ref[z, z]) <= (2e-15 if limit else 1e-12) * abs(ref[z, z])
@@ -420,6 +419,13 @@ def test_limit_broadcasts_like_its_scalar_calls():
     assert values.shape == (5, 4)
     scalars = [[eval_limit(complex(a), complex(b)) for b in w[0]] for a in z[:, 0]]
     assert np.array_equal(values, np.array(scalars))
+    # a grid of several blocks is its rows taken one call each, also when held in Fortran order
+    z = rng.uniform(0.0, 2.0, (400, 1)) + 1j * rng.uniform(-2.0, 2.0, (400, 1))
+    w = rng.uniform(0.0, 2.0, (1, 400)) + 1j * rng.uniform(-2.0, 2.0, (1, 400))
+    assert z.size * w.size > 2 * kernels._LIMIT_BLOCK
+    values = eval_limit(z, w)
+    assert np.array_equal(values, np.array([eval_limit(row, w[0]) for row in z]))
+    assert np.array_equal(eval_limit(np.asfortranarray(z + 0 * w), w), values)
     assert np.ndim(eval_limit(1.0, 1.0)) == 0 and not isinstance(eval_limit(1.0, 1.0), np.ndarray)
     assert eval_limit(0.0, 0.0) == 1.0 / (2.0 * math.pi)
 
@@ -472,7 +478,7 @@ def test_evaluate_kernel_dispatch():
         (KernelSpec(kind="limit_hard_wall"), 0.7 - 0.1j),
     ]:
         assert type(evaluate_kernel(spec, z, z)) is complex
-        assert evaluate_kernel(spec, z, z) == evaluate_grid(spec, [z], [z]).values[0, 0]
+        assert evaluate_kernel(spec, z, z) == evaluate_grid(spec, [z], [z])[0, 0]
     assert evaluate_kernel(KernelSpec(kind="limit_hard_wall"), 1.0, 1.0) == eval_limit(1.0, 1.0)
 
 
@@ -480,28 +486,26 @@ def test_grid_hermitian_defect_and_serialization():
     p = EnsembleParams(N=25, c=0.8, R=0.7)
     J = top_block(p)
     spec = KernelSpec(kind="outer_J", params=p, index_set=J)
-    pts = [0.8 + 0.1j, 0.9 - 0.2j, 1.1 + 0.3j]
+    pts = np.array([0.8 + 0.1j, 0.9 - 0.2j, 1.1 + 0.3j])
     grid = evaluate_grid(spec, pts, pts)
-    assert grid.hermitian_defect() < 1e-13
-    assert np.all(np.diag(grid.values).real >= 0.0)
-    assert np.max(np.abs(np.diag(grid.values).imag)) < 1e-13
+    assert np.max(np.abs(grid - grid.conj().T)) < 1e-13
+    assert np.all(np.diag(grid).real >= 0.0)
+    assert np.max(np.abs(np.diag(grid).imag)) < 1e-13
 
-    clone = KernelGrid.from_json(grid.to_json())
-    assert clone.spec == spec
-    assert clone.z_points == grid.z_points
-    np.testing.assert_allclose(clone.values, grid.values, rtol=0, atol=0)
-
-    csv_text = _csv_text(grid)
+    csv_text = _csv_text(pts, grid)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "z_re,z_im,w_re,w_im,K_re,K_im"
     assert len(lines) == 1 + len(pts) * len(pts)
+    # the JSON rows give back every value bit for bit
+    rows = _json_doc(pts, grid)["rows"]
+    assert np.array_equal(np.array([complex(*row[4:]) for row in rows]).reshape(grid.shape), grid)
 
     # a grid through 0 and across |z| = R: every entry is the 1x1 evaluation,
     # and entries off the support are exactly 0
     cross = [0j, 0.3 - 0.2j, 0.6 + 0.3j, 0.69, -0.71j, 0.8 + 0.1j, 1.1 - 0.4j]
     for kind in ("outer_J", "inner_J_complement", "ginibre_N"):
         spec = KernelSpec(kind=kind, params=p, index_set=None if kind == "ginibre_N" else J)
-        values = evaluate_grid(spec, cross, cross).values
+        values = evaluate_grid(spec, cross, cross)
         pairs = np.array([[evaluate_kernel(spec, z, w) for w in cross] for z in cross])
         scale = np.sqrt(np.outer(np.abs(np.diag(pairs)), np.abs(np.diag(pairs))))
         assert np.all(np.abs(values - pairs) <= 1e-13 * scale)
@@ -526,7 +530,7 @@ def test_diagonal_matches_grid_diagonal():
     ):
         pts = [z + 0.5 for z in cross] if spec.kind in ("edge_rescaled_J", "limit_hard_wall") else cross
         diag = evaluate_diagonal(spec, pts)
-        want = np.diag(evaluate_grid(spec, pts, pts).values)
+        want = np.diag(evaluate_grid(spec, pts, pts))
         assert np.all(np.abs(diag - want) <= 1e-13 * np.abs(want))
         assert np.all(diag.imag == 0) and np.all(diag.real >= 0)
         assert np.array_equal(diag == 0, want == 0)
@@ -540,45 +544,31 @@ class _CountedWrites(io.StringIO):
         return super().write(text)
 
 
-def _csv_text(grid: KernelGrid) -> str:
-    """What ``write_csv`` writes, one write for the header and one per z point."""
+def _csv_text(points: np.ndarray, values: np.ndarray) -> str:
+    """The ``kernel --kind`` CSV of ``values``, one write for the header and one per z point."""
     buf = _CountedWrites()
-    grid.write_csv(buf)
-    assert buf.writes == 1 + len(grid.z_points)
+    cli._write_table(buf, "csv", {}, cli._GRID_COLUMNS, cli._grid_blocks(points, values))
+    assert buf.writes == 1 + len(points)
     return buf.getvalue()
 
 
-def _csv_writer_oracle(grid: KernelGrid) -> str:
-    """The grid written by ``csv.writer`` over the numpy scalars of ``values``."""
+def _json_doc(points: np.ndarray, values: np.ndarray) -> dict:
+    """The ``kernel --kind`` JSON document of ``values``, parsed."""
+    buf = io.StringIO()
+    cli._write_table(buf, "json", {"kind": "any"}, cli._GRID_COLUMNS, cli._grid_blocks(points, values))
+    return json.loads(buf.getvalue())
+
+
+def _csv_writer_oracle(points: np.ndarray, values: np.ndarray) -> str:
+    """The table written by ``csv.writer`` over the numpy scalars of ``points`` and ``values``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["z_re", "z_im", "w_re", "w_im", "K_re", "K_im"])
-    for i, z in enumerate(grid.z_points):
-        for j, w in enumerate(grid.w_points):
-            v = grid.values[i, j]
+    for i, z in enumerate(points):
+        for j, w in enumerate(points):
+            v = values[i, j]
             writer.writerow([z.real, z.imag, w.real, w.imag, v.real, v.imag])
     return buf.getvalue()
-
-
-def _per_entry_json_oracle(grid: KernelGrid) -> str:
-    """The grid's JSON document built entry by entry from the numpy scalars."""
-
-    def pair(x) -> list[float]:
-        return [float(x.real), float(x.imag)]
-
-    spec = grid.spec
-    return json.dumps(
-        {
-            "kind": spec.kind,
-            "x_scaled": spec.x_scaled,
-            "params": None if spec.params is None else {"N": spec.params.N, "c": spec.params.c, "R": spec.params.R},
-            "index_set": None if spec.index_set is None else list(spec.index_set.members),
-            "z_points": [pair(z) for z in grid.z_points],
-            "w_points": [pair(w) for w in grid.w_points],
-            "values": [[pair(grid.values[i, j]) for j in range(len(grid.w_points))] for i in range(len(grid.z_points))],
-        },
-        indent=2,
-    )
 
 
 def _lines(text: str) -> list[str]:
@@ -586,12 +576,20 @@ def _lines(text: str) -> list[str]:
     return text.splitlines(keepends=True)
 
 
+def _assert_json_rows_are_csv_rows(points: np.ndarray, values: np.ndarray, csv_text: str) -> None:
+    """The JSON document holds the CSV's columns and rows, cell for cell (nan as nan, -0.0 as -0.0)."""
+    doc = _json_doc(points, values)
+    header, *rows = csv.reader(io.StringIO(csv_text))
+    assert doc["kind"] == "any" and doc["columns"] == header
+    assert [[repr(v) for v in row] for row in doc["rows"]] == rows
+
+
 def test_grid_serialization_matches_oracles_on_every_kind():
     # a 9 x 7 grid across |z| = R and Re z = 0, so the outer, inner and edge
     # kinds have entries off their support, which are exactly 0
     p = EnsembleParams(N=25, c=0.8, R=0.7)
     J = top_block(p)
-    pts = [complex(a, b) for a in np.linspace(-0.9, 1.1, 9) for b in np.linspace(-0.6, 0.6, 7)]
+    pts = np.array([complex(a, b) for a in np.linspace(-0.9, 1.1, 9) for b in np.linspace(-0.6, 0.6, 7)])
     for spec in (
         KernelSpec(kind="ginibre_N", params=p),
         KernelSpec(kind="outer_J", params=p, index_set=J),
@@ -600,32 +598,32 @@ def test_grid_serialization_matches_oracles_on_every_kind():
         KernelSpec(kind="edge_rescaled_J", params=p, index_set=J, x_scaled=True),
         KernelSpec(kind="limit_hard_wall"),
     ):
-        grid = evaluate_grid(spec, pts, pts)
+        values = evaluate_grid(spec, pts, pts)
         if spec.kind in ("outer_J", "inner_J_complement", "edge_rescaled_J"):
-            assert np.any(grid.values == 0) and np.any(grid.values != 0)
-        assert _lines(_csv_text(grid)) == _lines(_csv_writer_oracle(grid))
-        assert _lines(grid.to_json()) == _lines(_per_entry_json_oracle(grid))
+            assert np.any(values == 0) and np.any(values != 0)
+        text = _csv_text(pts, values)
+        assert _lines(text) == _lines(_csv_writer_oracle(pts, values))
+        _assert_json_rows_are_csv_rows(pts, values, text)
 
 
 def test_grid_serialization_matches_oracles_on_edge_floats():
     # signed zero, the smallest subnormal, the repr exponent switches,
-    # infinities and nan, in points and values; z and w differ in length
+    # infinities and nan, in points and values
     special = [-0.0, 5e-324, 1e16, 1e-5, 1e22, math.inf, -math.inf, math.nan, 0.1, -2.5e-300]
-    z_points = tuple(complex(a, b) for a, b in zip(special, special[::-1]))
-    w_points = tuple(complex(a, 0.3) for a in special[:4])
-    values = np.array([[complex(a, b) for b in special[:4]] for a in special])
-    grid = KernelGrid(spec=KernelSpec(kind="limit_hard_wall"), z_points=z_points, w_points=w_points, values=values)
-    text = _csv_text(grid)
-    assert _lines(text) == _lines(_csv_writer_oracle(grid))
-    assert text.count("\r\n") == 1 + len(z_points) * len(w_points)
-    assert _lines(grid.to_json()) == _lines(_per_entry_json_oracle(grid))
+    points = np.array([complex(a, b) for a, b in zip(special, special[::-1])])
+    values = np.array([[complex(a, b) for b in special] for a in special])
+    text = _csv_text(points, values)
+    assert _lines(text) == _lines(_csv_writer_oracle(points, values))
+    assert text.count("\r\n") == 1 + len(points) ** 2
+    _assert_json_rows_are_csv_rows(points, values, text)
 
 
-def test_grid_json_limit_kernel_without_params():
-    grid = evaluate_grid(KernelSpec(kind="limit_hard_wall"), [1.0, 2.0], [1.0, 2.0])
-    clone = KernelGrid.from_json(grid.to_json())
-    assert clone.spec.kind == "limit_hard_wall"
-    np.testing.assert_allclose(clone.values, grid.values)
+def test_grid_json_limit_kernel_without_params(capsys):
+    assert cli.main(["kernel", "--kind", "limit_hard_wall", "--grid", "1:2:2,0:0:1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind"], doc["x_scaled"], doc["params"], doc["index_set"]) == ("limit_hard_wall", False, None, None)
+    values = evaluate_grid(KernelSpec(kind="limit_hard_wall"), [1.0, 2.0], [1.0, 2.0])
+    assert np.array_equal(np.array([complex(*row[4:]) for row in doc["rows"]]).reshape(2, 2), values)
 
 
 def test_correlation_single_and_repeated_points():
@@ -706,7 +704,7 @@ def test_feature_row_cap_refuses_before_any_row(monkeypatch):
     pts = [0.1 * i + 0.05j for i in range(5)]
     # z and w are stacked: 10 points x rank 20
     monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 200)
-    assert evaluate_grid(spec, pts, pts).values.shape == (5, 5)
+    assert evaluate_grid(spec, pts, pts).shape == (5, 5)
     monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 199)
     monkeypatch.setattr(kernels, "basis", None)  # any row built would fail on this
     with pytest.raises(ValueError, match=r"10 points x rank 20 = 200 feature-row entries, over the cap of 199"):
