@@ -189,7 +189,9 @@ def eval_limit(z: complex | np.ndarray, w: complex | np.ndarray) -> complex | np
         far = block[~small]
         e = np.exp(-far)
         # the numerator cancels to about s^2/2, scaling the rounding of s e^(-s) by 1/|s|: that product
-        # is formed from real parts, so it rounds as the textbook complex product on every machine
+        # is formed from real parts, so it rounds as the textbook complex product on every machine. The
+        # denominator math.pi * far * far is a numpy complex product, whose rounding follows the CPU's SIMD
+        # loops, so the values can differ in the last bit from one machine to another.
         s_e = far.real * e.real - far.imag * e.imag + 1j * (far.real * e.imag + far.imag * e.real)
         block[~small] = (-np.expm1(-far) - s_e) / (math.pi * far * far)
         block[small] = np.polyval(_LIMIT_TAYLOR, block[small]) / math.pi

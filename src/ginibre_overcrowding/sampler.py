@@ -26,14 +26,17 @@ Two samplers cover two different jobs:
   Proposals come from a pool drawn ahead of the steps, all at once: the
   basis picks, the radii, the angles, the acceptance uniforms and the
   normalized feature rows, sized to the m H_(m-j) proposals the remaining
-  steps expect and refilled when used up.  Step j tests a small window of
-  the pool from a cursor, in pool order, with one matrix product against
-  the span, and accepts the first hit; the proposals it rejected are
-  dropped and those behind the hit stay for later steps.  Every proposal
-  is tested at exactly one step against its own uniform, and proposals
-  not yet tested are independent of everything before them, so this is
-  the plain rejection scheme with the random numbers drawn in another
-  order.
+  steps expect and refilled when used up.  Step j tests a window of
+  ceil(1.5 m/(m - j)) proposals of the pool from a cursor, half as many
+  again as it expects, in pool order, with one matrix product against the
+  span, and accepts the first hit; the proposals it rejected are dropped
+  and those behind the hit stay for later steps.  Every proposal is
+  tested at exactly one step against its own uniform, and proposals not
+  yet tested are independent of everything before them, so this is the
+  plain rejection scheme with the random numbers drawn in another order;
+  the window size never changes which proposal is accepted.  The span is
+  kept as one m x m array of conjugated rows, which every product reads
+  in place, so a step copies no rows.
 
 Both samplers draw r^2 through the same exact decompositions of the
 truncated Gamma law, ``_outer_t_block`` outside the disk and
@@ -90,7 +93,7 @@ _MAX_PROPOSALS = 1_000_000
 # Entries (proposals x rank) of one proposal pool's feature-row matrix.
 _POOL_ENTRIES = 1 << 15
 # Entries (rank m squared) of the sequential sampler's span, 16 bytes each:
-# m <= 2048, a 64 MiB span, where a draw, which costs O(m^3), takes over a minute.
+# m <= 2048, a 64 MiB span, where a draw, which costs O(m^3), takes about 50 s on one core.
 _MAX_SPAN_ENTRIES = 1 << 22
 # A freshly accepted direction should never be this close to the span of
 # the previous ones; if it is, the Gram-Schmidt basis has degenerated.
@@ -112,9 +115,7 @@ class RandomStream:
     """Replayable random source keyed by (seed, stream_id).
 
     Backed by the Philox counter-based bit generator, so distinct
-    stream_ids give independent streams from one seed.  Parallel
-    Monte-Carlo runs should give each worker ``substream(i)`` instead of
-    sharing one generator.
+    stream_ids give independent streams from one seed.
     """
 
     seed: int
@@ -128,10 +129,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of the stream."""
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
-
-    def substream(self, offset: int) -> "RandomStream":
-        """The stream ``offset`` slots further along the stream_id axis."""
-        return RandomStream(seed=self.seed, stream_id=self.stream_id + offset)
 
 
 def _as_generator(rng: "RandomStream | np.random.Generator") -> np.random.Generator:
@@ -385,14 +382,18 @@ def _sample_projection(
     ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
     radial_block = _outer_t_block if outer else _inner_t_block
     m = int(ks.size)
-    span = np.zeros((m, m), dtype=complex)
+    # The Gram-Schmidt rows are kept conjugated, and so is each new direction:
+    # conj(psi - x @ span) = conj(psi) - conj(x) @ span_conj, bit for bit since
+    # conjugation is exact, so every product reads the span in place.
+    span_conj = np.zeros((m, m), dtype=complex)
     points: list[complex] = []
     uniforms = np.empty(0)
     cursor = 0
     for j in range(m):
-        # Expected proposals per accepted point is m/(m-j); a window a
-        # little larger usually holds the hit.
-        window = int(min(128, max(8, math.ceil(2.0 * m / (m - j)))))
+        # Expected proposals per accepted point is m/(m-j); a window half
+        # as large again usually holds the hit.
+        window = math.ceil(1.5 * m / (m - j))
+        rows = span_conj[:j]
         used = 0
         while True:
             if used >= _MAX_PROPOSALS:
@@ -406,23 +407,25 @@ def _sample_projection(
                 )
                 cursor = 0
             stop = min(cursor + window, uniforms.size)
-            coeff = psi[cursor:stop] @ span[:j].conj().T
-            accept = 1.0 - (np.abs(coeff) ** 2).sum(axis=1)
-            hits = np.flatnonzero(uniforms[cursor:stop] < accept)
-            if hits.size:
+            coeff = psi[cursor:stop] @ rows.T
+            hits = uniforms[cursor:stop] < 1.0 - (np.abs(coeff) ** 2).sum(axis=1)
+            first = int(hits.argmax())
+            if hits[first]:
                 break
             used += stop - cursor
             cursor = stop
-        b = cursor + int(hits[0])
+        b = cursor + first
         cursor = b + 1
-        v = psi[b] - coeff[hits[0]] @ span[:j]
-        v -= (span[:j].conj() @ v) @ span[:j]
-        norm = float(np.linalg.norm(v))
+        # u: the conjugated direction psi - coeff @ span, then orthogonalized once more
+        u = psi[b].conj() - coeff[first].conj() @ rows
+        u -= (rows @ u.conj()).conj() @ rows
+        # the expression np.linalg.norm evaluates, without its wrapper
+        norm = math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))
         if norm < _MIN_DIRECTION_NORM:
             raise SamplingError(
                 f"accepted direction nearly collinear with the span at point {j + 1} of {m}"
             )
-        span[j] = v / norm
+        span_conj[j] = u / norm
         r = math.sqrt(t[b])
         points.append(complex(r * math.cos(theta[b]), r * math.sin(theta[b])))
     return points

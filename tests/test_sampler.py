@@ -11,6 +11,7 @@ against quadrature here and in test_gamma).
 
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
+from ginibre_overcrowding.kernels import basis as feature_basis
 from ginibre_overcrowding.mixture import (
     ConstraintViolation,
     EnsembleParams,
@@ -118,8 +120,7 @@ def overlap_matrix(params, ks, t_lo, t_hi, th_lo, th_hi) -> np.ndarray:
 def test_random_stream_replays_and_splits():
     a = RandomStream(seed=123, stream_id=4)
     assert np.array_equal(a.generator().random(8), a.generator().random(8))
-    b = a.substream(1)
-    assert b == RandomStream(seed=123, stream_id=5)
+    b = RandomStream(seed=123, stream_id=5)
     assert not np.array_equal(a.generator().random(8), b.generator().random(8))
 
 
@@ -471,7 +472,7 @@ def test_outer_and_inner_independent_given_index_set():
     for i in range(n_cfg):
         rs = RandomStream(seed=1234, stream_id=i)
         outer = sample_sequential(params, J, "outer_J", rs)
-        inner = sample_sequential(params, J, "inner_complement_J", rs.substream(100_000))
+        inner = sample_sequential(params, J, "inner_complement_J", RandomStream(seed=1234, stream_id=100_000 + i))
         inner_counts[i] = sum(1 for z in inner.points if abs(z) < 0.3)
         outer_means[i] = np.mean([abs(z) for z in outer.points])
     corr = stats.pearsonr(inner_counts, outer_means).statistic
@@ -504,6 +505,75 @@ def test_pool_refills_inside_a_step_keep_the_law(monkeypatch):
     direct = sample_radii_outer(params, J, RandomStream(seed=717171), size=n_cfg)
     ks = stats.ks_2samp(np.array(pooled), direct.ravel())
     assert ks.statistic < 0.02
+
+
+def _reference_projection(params, J, basis, gen):
+    """The sequential loop before the conjugated span, less its error exits: the oracle of its bytes.
+
+    It copies the conjugated span twice per step and tests a window of at
+    least 8 proposals; the pool and feature rows are the module's own.
+    """
+    outer = basis == "outer_J"
+    ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
+    radial_block = sampler._outer_t_block if outer else sampler._inner_t_block
+    m = int(ks.size)
+    span = np.zeros((m, m), dtype=complex)
+    points = []
+    uniforms = np.empty(0)
+    cursor = 0
+    for j in range(m):
+        window = int(min(128, max(8, math.ceil(2.0 * m / (m - j)))))
+        while True:
+            if cursor == uniforms.size:
+                t, theta, uniforms, psi = sampler._draw_pool(
+                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen
+                )
+                cursor = 0
+            stop = min(cursor + window, uniforms.size)
+            coeff = psi[cursor:stop] @ span[:j].conj().T
+            accept = 1.0 - (np.abs(coeff) ** 2).sum(axis=1)
+            hits = np.flatnonzero(uniforms[cursor:stop] < accept)
+            if hits.size:
+                break
+            cursor = stop
+        b = cursor + int(hits[0])
+        cursor = b + 1
+        v = psi[b] - coeff[hits[0]] @ span[:j]
+        v -= (span[:j].conj() @ v) @ span[:j]
+        span[j] = v / float(np.linalg.norm(v))
+        r = math.sqrt(t[b])
+        points.append(complex(r * math.cos(theta[b]), r * math.sin(theta[b])))
+    return points
+
+
+@pytest.mark.parametrize("entries", [1 << 15, 64, 8])
+def test_projection_loop_replays_the_reference_loop(monkeypatch, entries):
+    # 8 entries give pools of one or two proposals, so refills land inside windows
+    monkeypatch.setattr(sampler, "_POOL_ENTRIES", entries)
+    cases = [(1, 1.0), (2, 1.0), (2, 0.6), (12, 1.0), (12, 0.6), (40, 1.0), (40, 0.6), (150, 1.0), (150, 0.6)]
+    for N, c in cases:
+        params = EnsembleParams(N=N, c=c, R=0.8)
+        for seed in range(3):
+            J = sample_conditioned_indexset(params, params.N_c, RandomStream(seed=seed).generator())
+            for basis in ("outer_J", "inner_complement_J"):
+                stream = RandomStream(seed=seed, stream_id=N)
+                got = sampler._sample_projection(params, J, basis, stream.generator())
+                assert got == _reference_projection(params, J, basis, stream.generator()), (N, c, seed, basis)
+
+
+def test_rank_512_draw_peaks_under_8_mib():
+    # the 512 x 512 span alone is 4 MiB; a second span-sized array or per-step copies pass 8 MiB
+    params = EnsembleParams(N=512, c=1.0, R=0.5)
+    J = top_block(params)
+    feature_basis(params, J, "outer_J")  # the weights table is cached outside the draw
+    tracemalloc.start()
+    try:
+        points = sampler._sample_projection(params, J, "outer_J", RandomStream(seed=5).generator())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 512
+    assert peak < 8 * 2**20
 
 
 def test_rejection_cap_raises_with_diagnostics(monkeypatch):
