@@ -60,8 +60,8 @@ __all__ = [
 _LOG_PI = math.log(math.pi)
 
 # (point, k) entries of the feature rows one finite-N evaluation may build,
-# about 56 bytes each at the peak of ``feature_rows``: the largest admitted
-# evaluation (470 MB) fits in a 1.5 GB address space
+# about 40 bytes each at the peak of ``feature_rows``: the largest admitted
+# evaluation (336 MB) fits in a 1.5 GB address space
 _MAX_ROW_ENTRIES = 1 << 23
 
 KERNEL_KINDS = (
@@ -124,7 +124,10 @@ def feature_rows(
     shift[shift == -math.inf] = 0.0
     log_mag -= shift[:, None]
     phase = np.multiply.outer(theta, ks.astype(float))
-    return np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase)), shift
+    rows = np.empty(log_mag.shape, dtype=complex)
+    np.multiply(np.exp(log_mag, out=log_mag), np.cos(phase), out=rows.real)
+    np.multiply(log_mag, np.sin(phase, out=phase), out=rows.imag)
+    return rows, shift
 
 
 def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,11 +17,12 @@ everything here reduces to log-space work on those weights:
 
 Weights.  Q(k+1, z) = P(Poisson(z) <= k), so all N weights come from one
 pass over the Poisson(z) pmf at z = N R^2.  The pmf is evaluated at every k
-at once with the cancellation-free formula of ``gamma.log_poisson_pmf``; a
-forward running log-sum-exp gives log a_k and a backward one gives
-log(1 - a_k), the backward sum cut at the first T past N where a bound on
-the rest falls below 2^-64 of pmf(N).  At each k the smaller of the two
-tails is kept and the larger is log1mexp of it.  a_k underflows double
+at once by the formulas of ``gamma.log_poisson_pmf``, with the atanh series
+of Loader (2000) for its deviance near k = z.  A forward running log-sum-exp
+gives log a_k below the Poisson median and a backward one log(1 - a_k)
+above it, the backward sum cut at the first T past N where a bound on the
+rest falls below 2^-64 of pmf(N).  At each k the smaller of the two tails
+is kept and the larger is log1mexp of it.  a_k underflows double
 precision for k well below N R^2 and 1 - a_k for k well above it, so each
 is kept exact in relative terms where it is small.  The pass runs T terms
 past N, and the cached ``BernoulliWeights`` keeps its log P(X > j) for all
@@ -220,12 +221,31 @@ _FOLD = 2.0**-40
 _CHUNK = 1024
 # uniforms per block of rejective index-set draws, unless one row is larger
 _DRAW_ENTRIES = 1 << 16
-# the terms past this degree sum to less than 1e-18 of phi for |lam - 1| < 0.5
-_PHI_DEGREE = 60
+# terms of S(w) = sum_j w^j / (2j+3) that ``_log_poisson_pmfs`` keeps on its band w <= 1/9
+_ATANH_TERMS = 17
+
+
+def _phi_near_one(u: np.ndarray) -> np.ndarray:
+    """phi(1 + u) = u - log(1 + u) for |u| < 1/2, by the deviance series of Loader (2000).
+
+    With v = u/(2+u), log(1 + u) = 2 atanh(v), so phi = v (u - 2 v^2 S(v^2)) with
+    S(w) = sum_j w^j / (2j+3).  On the band w <= 1/9 and |u - 2 v^2 S| >= 1.5 |v|, so the terms past
+    the first ``_ATANH_TERMS`` change phi by less than (4/9) w^17 / (37 (1 - w)) < 2^-60 of itself.
+    """
+    v = u / (u + 2.0)
+    w = v * v
+    series = np.full_like(w, 2.0 / (2 * _ATANH_TERMS + 1))
+    for j in range(_ATANH_TERMS - 2, -1, -1):
+        series *= w
+        series += 2.0 / (2 * j + 3)
+    return v * (u - w * series)
 
 
 def _log_poisson_pmfs(n: int, z: float) -> np.ndarray:
-    """``gamma.log_poisson_pmf(k, z)`` for k = 0, ..., n-1 in one pass, for z > 0."""
+    """``gamma.log_poisson_pmf(k, z)`` for k = 0, ..., n-1 in one pass, for z > 0, to 2e-15 mixed error.
+
+    The scalar route's formulas, with phi(lam) = lam - 1 - log(lam) from ``_phi_near_one`` on |lam - 1| < 1/2.
+    """
     k = np.arange(n, dtype=float)
     out = np.empty(n)
     small = min(n, int(_STIRLING_MIN_X))
@@ -234,17 +254,12 @@ def _log_poisson_pmfs(n: int, z: float) -> np.ndarray:
         k = k[small:]
         lam = z / k
         u = lam - 1.0
-        near = np.abs(u) < 0.5
-        phi = np.empty_like(lam)
-        # phi(lam) = lam - 1 - log(lam) = sum_{j>=2} (-u)^j / j by Horner near lam = 1
-        un = u[near]
-        series = np.full_like(un, 1.0 / _PHI_DEGREE)
-        for j in range(_PHI_DEGREE - 1, 1, -1):
-            series *= -un
-            series += 1.0 / j
-        phi[near] = series * un * un
-        far = ~near
-        phi[far] = lam[far] - 1.0 - np.log(lam[far])
+        # u decreases in k, so the band |u| < 1/2 is the slice [lo, hi)
+        lo, hi = np.count_nonzero(u >= 0.5), u.size - np.count_nonzero(u <= -0.5)
+        phi = np.empty_like(k)
+        for far in (slice(lo), slice(hi, None)):
+            np.subtract(u[far], np.log(lam[far]), out=phi[far])
+        phi[lo:hi] = _phi_near_one(u[lo:hi])
         inv2 = 1.0 / (k * k)
         tail = np.full_like(k, _STIRLING_COEFFS[-1])
         for coeff in _STIRLING_COEFFS[-2::-1]:
@@ -255,8 +270,14 @@ def _log_poisson_pmfs(n: int, z: float) -> np.ndarray:
 
 
 def _log1mexp(x: np.ndarray) -> np.ndarray:
-    """log(1 - e^x) elementwise for x < 0, as ``gamma.log1mexp``."""
-    return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    """log(1 - e^x) elementwise for x < 0, as ``gamma.log1mexp``, each branch on its own entries."""
+    out = np.empty_like(x)
+    near = x > -math.log(2.0)
+    for branch, inner, outer in ((near, np.expm1, np.log), (~near, np.exp, np.log1p)):
+        inner(x, out=out, where=branch)
+        np.negative(out, out=out, where=branch)
+        outer(out, out=out, where=branch)
+    return out
 
 
 def _tail_length(n: int, z: float) -> int:
@@ -287,15 +308,20 @@ def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
 
     Q(k+1, z) = P(X <= k) and P(k+1, z) = P(X > k) for X ~ Poisson(z).  The
     upper sum stops T = ``_tail_length(n, z)`` terms after n, which leaves
-    out at most 2^-64 pmf(n), so less than 2^-64 of every upper tail.
+    out at most 2^-64 pmf(n), so less than 2^-64 of every upper tail.  The
+    Poisson(z) median is in [z - log 2, z + 1/3] (Choi 1994), so the lower
+    tail is the smaller one below floor(z) - 2 and the larger past floor(z) + 2:
+    each running sum stops there, and the two are compared in between.
     """
     log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
-    lower = np.logaddexp.accumulate(log_pmf[:n])
-    upper = np.logaddexp.accumulate(log_pmf[:0:-1])[::-1][:n]
-    lower_is_small = lower < upper
-    small = np.where(lower_is_small, lower, upper)
+    lo, hi = max(0, math.floor(z) - 2), min(n, math.floor(z) + 3)
+    lower = np.logaddexp.accumulate(log_pmf[:hi])
+    # upper[i] = log P(X > lo + i)
+    upper = np.logaddexp.accumulate(log_pmf[:lo:-1])[::-1][: n - lo]
+    split = lo + int(np.count_nonzero(lower[lo:] < upper[: hi - lo]))
+    small = np.concatenate((lower[:split], upper[split - lo :]))
     large = _log1mexp(small)
-    return np.where(lower_is_small, small, large), np.where(lower_is_small, large, small)
+    return np.concatenate((small[:split], large[split:])), np.concatenate((large[:split], small[split:]))
 
 
 @lru_cache(maxsize=64)

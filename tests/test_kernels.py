@@ -21,7 +21,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import xlogy
 
-from ginibre_overcrowding import cli, kernels
+from ginibre_overcrowding import cli, kernels, sampler
 
 from ginibre_overcrowding.kernels import (
     CorrelationResult,
@@ -692,10 +692,36 @@ def test_feature_rows_match_xlogy_bit_for_bit(kind):
         warnings.simplefilter("error")
         rows, shift = feature_rows(params, ks, log_h, t, theta)
     want_rows, want_shift = xlogy_feature_rows(params, ks, log_h, t, theta)
-    assert rows.tobytes() == want_rows.tobytes()
+    # equal values: the oracle's complex product can give the opposite sign to an underflowed zero
+    assert np.array_equal(rows, want_rows)
     assert shift.tobytes() == want_shift.tobytes()
     # at z = 0 only k = 0 survives
     assert np.count_nonzero(rows[0]) == (kind != "outer_J")
+
+
+@pytest.mark.parametrize("basis", ["outer_J", "inner_J_complement"])
+def test_pool_rows_match_the_complex_product(basis, monkeypatch):
+    # a sampler pool as ``_draw_pool`` draws it, against the same pool with the oracle's complex product
+    params = EnsembleParams(N=150, c=0.7, R=0.8)
+    ks, log_h = kernels.basis(params, top_block(params), basis)
+    radial_block = sampler._outer_t_block if basis == "outer_J" else sampler._inner_t_block
+    pool = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3))
+    monkeypatch.setattr(sampler, "feature_rows", xlogy_feature_rows)
+    want = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3))
+    for got, ref in zip(pool[:3], want[:3]):
+        assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(pool[3], want[3])
+
+
+def test_grid_with_underflowed_rows_matches_the_complex_product(monkeypatch):
+    # points from 0 to |z| = 3 at N = 1000: a fifth of the row entries underflow to 0
+    spec = KernelSpec("ginibre_N", EnsembleParams(N=1000, c=0.7, R=0.8))
+    pts = np.linspace(0.0, 3.0, 41) * np.exp(1j * np.linspace(-3.0, 3.0, 41))
+    rows, _, _ = kernels._projection_rows(spec, pts)
+    assert np.count_nonzero(rows == 0.0) > rows.size // 6
+    values = evaluate_grid(spec, pts, pts[::-1])
+    monkeypatch.setattr(kernels, "feature_rows", xlogy_feature_rows)
+    assert values.tobytes() == evaluate_grid(spec, pts, pts[::-1]).tobytes()
 
 
 def test_feature_row_cap_refuses_before_any_row(monkeypatch):

@@ -14,6 +14,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from scipy.special import gammaincc
 from scipy.stats import chisquare
 
 from ginibre_overcrowding import mixture
-from ginibre_overcrowding.gamma import log_gamma_lower, log_poisson_pmf, log_q_integer
+from ginibre_overcrowding.gamma import _STIRLING_COEFFS, _STIRLING_MIN_X, log_gamma_lower, log_poisson_pmf, log_q_integer
 from ginibre_overcrowding.mixture import (
     BernoulliWeights,
     ConstraintViolation,
@@ -46,8 +47,10 @@ from ginibre_overcrowding.mixture import (
     _log_count_prob,
     _log_poisson_pmfs,
     _log_poisson_tails,
+    _phi_near_one,
     _tail_length,
     _tilt,
+    log_factorials,
 )
 from ginibre_overcrowding.validation import enumerate_count_log_probs
 
@@ -263,6 +266,99 @@ def test_array_pmf_matches_scalar_reference(n, z):
     # every k < n: the direct formula below k = 20, Stirling's series past it, k near z and both far tails
     ref = [log_poisson_pmf(float(k), z) for k in range(n)]
     assert mixed_err(_log_poisson_pmfs(n, z), ref) <= 2e-15
+
+
+def horner_log_poisson_pmfs(n: int, z: float) -> np.ndarray:
+    """The pmf pass with phi(lam) = sum_{j>=2} (-u)^j / j by a degree-60 Horner in u = lam - 1 on
+    |u| < 1/2, as it stood before the atanh series: the oracle of ``_log_poisson_pmfs``."""
+    k = np.arange(n, dtype=float)
+    out = np.empty(n)
+    small = min(n, int(_STIRLING_MIN_X))
+    out[:small] = k[:small] * math.log(z) - z - log_factorials(small)
+    if n > small:
+        k = k[small:]
+        lam = z / k
+        u = lam - 1.0
+        near = np.abs(u) < 0.5
+        phi = np.empty_like(lam)
+        un = u[near]
+        series = np.full_like(un, 1.0 / 60)
+        for j in range(59, 1, -1):
+            series *= -un
+            series += 1.0 / j
+        phi[near] = series * un * un
+        far = ~near
+        phi[far] = lam[far] - 1.0 - np.log(lam[far])
+        inv2 = 1.0 / (k * k)
+        tail = np.full_like(k, _STIRLING_COEFFS[-1])
+        for coeff in _STIRLING_COEFFS[-2::-1]:
+            tail *= inv2
+            tail += coeff
+        out[small:] = -k * phi - 0.5 * np.log(2.0 * math.pi * k) - tail / k
+    return out
+
+
+def running_sums(log_pmf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log P(X <= k) and log P(X > k) for k < n, each summed over the whole table."""
+    lower = np.logaddexp.accumulate(log_pmf[:n])
+    return lower, np.logaddexp.accumulate(log_pmf[:0:-1])[::-1][:n]
+
+
+def where_log_poisson_tails(log_pmf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tails as first written, both log1mexp branches taken at every k and the pair picked by
+    ``np.where``: the oracle of the split in ``_log_poisson_tails``."""
+    lower, upper = running_sums(log_pmf, n)
+    lower_is_small = lower < upper
+    small = np.where(lower_is_small, lower, upper)
+    large = np.where(small > -math.log(2.0), np.log(-np.expm1(small)), np.log1p(-np.exp(small)))
+    return np.where(lower_is_small, small, large), np.where(lower_is_small, large, small)
+
+
+@pytest.mark.parametrize(
+    "n, z",
+    [(60, 25.0), (400, 399.0), (3000, 1000.0), (5000, 4990.0), (200_000, 1.5e5), (1_000_000, 3.6e5),
+     (2_000_000, 2e6 * (1.0 - 1e-6))],
+)
+def test_atanh_pmf_matches_the_horner_pass(n, z):
+    assert mixed_err(_log_poisson_pmfs(n, z), horner_log_poisson_pmfs(n, z)) <= 2e-15
+
+
+def test_phi_series_against_mpmath():
+    gen = np.random.default_rng(11)
+    spread = np.exp(gen.uniform(math.log(1e-9), math.log(0.5), 2000)) * np.where(gen.random(2000) < 0.5, -1.0, 1.0)
+    edges = [np.nextafter(-0.5, 0.0), np.nextafter(0.5, 0.0), -1e-9, 1e-9]
+    u = np.concatenate([gen.uniform(-0.5, 0.5, 2000), spread, edges])
+    assert np.all(np.abs(u) < 0.5)
+    got = _phi_near_one(u)
+    with mpmath.workdps(40):
+        ref = np.array([float(x - mpmath.log1p(x)) for x in map(mpmath.mpf, u.tolist())])
+    assert float(np.max(np.abs(got - ref) / ref)) <= 5e-16
+
+
+@pytest.mark.parametrize(
+    "n, z",
+    [(1, 1e-4), (1, 0.36), (1, 1.9), (2, 1.5), (7, 6.5), (7, float(np.nextafter(8.0, 0.0))), (30, 1e-18), (40, 19.6),
+     (40, 19.9), (1000, 360.0), (1000, 360.9), (1000, 999.0), (4000, 3920.0), (100_000, 36_000.0)],
+)
+def test_split_tails_match_the_where_tails(n, z):
+    log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
+    for got, want in zip(_log_poisson_tails(n, z), where_log_poisson_tails(log_pmf, n)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_split_tails_match_the_where_tails_at_a_median_tie():
+    # P(X <= 30) = 1/2 at z = 30.6673...: some z within 300 ulps of it gives two equal running sums at k = 30
+    n, k, root = 40, 30, 30.667311387657918
+    for i in range(-300, 301):
+        z = root + i * math.ulp(root)
+        log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
+        lower, upper = running_sums(log_pmf, n)
+        if lower[k] == upper[k]:
+            break
+    else:
+        pytest.fail("no tie at the median")
+    for got, want in zip(_log_poisson_tails(n, z), where_log_poisson_tails(log_pmf, n)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rescaled_hole_factor_reads_the_capped_table(monkeypatch):
