@@ -128,7 +128,8 @@ def _write_table(handle, fmt: str, head: dict, columns: tuple, blocks) -> None:
 
     ``blocks`` yields the CSV text of consecutive rows: floats as shortest round-trip decimals, lines
     ending in CRLF, as ``csv.writer`` writes them.  A JSON row is the same row as a list, one a line,
-    with non-finite floats as ``json`` spells them.  Only one block's text is held at a time.
+    with non-finite floats as ``json`` spells them.  Only one block's text is held at a time, besides
+    what ``blocks`` holds itself (a ``--kind`` table's queued entries, see ``_grid_blocks``).
     """
     if fmt == "csv":
         handle.write(",".join(columns) + "\r\n")
@@ -257,19 +258,41 @@ _COMPARE_COLUMNS = ("z_re", "z_im", "a_re", "a_im", "b_re", "b_im", "diff_abs")
 _COMPARE_BLOCK = 1024  # points per block of --compare rows: a few hundred kB of text
 
 
+def _point_texts(points: np.ndarray, memo: dict) -> list:
+    """``re,im,`` of each point; ``memo`` keeps each distinct coordinate's text by its bits, so a product
+    grid of n x m points costs n + m ``repr`` calls."""
+    re, im = (
+        [memo[b] if b in memo else memo.setdefault(b, repr(x)) for b, x in zip(axis.view(np.int64).tolist(), axis.tolist())]
+        for axis in (points.real, points.imag)
+    )
+    return [f"{a},{b}," for a, b in zip(re, im)]
+
+
 def _grid_blocks(points: np.ndarray, values: np.ndarray):
-    """Rows of K(z_i, z_j), z outer and w inner, one z point a block; each point's text is formatted once."""
-    texts = [f"{re!r},{im!r}," for re, im in zip(points.real.tolist(), points.imag.tolist())]
-    for z, vs in zip(texts, values):
-        yield "".join(f"{z}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(texts, vs.tolist()))
+    """Rows of K(z_i, z_j), z outer and w inner, one z point a block, read from the upper triangle of ``values``:
+    row i formats K(z_i, z_j), j > i, once and queues ``re,-im`` (the text of 0.0 - im) for row j, so the table is
+    exactly Hermitian, its diagonal ``repr(Re K_ii),0.0``; up to P^2/4 queued entries are held besides one block."""
+    texts = _point_texts(points, {})
+    queued = [bytearray() for _ in texts]
+    for i, (z, diagonal) in enumerate(zip(texts, values.diagonal().real.tolist())):
+        res, ims = (list(map(repr, part.tolist())) for part in (values[i, i + 1 :].real, values[i, i + 1 :].imag))
+        for later, re, im in zip(queued[i + 1 :], res, ims):
+            # the sign dropped or added, but 0.0 - (+-0.0) is 0.0 and 0.0 - nan is nan
+            later += f"{re},{im[1:] if im[0] == '-' else im if im in ('0.0', 'nan') else '-' + im}\n".encode()
+        lower, queued[i] = [*queued[i].decode().splitlines(), f"{diagonal!r},0.0"], None
+        lines = [f"{z}{w}{v}\r\n" for w, v in zip(texts, lower)]
+        lines += [f"{z}{w}{re},{im}\r\n" for w, re, im in zip(texts[i + 1 :], res, ims)]
+        yield "".join(lines)
 
 
 def _compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray):
     """Rows of z, A(z, z), B(z, z) and |A - B|, ``_COMPARE_BLOCK`` points a block."""
-    columns = (points.real, points.imag, a.real, a.imag, b.real, b.imag, diff)
+    memo = {}
+    columns = (a.real, a.imag, b.real, b.imag, diff)
     for start in range(0, points.size, _COMPARE_BLOCK):
-        block = zip(*(column[start : start + _COMPARE_BLOCK].tolist() for column in columns))
-        yield "".join(",".join(map(repr, row)) + "\r\n" for row in block)
+        block = slice(start, start + _COMPARE_BLOCK)
+        rows = zip(_point_texts(points[block], memo), zip(*(column[block].tolist() for column in columns)))
+        yield "".join(f"{z}{','.join(map(repr, row))}\r\n" for z, row in rows)
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:

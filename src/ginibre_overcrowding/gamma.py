@@ -83,9 +83,8 @@ def _stirling_tail(x: float) -> float:
     return total
 
 
-def _phi(lam: float) -> float:
-    """lambda - 1 - log(lambda) >= 0 without cancellation near lambda = 1."""
-    u = lam - 1.0
+def _phi(lam: float, u: float) -> float:
+    """lambda - 1 - log(lambda) >= 0 without cancellation near lambda = 1, given u = lambda - 1."""
     if abs(u) < 0.5:
         # sum_{m>=2} (-u)^m (-1)^m ... i.e. u^2/2 - u^3/3 + u^4/4 - ...
         total = 0.0
@@ -128,7 +127,9 @@ def log_poisson_pmf(k: float, z: float) -> float:
         # z/k underflowed; k log z dominates by hundreds of logs here, so the
         # direct formula has no cancellation to worry about
         return k * math.log(z) - z - math.lgamma(k + 1.0)
-    return -k * _phi(lam) - 0.5 * math.log(2.0 * math.pi * k) - _stirling_tail(k)
+    # near lam = 1, z - k is exact (Sterbenz), so u rounds once; z/k - 1 would round z/k first
+    u = (z - k) / k if 0.5 < lam < 1.5 else lam - 1.0
+    return -k * _phi(lam, u) - 0.5 * math.log(2.0 * math.pi * k) - _stirling_tail(k)
 
 
 def log1mexp(x: float) -> float:
@@ -292,7 +293,7 @@ def log_gamma_lower_asymptotic(a: float, lam: float) -> float:
         raise GammaDomainError(f"log_gamma_lower_asymptotic needs finite a > 0, got {a}")
     if not (0.0 < lam < 1.0):
         raise GammaDomainError(f"log_gamma_lower_asymptotic needs 0 < lam < 1, got {lam}")
-    return -a * _phi(lam) - 0.5 * math.log(2.0 * math.pi * a) - math.log(1.0 - lam)
+    return -a * _phi(lam, lam - 1.0) - 0.5 * math.log(2.0 * math.pi * a) - math.log(1.0 - lam)
 
 
 def log_q_asymptotic(a: float, lam: float) -> float:
@@ -311,7 +312,7 @@ def log_q_asymptotic(a: float, lam: float) -> float:
     if lam == 1.0:
         raise GammaDomainError("log_q_asymptotic is singular at lam = 1")
     if lam > 1.0:
-        return -a * _phi(lam) - 0.5 * math.log(2.0 * math.pi * a) - math.log(lam - 1.0)
+        return -a * _phi(lam, lam - 1.0) - 0.5 * math.log(2.0 * math.pi * a) - math.log(lam - 1.0)
     log_p = log_gamma_lower_asymptotic(a, lam)
     if log_p >= 0.0:
         log_p = -5e-324

@@ -244,7 +244,8 @@ def _phi_near_one(u: np.ndarray) -> np.ndarray:
 def _log_poisson_pmfs(n: int, z: float) -> np.ndarray:
     """``gamma.log_poisson_pmf(k, z)`` for k = 0, ..., n-1 in one pass, for z > 0, to 2e-15 mixed error.
 
-    The scalar route's formulas, with phi(lam) = lam - 1 - log(lam) from ``_phi_near_one`` on |lam - 1| < 1/2.
+    The scalar route's formulas, with phi(lam) = lam - 1 - log(lam) from ``_phi_near_one`` on |lam - 1| < 1/2,
+    where u = (z - k)/k rounds once: z - k is exact there (Sterbenz), while z/k - 1 would round z/k first.
     """
     k = np.arange(n, dtype=float)
     out = np.empty(n)
@@ -259,7 +260,7 @@ def _log_poisson_pmfs(n: int, z: float) -> np.ndarray:
         phi = np.empty_like(k)
         for far in (slice(lo), slice(hi, None)):
             np.subtract(u[far], np.log(lam[far]), out=phi[far])
-        phi[lo:hi] = _phi_near_one(u[lo:hi])
+        phi[lo:hi] = _phi_near_one((z - k[lo:hi]) / k[lo:hi])
         inv2 = 1.0 / (k * k)
         tail = np.full_like(k, _STIRLING_COEFFS[-1])
         for coeff in _STIRLING_COEFFS[-2::-1]:

@@ -496,9 +496,9 @@ def test_grid_hermitian_defect_and_serialization():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "z_re,z_im,w_re,w_im,K_re,K_im"
     assert len(lines) == 1 + len(pts) * len(pts)
-    # the JSON rows give back every value bit for bit
+    # the JSON rows give back the upper triangle bit for bit, mirrored below a real diagonal
     rows = _json_doc(pts, grid)["rows"]
-    assert np.array_equal(np.array([complex(*row[4:]) for row in rows]).reshape(grid.shape), grid)
+    assert np.array_equal(np.array([complex(*row[4:]) for row in rows]).reshape(grid.shape), _mirrored(grid))
 
     # a grid through 0 and across |z| = R: every entry is the 1x1 evaluation,
     # and entries off the support are exactly 0
@@ -559,6 +559,17 @@ def _json_doc(points: np.ndarray, values: np.ndarray) -> dict:
     return json.loads(buf.getvalue())
 
 
+def _mirrored(values: np.ndarray) -> np.ndarray:
+    """The matrix a ``kernel --kind`` table holds: the upper triangle of ``values``, its conjugate below
+    with imaginary parts 0.0 - im (so +0.0 for either zero), and the real parts on the diagonal."""
+    upper = np.triu(np.ones(values.shape, dtype=bool), 1)
+    out = np.empty_like(values)
+    out.real = np.where(upper, values.real, values.real.T)
+    out.imag = np.where(upper, values.imag, 0.0 - values.imag.T)
+    np.fill_diagonal(out.imag, 0.0)
+    return out
+
+
 def _csv_writer_oracle(points: np.ndarray, values: np.ndarray) -> str:
     """The table written by ``csv.writer`` over the numpy scalars of ``points`` and ``values``."""
     buf = io.StringIO()
@@ -602,20 +613,98 @@ def test_grid_serialization_matches_oracles_on_every_kind():
         if spec.kind in ("outer_J", "inner_J_complement", "edge_rescaled_J"):
             assert np.any(values == 0) and np.any(values != 0)
         text = _csv_text(pts, values)
-        assert _lines(text) == _lines(_csv_writer_oracle(pts, values))
+        assert _lines(text) == _lines(_csv_writer_oracle(pts, _mirrored(values)))
         _assert_json_rows_are_csv_rows(pts, values, text)
 
 
 def test_grid_serialization_matches_oracles_on_edge_floats():
-    # signed zero, the smallest subnormal, the repr exponent switches,
+    # both signed zeros, the smallest subnormal, the repr exponent switches,
     # infinities and nan, in points and values
-    special = [-0.0, 5e-324, 1e16, 1e-5, 1e22, math.inf, -math.inf, math.nan, 0.1, -2.5e-300]
+    special = [-0.0, 5e-324, 1e16, 1e-5, 1e22, math.inf, -math.inf, math.nan, 0.1, -2.5e-300, 0.0]
     points = np.array([complex(a, b) for a, b in zip(special, special[::-1])])
     values = np.array([[complex(a, b) for b in special] for a in special])
     text = _csv_text(points, values)
-    assert _lines(text) == _lines(_csv_writer_oracle(points, values))
+    assert _lines(text) == _lines(_csv_writer_oracle(points, _mirrored(values)))
     assert text.count("\r\n") == 1 + len(points) ** 2
     _assert_json_rows_are_csv_rows(points, values, text)
+
+
+def _table_values(text: str, fmt: str) -> np.ndarray:
+    """The K column of a written ``kernel --kind`` table as a square complex matrix."""
+    if fmt == "csv":
+        _, *rows = csv.reader(io.StringIO(text))
+        rows = [[float(cell) for cell in row] for row in rows]
+    else:
+        rows = json.loads(text)["rows"]
+    values = np.array([complex(*row[4:]) for row in rows])
+    return values.reshape(math.isqrt(values.size), -1)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_written_grid_is_exactly_hermitian_on_every_kind(fmt):
+    # a grid across |z| = R, so the finite-N kinds write zeros off their support
+    p = EnsembleParams(N=25, c=0.8, R=0.7)
+    J = top_block(p)
+    pts = cli._parse_grid("-0.9:1.1:5,-0.6:0.6:4", squared=True)
+    for spec in (
+        KernelSpec(kind="ginibre_N", params=p),
+        KernelSpec(kind="outer_J", params=p, index_set=J),
+        KernelSpec(kind="inner_J_complement", params=p, index_set=J),
+        KernelSpec(kind="edge_rescaled_J", params=p, index_set=J),
+        KernelSpec(kind="limit_hard_wall"),
+    ):
+        values = evaluate_grid(spec, pts, pts)
+        buf = io.StringIO()
+        cli._write_table(buf, fmt, {"kind": spec.kind}, cli._GRID_COLUMNS, cli._grid_blocks(pts, values))
+        written = _table_values(buf.getvalue(), fmt)
+        # the upper triangle as evaluated, K_ji = conj(K_ij) bit for bit below it (a zero
+        # imaginary part as +0.0), and a diagonal whose imaginary part is exactly +0.0
+        i, j = np.triu_indices(len(pts), 1)
+        assert np.array_equal(_bits(written[i, j]), _bits(values[i, j]))
+        assert np.array_equal(_bits(written.real[j, i]), _bits(written.real[i, j]))
+        assert np.array_equal(_bits(written.imag[j, i]), _bits(0.0 - written.imag[i, j]))
+        assert np.all(_bits(written.imag[j, i][written.imag[j, i] == 0]) == 0)
+        assert np.array_equal(_bits(np.diag(written).real), _bits(np.diag(values).real))
+        assert np.all(_bits(np.diag(written).imag) == 0)
+        if spec.kind in ("outer_J", "inner_J_complement", "edge_rescaled_J"):
+            assert np.any(values[i, j] == 0) and np.any(values[i, j] != 0)
+
+
+def _per_point_grid_blocks(points: np.ndarray, values: np.ndarray):
+    """``kernel --kind`` rows with every coordinate formatted at each of its points: the coordinate oracle."""
+    texts = [f"{re!r},{im!r}," for re, im in zip(points.real.tolist(), points.imag.tolist())]
+    for z, vs in zip(texts, values):
+        yield "".join(f"{z}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(texts, vs.tolist()))
+
+
+def _per_point_compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray):
+    """``kernel --compare`` rows with every float formatted where it stands, one block."""
+    columns = (points.real, points.imag, a.real, a.imag, b.real, b.imag, diff)
+    yield "".join(",".join(map(repr, row)) + "\r\n" for row in zip(*(column.tolist() for column in columns)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coordinates_formatted_once_per_axis_value_keep_the_bytes(fmt):
+    # a product grid (n + m distinct coordinates), and points with both signed zeros and nan in one column
+    special = [-0.0, 0.0, math.nan, 1e-5, -0.0, 0.1, math.inf, 0.0]
+    odd = np.array([complex(a, b) for a, b in zip(special, special[::-1])])
+    gen = np.random.default_rng(5)
+    for points in (cli._parse_grid("-1:1:7,-0.5:0.5:5", squared=True), odd):
+        values = gen.normal(size=(points.size, points.size)) + 1j * gen.normal(size=(points.size, points.size))
+        a, b = np.diag(values).copy(), values[0]
+        diff = np.hypot(a.real - b.real, a.imag - b.imag)
+        for columns, blocks, oracle in (
+            (cli._GRID_COLUMNS, cli._grid_blocks(points, values), _per_point_grid_blocks(points, _mirrored(values))),
+            (cli._COMPARE_COLUMNS, cli._compare_blocks(points, a, b, diff), _per_point_compare_blocks(points, a, b, diff)),
+        ):
+            got, want = io.StringIO(), io.StringIO()
+            cli._write_table(got, fmt, {}, columns, blocks)
+            cli._write_table(want, fmt, {}, columns, oracle)
+            assert _lines(got.getvalue()) == _lines(want.getvalue())
 
 
 def test_grid_json_limit_kernel_without_params(capsys):

@@ -270,7 +270,8 @@ def test_array_pmf_matches_scalar_reference(n, z):
 
 def horner_log_poisson_pmfs(n: int, z: float) -> np.ndarray:
     """The pmf pass with phi(lam) = sum_{j>=2} (-u)^j / j by a degree-60 Horner in u = lam - 1 on
-    |u| < 1/2, as it stood before the atanh series: the oracle of ``_log_poisson_pmfs``."""
+    |u| < 1/2, as it stood before the atanh series: the oracle of ``_log_poisson_pmfs``.  On that band
+    u is taken as (z - k)/k, as the pass takes it, so the two differ only in the series."""
     k = np.arange(n, dtype=float)
     out = np.empty(n)
     small = min(n, int(_STIRLING_MIN_X))
@@ -281,7 +282,7 @@ def horner_log_poisson_pmfs(n: int, z: float) -> np.ndarray:
         u = lam - 1.0
         near = np.abs(u) < 0.5
         phi = np.empty_like(lam)
-        un = u[near]
+        un = (z - k[near]) / k[near]
         series = np.full_like(un, 1.0 / 60)
         for j in range(59, 1, -1):
             series *= -un
@@ -335,6 +336,17 @@ def test_phi_series_against_mpmath():
     assert float(np.max(np.abs(got - ref) / ref)) <= 5e-16
 
 
+@pytest.mark.parametrize("z", [3000.5, 1e6])
+def test_pmf_near_the_mode_against_mpmath(z):
+    # 301 k within 5,000 of z, by both routes: u = (z - k)/k rounds once, so k phi carries no
+    # (z - k) 2^-53 error from rounding z/k first (2.8e-14 at z = 10^6 that way)
+    ks = np.unique(np.linspace(max(0.0, z - 5000), z + 5000, 301).round().astype(int)).tolist()
+    with mpmath.workdps(40):
+        ref = [float(k * mpmath.log(z) - z - mpmath.loggamma(k + 1)) for k in ks]
+    assert mixed_err(_log_poisson_pmfs(ks[-1] + 1, z)[ks], ref) <= 1e-15
+    assert mixed_err([log_poisson_pmf(float(k), z) for k in ks], ref) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "n, z",
     [(1, 1e-4), (1, 0.36), (1, 1.9), (2, 1.5), (7, 6.5), (7, float(np.nextafter(8.0, 0.0))), (30, 1e-18), (40, 19.6),
@@ -347,8 +359,8 @@ def test_split_tails_match_the_where_tails(n, z):
 
 
 def test_split_tails_match_the_where_tails_at_a_median_tie():
-    # P(X <= 30) = 1/2 at z = 30.6673...: some z within 300 ulps of it gives two equal running sums at k = 30
-    n, k, root = 40, 30, 30.667311387657918
+    # P(X <= 51) = 1/2 at z = 51.6670...: some z within 300 ulps of it gives two equal running sums at k = 51
+    n, k, root = 61, 51, 51.66704920513837
     for i in range(-300, 301):
         z = root + i * math.ulp(root)
         log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
