@@ -45,8 +45,20 @@ smallest power of two whose aliasing bound is below 2^-60 of that floor;
 L is a few dozen.  A factor with p_k > 1/2 is written
 e^(i w) (1 + q_k (e^(-i w) - 1)) with q_k = 1 - p_k from the log odds, and
 factors with min(p_k, 1 - p_k) < 2^-40 enter at first order, their error
-added to the certificate.  The same tilt draws J given #J = m exactly by
-rejection.
+added to the certificate.  Both stages work on a live window only.  The
+tilted log odds s_k = log a_k - log(1 - a_k) + theta never decrease in k, so
+the factors with |s_k| <= 40 form one slice, found by ``searchsorted``.
+Newton steps in theta run over that slice, taken 12 wider so that theta may
+move as far before it is taken again: 68 to 1,019 entries, 41 to 725 of them
+live, over 600 triples at N = 200 to 4000, and 570 entries, 304 live, at
+N = 10^6 and 4·10^6 (c = 0.7, R = 0.6).  Every factor outside it has
+min(p, 1 - p) below e^-40 and enters at first order, as e^(s_k) below the
+slice and e^(-s_k) above it: once in the mean, the variance and K, and in
+the DFT with the folded factors, its squared first-order term counted twice
+in the certificate (once for the fold, once for writing min(p, 1 - p) as
+e^(-|s|)).  So no stage holds more than the one array of N log odds.  The
+same tilt draws J given #J = m exactly by rejection, its p_k over all N
+formed only there.
 """
 
 from __future__ import annotations
@@ -217,6 +229,14 @@ _MAX_TAIL_ENTRIES = 10 << 20
 _ALIASED = 2.0**-60
 # factors with min(p, 1 - p) below this enter that DFT at first order
 _FOLD = 2.0**-40
+# |log odds| at which min(p, 1 - p) = 1 / (1 + e^|s|) falls to ``_FOLD``
+_FOLD_LOG_ODDS = math.log(1.0 / _FOLD - 1.0)
+# factors with |tilted log odds| above this enter the tilt and that DFT at first order
+_LIVE = 40.0
+# the tilt's window reaches this far past ``_LIVE``, so theta may move as far before it is taken again
+_SLACK = 12.0
+# e^-x is below 2^-1075, so rounds to 0, past this x
+_UNDERFLOW = 1075.0 * math.log(2.0)
 # factors per block of the DFT product
 _CHUNK = 1024
 # uniforms per block of rejective index-set draws, unless one row is larger
@@ -345,42 +365,71 @@ class CountTilt:
     """The Bernoulli field tilted to mean m: p_k = a_k e^theta / (1 - a_k + a_k e^theta).
 
     The tilt multiplies the law of J by exp(theta (#J - m) - K), with
-    K = log E exp(theta (#J - m)); ``var`` is the tilted variance of #J.
+    K = log E exp(theta (#J - m)); ``var`` is the tilted variance of #J and
+    ``excess`` its tilted mean less m.  Only the window k in [lo, lo + len(s))
+    is held, as the tilted log odds s_k = log a_k - log(1 - a_k) + theta: it
+    holds every factor with |s_k| <= ``_LIVE``.  The factors below it have
+    min(p_k, 1 - p_k) = e^(s_k) and those above it e^(-s_k), to first order;
+    ``far`` holds the sums of those two and ``far_squares`` the sum of their
+    squares.  No p_k is held: ``_tilted_draws`` forms them over all N on demand,
+    for rejective draws only.
     """
 
     theta: float
-    p: np.ndarray
+    lo: int
+    s: np.ndarray
+    far: tuple[float, float]
+    far_squares: float
     var: float
+    excess: float
     log_k: float
 
 
-def _bennett(t: np.ndarray, var: np.ndarray) -> np.ndarray:
+def _bennett(t: float, var: float) -> float:
     """Bennett's exponent: P(X - E X >= t) and P(X - E X <= -t) are at most
     exp(-this) for X a sum of independent Bernoullis of total variance var > 0."""
-    t = np.abs(t)
-    return (var + t) * np.log1p(t / var) - t
+    t = abs(t)
+    return (var + t) * math.log1p(t / var) - t
+
+
+def _window(log_odds: np.ndarray, theta: float, reach: float) -> tuple[int, int]:
+    """[lo, hi): the k with -reach < log_odds[k] + theta <= reach, one slice as the log odds never decrease in k."""
+    lo, hi = log_odds.searchsorted((-theta - reach, reach - theta), side="right").tolist()
+    return lo, hi
 
 
 def _tilt(w: BernoulliWeights, m: int) -> "CountTilt | None":
     """The tilt of the field to mean m by safeguarded Newton in theta; None at m = 0 or N.
 
-    K is summed term by term, the top block's m terms shifted by -theta, so
-    each term is near 0 where the weights put the mass and nothing cancels.
+    Each Newton step works on the window of factors with |s_k| <= ``_LIVE`` + ``_SLACK``
+    at the theta it was taken for, and the window is taken again once theta moves more
+    than ``_SLACK`` from there; the factors outside it add at most N e^-40 to the mean,
+    and enter once theta has converged.  K is summed term by term, the top block's m
+    terms shifted by -theta, so each term is near 0 where the weights put the mass and
+    nothing cancels: a term outside the window is log(1 - a_k) + e^(s_k) below it and
+    log a_k + e^(-s_k) above it, each shifted by theta where the top block's edge falls
+    outside the window.
     """
     log_odds = w.log_a - w.log_one_minus_a
     N = len(log_odds)
     if m in (0, N):
         return None
     # every p_k is below e^-40 at the lower end and above 1 - e^-40 at the upper one
-    lower, upper = -float(log_odds.max()) - 40.0, -float(log_odds.min()) + 40.0
+    lower, upper = -float(log_odds[-1]) - 40.0, -float(log_odds[0]) + 40.0
     # start with the top block half in, half out
     theta = -0.5 * float(log_odds[N - m - 1] + log_odds[N - m])
+    centre = math.inf
     for _ in range(200):
-        s = log_odds + theta
-        log_norm = np.logaddexp(0.0, s)
-        p = np.exp(s - log_norm)
-        var = np.exp(s - 2.0 * log_norm)
-        excess = float(p.sum()) - m
+        if abs(theta - centre) > _SLACK:
+            centre = theta
+            lo, hi = _window(log_odds, centre, _LIVE + _SLACK)
+        s = log_odds[lo:hi] + theta
+        # |s| <= _LIVE + 2 _SLACK in the window, so e^s stays finite
+        odds = np.exp(s)
+        norm = 1.0 + odds
+        p = odds / norm
+        var = p / norm
+        excess = float(p.sum()) + (N - hi) - m
         if abs(excess) < 1e-9 or upper - lower < 1e-12 * max(1.0, abs(theta)):
             break
         if excess > 0.0:
@@ -390,13 +439,31 @@ def _tilt(w: BernoulliWeights, m: int) -> "CountTilt | None":
         theta -= excess / max(float(var.sum()), 1e-300)
         if not lower < theta < upper:
             theta = 0.5 * (lower + upper)
-    top = N - m
+    # past the fringe each far term is below 2^-1075, so 0 in double precision
+    fringe_lo, fringe_hi = _window(log_odds, theta, _UNDERFLOW)
+    below = np.exp(log_odds[fringe_lo:lo] + theta)
+    above = np.exp(-theta - log_odds[hi:fringe_hi])
+    far = (float(below.sum()), float(above.sum()))
+    top = min(max(N - m, lo), hi)
     log_k = float(
-        np.sum(np.logaddexp(w.log_one_minus_a[:top], w.log_a[:top] + theta))
-        + np.sum(np.logaddexp(w.log_one_minus_a[top:] - theta, w.log_a[top:]))
+        np.logaddexp(w.log_one_minus_a[lo:top], w.log_a[lo:top] + theta).sum()
+        + np.logaddexp(w.log_one_minus_a[top:hi] - theta, w.log_a[top:hi]).sum()
+        + w.log_one_minus_a[:lo].sum()
+        + w.log_a[hi:].sum()
+        + (far[0] + far[1])
+        + theta * (max(0, N - m - hi) - max(0, lo - (N - m)))
     )
-    p.flags.writeable = False
-    return CountTilt(theta=theta, p=p, var=float(var.sum()), log_k=log_k)
+    s.flags.writeable = False
+    return CountTilt(
+        theta=theta,
+        lo=lo,
+        s=s,
+        far=far,
+        far_squares=float(below @ below + above @ above),
+        var=float(var.sum()) + far[0] + far[1],
+        excess=excess + far[0] - far[1],
+        log_k=log_k,
+    )
 
 
 @lru_cache(maxsize=8)
@@ -404,11 +471,44 @@ def _count_tilt(params: EnsembleParams, m: int) -> "CountTilt | None":
     return _tilt(bernoulli_weights(params), m)
 
 
-def _char_product(r: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    """prod_k (1 + r_k e1), taken over ``_CHUNK`` factors at a time."""
+@lru_cache(maxsize=8)
+def _tilted_draws(params: EnsembleParams, m: int) -> tuple[np.ndarray, int]:
+    """The p_k of ``_count_tilt(params, m)`` over all N, read-only, and the rows per block of
+    rejective draws, enough to expect one hit at the floor of P_theta(#J = m); for 0 < m < N."""
+    w = bernoulli_weights(params)
+    tilt = _count_tilt(params, m)
+    s = w.log_a - w.log_one_minus_a + tilt.theta
+    p = np.exp(s - np.logaddexp(0.0, s))
+    p.flags.writeable = False
+    return p, max(1, min(math.ceil(math.sqrt(1.0 + 12.0 * tilt.var)), _DRAW_ENTRIES // params.N))
+
+
+@lru_cache(maxsize=16)
+def _frequencies(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, e^(i w_j) - 1, weights) at w_j = 2 pi j / L for j = 0, ..., L/2, read-only.
+
+    P_theta(#J = m) is real, so the frequencies past pi are the conjugates of
+    those below: the weights count j = 1, ..., L/2 - 1 twice.
+    """
+    j = np.arange(size // 2 + 1)
+    omega = 2.0 * math.pi * j / size
+    e1 = -2.0 * np.sin(0.5 * omega) ** 2 + 1j * np.sin(omega)
+    weights = np.full(j.size, 2.0)
+    weights[[0, -1]] = 1.0
+    for array in (j, e1, weights):
+        array.flags.writeable = False
+    return j, e1, weights
+
+
+def _char_product(r: np.ndarray, split: int, e1: np.ndarray) -> np.ndarray:
+    """prod_{k < split} (1 + r_k e1) prod_{k >= split} (1 + r_k e1^*), ``_CHUNK`` factors at a time."""
     out = np.ones_like(e1)
     for start in range(0, r.size, _CHUNK):
-        out *= np.prod(1.0 + r[start : start + _CHUNK, None] * e1, axis=0)
+        block = np.multiply.outer(r[start : start + _CHUNK], e1)
+        conjugated = block[max(0, split - start) :]
+        np.conjugate(conjugated, out=conjugated)
+        block += 1.0
+        out *= block.prod(axis=0)
     return out
 
 
@@ -421,46 +521,45 @@ def _log_count_prob(
     aliasing bound is below ``_ALIASED`` of the floor of P_theta(#J = m),
     unless ``size`` gives it.  The certificate bounds the relative error of
     P_theta(#J = m) left by aliasing and by the factors taken at first order.
+    Only the tilt's window is read, in four slices: the factors with p <= 1/2
+    below ``_FOLD`` and at or above it, then those with p > 1/2 at or above it
+    and below it (r = min(p, 1 - p) rises in s up to 0 and falls past it).
     """
     N = len(w.log_a)
     if tilt is None:
         return float(np.sum(w.log_a if m else w.log_one_minus_a)), 0.0, 1
-    excess = abs(float(tilt.p.sum()) - m)
+    excess = abs(tilt.excess)
     reach = max(m, N - m)
 
     def aliased(L: int) -> float:
         # P_theta(|#J - m| >= L), which is 0 once L is past every count
         if L > reach:
             return 0.0
-        return 2.0 * math.exp(-float(_bennett(L - excess, tilt.var + 1e-300)))
+        return 2.0 * math.exp(-_bennett(L - excess, tilt.var + 1e-300))
 
     if size is None:
         floor = 1.0 / math.sqrt(1.0 + 12.0 * tilt.var)
         size = 2
         while aliased(size) > _ALIASED * floor:
             size *= 2
-    s = w.log_a - w.log_one_minus_a + tilt.theta
-    # min(p, 1 - p) of the factors with p <= 1/2 and of those with p > 1/2
-    r = np.exp(-np.logaddexp(0.0, np.abs(s)))
-    low, high = r[s <= 0.0], r[s > 0.0]
-    tiny_low, tiny_high = low[low < _FOLD], high[high < _FOLD]
-    # P_theta(#J = m) is real, so the frequencies past pi are the conjugates of those below
-    j = np.arange(size // 2 + 1)
-    omega = 2.0 * math.pi * j / size
-    e1 = -2.0 * np.sin(0.5 * omega) ** 2 + 1j * np.sin(omega)  # e^(i omega) - 1
+    s = tilt.s
+    # r = min(p, 1 - p); |s| <= _LIVE + 2 _SLACK in the window, so e^|s| stays finite
+    r = 1.0 / (1.0 + np.exp(np.abs(s)))
+    low_live, high, high_tiny = s.searchsorted((-_FOLD_LOG_ODDS, 0.0, _FOLD_LOG_ODDS), side="right").tolist()
+    tiny_low, tiny_high = r[:low_live], r[high_tiny:]
+    j, e1, weights = _frequencies(size)
     # factors with p > 1/2 are e^(i omega) (1 + q e1)^*; the phase is taken mod L exactly
-    shift = (high.size - m) % size
+    shift = (N - tilt.lo - high - m) % size
     phi = np.exp(
         2j * math.pi * (j * shift % size) / size
-        + e1 * float(tiny_low.sum())
-        + e1.conj() * float(tiny_high.sum())
+        + e1 * (float(tiny_low.sum()) + tilt.far[0])
+        + e1.conj() * (float(tiny_high.sum()) + tilt.far[1])
     )
-    phi *= _char_product(low[low >= _FOLD], e1) * _char_product(high[high >= _FOLD], e1).conj()
-    weights = np.full(j.size, 2.0)
-    weights[[0, -1]] = 1.0
+    phi *= _char_product(r[low_live:high_tiny], high - low_live, e1)
     p_m = float(weights @ phi.real) / size
-    # |log(1 + x) - x| <= |x|^2 / (2 (1 - |x|)) with |x| <= 2 r
-    folded = float(tiny_low @ tiny_low + tiny_high @ tiny_high)
+    # |log(1 + x) - x| <= |x|^2 / (2 (1 - |x|)) with |x| <= 2 r; a far factor's first-order
+    # r = e^(-|s|) is off by at most r^2, so its r^2 is counted twice
+    folded = float(tiny_low @ tiny_low + tiny_high @ tiny_high) + 2.0 * tilt.far_squares
     fold = math.expm1(2.0 * folded / (1.0 - 2.0 * _FOLD))
     return tilt.log_k + math.log(p_m), (aliased(size) + fold) / p_m, size
 
@@ -541,12 +640,11 @@ def sample_conditioned_indexset(
         raise ConstraintViolation(f"conditioned size must be an integer in [0, {params.N}], got {m!r}")
     m = int(m)
     N = params.N
-    tilt = _count_tilt(params, m)
-    if tilt is None:
+    if m in (0, N):
         return IndexSet(members=tuple(range(m)), N=N)
-    rows = max(1, min(math.ceil(math.sqrt(1.0 + 12.0 * tilt.var)), _DRAW_ENTRIES // N))
+    p, rows = _tilted_draws(params, m)
     while True:
-        draws = rng.random((rows, N)) < tilt.p
+        draws = rng.random((rows, N)) < p
         sizes = draws.sum(axis=1).tolist()
         if m in sizes:
             return IndexSet(members=tuple(np.flatnonzero(draws[sizes.index(m)]).tolist()), N=N)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -43,6 +44,10 @@ from ginibre_overcrowding.mixture import (
     sample_conditioned_indexset,
 )
 from ginibre_overcrowding.mixture import (
+    _ALIASED,
+    _FOLD,
+    _CHUNK,
+    _bennett,
     _count_tilt,
     _log_count_prob,
     _log_poisson_pmfs,
@@ -89,6 +94,99 @@ def dft_count_log_probs(params: EnsembleParams) -> np.ndarray:
     """log P(#J = m) for m = 0, ..., N, each by its own tilted DFT."""
     w = bernoulli_weights(params)
     return np.array([_log_count_prob(w, m, _tilt(w, m))[0] for m in range(params.N + 1)])
+
+
+class FullTilt(NamedTuple):
+    theta: float
+    p: np.ndarray
+    var: float
+    log_k: float
+
+
+def full_tilt(w: BernoulliWeights, m: int) -> "FullTilt | None":
+    """The tilt with every step over all N factors: the oracle of the windowed ``_tilt``."""
+    log_odds = w.log_a - w.log_one_minus_a
+    N = len(log_odds)
+    if m in (0, N):
+        return None
+    lower, upper = -float(log_odds.max()) - 40.0, -float(log_odds.min()) + 40.0
+    theta = -0.5 * float(log_odds[N - m - 1] + log_odds[N - m])
+    for _ in range(200):
+        s = log_odds + theta
+        log_norm = np.logaddexp(0.0, s)
+        p = np.exp(s - log_norm)
+        var = np.exp(s - 2.0 * log_norm)
+        excess = float(p.sum()) - m
+        if abs(excess) < 1e-9 or upper - lower < 1e-12 * max(1.0, abs(theta)):
+            break
+        if excess > 0.0:
+            upper = theta
+        else:
+            lower = theta
+        theta -= excess / max(float(var.sum()), 1e-300)
+        if not lower < theta < upper:
+            theta = 0.5 * (lower + upper)
+    top = N - m
+    log_k = float(
+        np.sum(np.logaddexp(w.log_one_minus_a[:top], w.log_a[:top] + theta))
+        + np.sum(np.logaddexp(w.log_one_minus_a[top:] - theta, w.log_a[top:]))
+    )
+    return FullTilt(theta=theta, p=p, var=float(var.sum()), log_k=log_k)
+
+
+def full_char_product(r: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    out = np.ones_like(e1)
+    for start in range(0, r.size, _CHUNK):
+        out *= np.prod(1.0 + r[start : start + _CHUNK, None] * e1, axis=0)
+    return out
+
+
+def full_log_count_prob(w: BernoulliWeights, m: int, tilt: "FullTilt | None") -> tuple[float, float, int]:
+    """The tilted DFT with its masks over all N factors: the oracle of the windowed ``_log_count_prob``."""
+    N = len(w.log_a)
+    if tilt is None:
+        return float(np.sum(w.log_a if m else w.log_one_minus_a)), 0.0, 1
+    excess = abs(float(tilt.p.sum()) - m)
+    reach = max(m, N - m)
+
+    def aliased(L: int) -> float:
+        if L > reach:
+            return 0.0
+        return 2.0 * math.exp(-_bennett(L - excess, tilt.var + 1e-300))
+
+    floor = 1.0 / math.sqrt(1.0 + 12.0 * tilt.var)
+    size = 2
+    while aliased(size) > _ALIASED * floor:
+        size *= 2
+    s = w.log_a - w.log_one_minus_a + tilt.theta
+    r = np.exp(-np.logaddexp(0.0, np.abs(s)))
+    low, high = r[s <= 0.0], r[s > 0.0]
+    tiny_low, tiny_high = low[low < _FOLD], high[high < _FOLD]
+    j = np.arange(size // 2 + 1)
+    omega = 2.0 * math.pi * j / size
+    e1 = -2.0 * np.sin(0.5 * omega) ** 2 + 1j * np.sin(omega)
+    shift = (high.size - m) % size
+    phi = np.exp(
+        2j * math.pi * (j * shift % size) / size
+        + e1 * float(tiny_low.sum())
+        + e1.conj() * float(tiny_high.sum())
+    )
+    phi *= full_char_product(low[low >= _FOLD], e1) * full_char_product(high[high >= _FOLD], e1).conj()
+    weights = np.full(j.size, 2.0)
+    weights[[0, -1]] = 1.0
+    p_m = float(weights @ phi.real) / size
+    folded = float(tiny_low @ tiny_low + tiny_high @ tiny_high)
+    fold = math.expm1(2.0 * folded / (1.0 - 2.0 * _FOLD))
+    return tilt.log_k + math.log(p_m), (aliased(size) + fold) / p_m, size
+
+
+def assert_windowed_matches_full(w: BernoulliWeights, ms) -> None:
+    """The windowed tilt and DFT against the full-array ones: log P(#J = m) to 2e-15 mixed error, the same L."""
+    for m in ms:
+        got, certificate, L = _log_count_prob(w, m, _tilt(w, m))
+        want, _, full_L = full_log_count_prob(w, m, full_tilt(w, m))
+        assert mixed_err(got, want) <= 2e-15, (m, got, want)
+        assert L == full_L and 0.0 <= certificate <= 2.0**-60, (m, L, full_L, certificate)
 
 
 def mixed_err(value, ref) -> float:
@@ -358,17 +456,25 @@ def test_split_tails_match_the_where_tails(n, z):
         assert got.tobytes() == want.tobytes()
 
 
-def test_split_tails_match_the_where_tails_at_a_median_tie():
-    # P(X <= 51) = 1/2 at z = 51.6670...: some z within 300 ulps of it gives two equal running sums at k = 51
-    n, k, root = 61, 51, 51.66704920513837
-    for i in range(-300, 301):
-        z = root + i * math.ulp(root)
-        log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
-        lower, upper = running_sums(log_pmf, n)
-        if lower[k] == upper[k]:
-            break
-    else:
-        pytest.fail("no tie at the median")
+def test_split_tails_match_the_where_tails_at_a_median_tie(monkeypatch):
+    # A pmf table of even length 2h that reads the same backwards gives the two running sums the same
+    # terms in the same order up to k = h - 1, so they tie there bit for bit. The pass compares the
+    # sums only within 3 of z, so (n, z) is searched for a table length n + T + 1 that puts k there.
+    def palindrome(length: int, z: float) -> np.ndarray:
+        half = _log_poisson_pmfs(length // 2, z)
+        return np.concatenate((half, half[::-1]))
+
+    def tie(n: int, z: float) -> "int | None":
+        length = n + _tail_length(n, z) + 1
+        k = length // 2 - 1
+        return k if length % 2 == 0 and math.floor(z) - 2 <= k < min(n, math.floor(z) + 3) else None
+
+    n, z = next((n, z) for n in range(20, 400) for z in n - np.arange(0.5, 8.0, 0.5) if tie(n, z) is not None)
+    k = tie(n, z)
+    log_pmf = palindrome(n + _tail_length(n, z) + 1, z)
+    lower, upper = running_sums(log_pmf, n)
+    assert lower[k] == upper[k]
+    monkeypatch.setattr(mixture, "_log_poisson_pmfs", palindrome)
     for got, want in zip(_log_poisson_tails(n, z), where_log_poisson_tails(log_pmf, n)):
         assert got.tobytes() == want.tobytes()
 
@@ -400,6 +506,7 @@ def test_dp_on_synthetic_fair_coins():
         log_prob, certificate, _ = _log_count_prob(coins, m, _tilt(coins, m))
         assert math.exp(log_prob) == pytest.approx(prob / 8.0, rel=1e-14)
         assert certificate <= 2.0**-60
+    assert_windowed_matches_full(coins, range(4))
 
 
 @pytest.mark.parametrize(
@@ -416,7 +523,8 @@ def test_dp_on_synthetic_fair_coins():
     ],
 )
 def test_banded_probability_matches_dense_dp(N, c, R):
-    # the tilted DFT against the dense DP at every count m = 0, ..., N
+    # the tilted DFT against the dense DP at every count m = 0, ..., N, and the windowed
+    # tilt and DFT against their full-array oracles there
     p = EnsembleParams(N=N, c=c, R=R)
     w = bernoulli_weights(p)
     F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
@@ -424,6 +532,7 @@ def test_banded_probability_matches_dense_dp(N, c, R):
         log_prob, certificate, _ = _log_count_prob(w, m, _tilt(w, m))
         assert abs(log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
         assert 0.0 <= certificate <= 2.0**-60
+    assert_windowed_matches_full(w, range(N + 1))
     assert _log_count_prob(w, p.N_c, _count_tilt(p, p.N_c))[0] == overcrowding_probability_exact(p)
 
 
@@ -452,6 +561,37 @@ def test_exact_probability_at_scale_stays_small():
     assert _log_count_prob(bernoulli_weights(p), p.N_c, _count_tilt(p, p.N_c))[1] <= 2.0**-60
 
 
+def test_windowed_count_law_at_a_million():
+    # a few hundred live factors of 10^6; the full-array oracle takes about 0.1 s per count
+    p = EnsembleParams(N=1_000_000, c=0.7, R=0.6)
+    w = bernoulli_weights(p)
+    tilt = _tilt(w, p.N_c)
+    assert tilt.s.size < 2_000
+    # every factor outside the window is within e^-40 of 0 or 1, and its first-order sums are min(p, 1 - p)'s
+    s = w.log_a - w.log_one_minus_a + tilt.theta
+    r = np.exp(-np.logaddexp(0.0, np.abs(s)))
+    below, above = r[: tilt.lo], r[tilt.lo + tilt.s.size :]
+    assert np.all(s[: tilt.lo] < -40.0) and np.all(s[tilt.lo + tilt.s.size :] > 40.0)
+    assert 0.0 < tilt.far[0] == pytest.approx(below.sum(), rel=1e-12, abs=0.0)
+    assert 0.0 < tilt.far[1] == pytest.approx(above.sum(), rel=1e-12, abs=0.0)
+    assert tilt.far_squares == pytest.approx(below @ below + above @ above, rel=1e-12, abs=0.0)
+    assert_windowed_matches_full(w, [1, 1_000, 300_000, 359_000, p.N_c, 999_000, 999_999])
+
+
+def test_count_law_memory_at_a_million():
+    # the tilt holds one array of N log odds, the DFT only the window: the full-array path peaked at 53 MiB
+    p = EnsembleParams(N=1_000_000, c=0.7, R=0.6)
+    w = bernoulli_weights(p)
+    tracemalloc.start()
+    try:
+        log_prob, certificate, _ = _log_count_prob(w, p.N_c, _tilt(w, p.N_c))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(log_prob) and certificate <= 2.0**-60
+    assert peak < 24 * 2**20
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "N, c, R",
@@ -471,6 +611,7 @@ def test_edge_triples_raise_no_warnings(N, c, R):
     for m in {0, p.N_c, N}:
         log_prob, certificate, _ = _log_count_prob(w, m, _tilt(w, m))
         assert math.isfinite(log_prob) and certificate <= 2.0**-60
+    assert_windowed_matches_full(w, range(N + 1))
     assert math.isfinite(log_hole_factor_rescaled(p))
     sample_conditioned_indexset(p, p.N_c, np.random.default_rng(0))
 
