@@ -26,17 +26,19 @@ Two samplers cover two different jobs:
   Proposals come from a pool drawn ahead of the steps, all at once: the
   basis picks, the radii, the angles, the acceptance uniforms and the
   normalized feature rows, sized to the m H_(m-j) proposals the remaining
-  steps expect and refilled when used up.  Step j tests a window of
-  ceil(1.5 m/(m - j)) proposals of the pool from a cursor, half as many
-  again as it expects, in pool order, with one matrix product against the
-  span, and accepts the first hit; the proposals it rejected are dropped
-  and those behind the hit stay for later steps.  Every proposal is
-  tested at exactly one step against its own uniform, and proposals not
-  yet tested are independent of everything before them, so this is the
-  plain rejection scheme with the random numbers drawn in another order;
-  the window size never changes which proposal is accepted.  The span is
-  kept as one m x m array of conjugated rows, which every product reads
-  in place, so a step copies no rows.
+  steps expect and refilled when used up.  The pool keeps each proposal's
+  coefficients on the directions accepted so far and its acceptance ratio
+  1 - sum |c|^2: a refill computes them with one matrix product against
+  the span, and each accepted direction adds its column to the proposals
+  not yet tested with one matrix-vector product.  Step j accepts the first
+  proposal from a cursor, in pool order, whose uniform is below its ratio;
+  the proposals it rejected are dropped and those behind the hit stay for
+  later steps.  Every proposal is tested at exactly one step against its
+  own uniform, and proposals not yet tested are independent of everything
+  before them, so this is the plain rejection scheme with the random
+  numbers drawn in another order.  The span is kept as one m x m array of
+  conjugated rows, which every product reads in place, so a step copies
+  no rows.
 
 Both samplers draw r^2 through the same exact decompositions of the
 truncated Gamma law, ``_outer_t_block`` outside the disk and
@@ -90,10 +92,10 @@ _TWO_PI = 2.0 * math.pi
 
 # Proposal budget per point before the sequential sampler gives up.
 _MAX_PROPOSALS = 1_000_000
-# Entries (proposals x rank) of one proposal pool's feature-row matrix.
+# Entries (proposals x rank) of one proposal pool's feature-row matrix, and of its coefficients.
 _POOL_ENTRIES = 1 << 15
 # Entries (rank m squared) of the sequential sampler's span, 16 bytes each:
-# m <= 2048, a 64 MiB span, where a draw, which costs O(m^3), takes about 50 s on one core.
+# m <= 2048, a 64 MiB span, where a draw, which costs O(m^3), takes about 40 s on one core.
 _MAX_SPAN_ENTRIES = 1 << 22
 # A freshly accepted direction should never be this close to the span of
 # the previous ones; if it is, the Gram-Schmidt basis has degenerated.
@@ -370,7 +372,8 @@ def _draw_pool(params, ks, log_h, radial_block, rows: int, gen: np.random.Genera
     uniforms = gen.random(rows)
     # acceptance ratios and Gram-Schmidt updates only see directions
     psi, _ = feature_rows(params, ks, log_h, t, theta)
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    flat = psi.view(float)
+    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return t, theta, uniforms, psi
 
 
@@ -390,9 +393,6 @@ def _sample_projection(
     uniforms = np.empty(0)
     cursor = 0
     for j in range(m):
-        # Expected proposals per accepted point is m/(m-j); a window half
-        # as large again usually holds the hit.
-        window = math.ceil(1.5 * m / (m - j))
         rows = span_conj[:j]
         used = 0
         while True:
@@ -405,10 +405,13 @@ def _sample_projection(
                 t, theta, uniforms, psi = _draw_pool(
                     params, ks, log_h, radial_block, _pool_rows(m, j), gen
                 )
+                # coeff[p, i] = <psi_p, direction i>; left[p] = 1 - sum |coeff[p]|^2, p's acceptance ratio
+                coeff = np.empty((uniforms.size, m), dtype=complex)
+                flat = np.matmul(psi, rows.T, out=coeff[:, :j]).view(float)
+                left = 1.0 - np.einsum("ij,ij->i", flat, flat)
                 cursor = 0
-            stop = min(cursor + window, uniforms.size)
-            coeff = psi[cursor:stop] @ rows.T
-            hits = uniforms[cursor:stop] < 1.0 - (np.abs(coeff) ** 2).sum(axis=1)
+            stop = min(cursor + _MAX_PROPOSALS - used, uniforms.size)
+            hits = uniforms[cursor:stop] < left[cursor:stop]
             first = int(hits.argmax())
             if hits[first]:
                 break
@@ -417,7 +420,7 @@ def _sample_projection(
         b = cursor + first
         cursor = b + 1
         # u: the conjugated direction psi - coeff @ span, then orthogonalized once more
-        u = psi[b].conj() - coeff[first].conj() @ rows
+        u = psi[b].conj() - coeff[b, :j].conj() @ rows
         u -= (rows @ u.conj()).conj() @ rows
         # the expression np.linalg.norm evaluates, without its wrapper
         norm = math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))
@@ -426,6 +429,9 @@ def _sample_projection(
                 f"accepted direction nearly collinear with the span at point {j + 1} of {m}"
             )
         span_conj[j] = u / norm
+        # the new direction's coefficients on the proposals not yet tested
+        coeff[cursor:, j] = psi[cursor:] @ span_conj[j]
+        left[cursor:] -= np.abs(coeff[cursor:, j]) ** 2
         r = math.sqrt(t[b])
         points.append(complex(r * math.cos(theta[b]), r * math.sin(theta[b])))
     return points

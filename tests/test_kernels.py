@@ -755,20 +755,44 @@ def test_correlation_rank_guard():
 # ----------------------------
 
 
-def xlogy_feature_rows(params, ks, log_h, t, theta):
-    """The feature rows as first written, with scipy's xlogy for (k/2) log t."""
+def xlogy_magnitudes(params, ks, log_h, t):
+    """|rows| of ``xlogy_feature_rows`` before the phase, and the row shifts."""
     half = 0.5 * ((ks + 1.0) * math.log(params.N) - math.log(math.pi) - log_h)
     log_mag = xlogy(0.5 * ks, t[:, None]) - (0.5 * params.N) * t[:, None]
     log_mag += half[None, :]
     shift = log_mag.max(axis=1, initial=-math.inf)
     shift[shift == -math.inf] = 0.0
     log_mag -= shift[:, None]
+    return np.exp(log_mag), shift
+
+
+def xlogy_feature_rows(params, ks, log_h, t, theta):
+    """The feature rows as first written: scipy's xlogy for (k/2) log t, cos and sin of the rounded theta k."""
+    magnitudes, shift = xlogy_magnitudes(params, ks, log_h, t)
     phase = np.multiply.outer(theta, ks.astype(float))
-    return np.exp(log_mag) * (np.cos(phase) + 1j * np.sin(phase)), shift
+    return magnitudes * (np.cos(phase) + 1j * np.sin(phase)), shift
+
+
+_U = 2.0**-53
+
+
+def phase_bound(theta, ks):
+    """Entrywise bound on |phase - oracle phase| between ``feature_rows`` and the oracle, to first order in 2^-53.
+
+    The oracle rounds theta k (within |theta k| 2^-53) and takes its cos and
+    sin.  ``feature_rows`` multiplies the n = j + 1 factors e^(i theta d) up
+    to k = ks[j], each from a rounded theta d (those errors sum to |theta| k)
+    and its own cos and sin, and rounds each of the n - 1 complex products
+    within sqrt(5) 2^-53.  With cos and sin within 4 ulps (12 x 2^-53 for the
+    pair) the oracle is within (|theta| k + 12) 2^-53 of e^(i theta k) and
+    ``feature_rows`` within (|theta| k + 12 n + sqrt(5) (n - 1)) 2^-53.
+    """
+    n = np.arange(1, ks.size + 1)
+    return (2.0 * np.abs(theta)[:, None] * ks + 15.0 * n + 12.0) * _U
 
 
 @pytest.mark.parametrize("kind", ["ginibre_N", "outer_J", "inner_J_complement"])
-def test_feature_rows_match_xlogy_bit_for_bit(kind):
+def test_feature_rows_match_xlogy_within_the_phase_bound(kind):
     # ginibre_N and inner_J_complement rows hold k = 0, outer_J rows do not
     # thousands of t: numpy's SIMD log can differ from libm's in the last bit on about 1 t in 700
     params = EnsembleParams(N=60, c=0.7, R=0.8)
@@ -781,16 +805,40 @@ def test_feature_rows_match_xlogy_bit_for_bit(kind):
         warnings.simplefilter("error")
         rows, shift = feature_rows(params, ks, log_h, t, theta)
     want_rows, want_shift = xlogy_feature_rows(params, ks, log_h, t, theta)
-    # equal values: the oracle's complex product can give the opposite sign to an underflowed zero
-    assert np.array_equal(rows, want_rows)
+    # the magnitudes and shifts are the oracle's bit for bit, so the rows differ by their phases,
+    # and by 2^-1074 in each part where a magnitude is subnormal
     assert shift.tobytes() == want_shift.tobytes()
+    assert np.array_equal(rows == 0.0, want_rows == 0.0)
+    assert np.all(np.abs(rows - want_rows) <= phase_bound(theta, ks) * np.abs(want_rows) + 2.0**-1073)
     # at z = 0 only k = 0 survives
     assert np.count_nonzero(rows[0]) == (kind != "outer_J")
 
 
+@pytest.mark.parametrize(
+    "N, kind, points", [(60, "ginibre_N", 40), (60, "outer_J", 40), (60, "inner_J_complement", 40), (2000, "ginibre_N", 6)]
+)
+def test_feature_row_phases_at_least_as_accurate_as_the_oracle(N, kind, points):
+    # rows at uniform points of the unit disk against 140-bit values of the float magnitude both
+    # routes share times e^(i theta k) of the float theta: the largest error of the running product
+    # is no larger than that of the rounded theta k (about 4x and 6x smaller at N = 60 and 2000)
+    params = EnsembleParams(N=N, c=0.7, R=0.8)
+    ks, log_h = kernels.basis(params, top_block(params), kind)
+    gen = np.random.default_rng(N)
+    t, theta = gen.random(points), 2.0 * math.pi * gen.random(points)
+    magnitudes, _ = xlogy_magnitudes(params, ks, log_h, t)
+    routes = (feature_rows(params, ks, log_h, t, theta)[0], xlogy_feature_rows(params, ks, log_h, t, theta)[0])
+    worst = [0.0, 0.0]
+    with mpmath.workprec(140):
+        for i, j in zip(*np.nonzero(magnitudes)):
+            exact = mpmath.mpf(magnitudes[i, j]) * mpmath.expj(mpmath.mpf(theta[i]) * int(ks[j]))
+            for r, rows in enumerate(routes):
+                worst[r] = max(worst[r], float(abs(mpmath.mpc(rows[i, j]) - exact)))
+    assert 0.0 < worst[0] <= worst[1]
+
+
 @pytest.mark.parametrize("basis", ["outer_J", "inner_J_complement"])
 def test_pool_rows_match_the_complex_product(basis, monkeypatch):
-    # a sampler pool as ``_draw_pool`` draws it, against the same pool with the oracle's complex product
+    # a sampler pool as ``_draw_pool`` draws it, against the same pool with the oracle's rows
     params = EnsembleParams(N=150, c=0.7, R=0.8)
     ks, log_h = kernels.basis(params, top_block(params), basis)
     radial_block = sampler._outer_t_block if basis == "outer_J" else sampler._inner_t_block
@@ -799,18 +847,36 @@ def test_pool_rows_match_the_complex_product(basis, monkeypatch):
     want = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3))
     for got, ref in zip(pool[:3], want[:3]):
         assert got.tobytes() == ref.tobytes()
-    assert np.array_equal(pool[3], want[3])
+    psi, ref = pool[3], want[3]
+    assert np.array_equal(psi == 0.0, ref == 0.0)
+    # unit rows a/|a| and b/|b| lie within 2 |a - b| / |b| of each other, and each normalization
+    # within (m + 4) 2^-53 of its exact unit row
+    t, theta = pool[:2]
+    rows, _ = xlogy_feature_rows(params, ks, log_h, t, theta)
+    apart = np.linalg.norm(phase_bound(theta, ks) * np.abs(rows), axis=1) / np.linalg.norm(rows, axis=1)
+    assert np.all(np.linalg.norm(psi - ref, axis=1) <= 2.0 * apart + 2.0 * (ks.size + 4) * _U)
 
 
 def test_grid_with_underflowed_rows_matches_the_complex_product(monkeypatch):
     # points from 0 to |z| = 3 at N = 1000: a fifth of the row entries underflow to 0
     spec = KernelSpec("ginibre_N", EnsembleParams(N=1000, c=0.7, R=0.8))
     pts = np.linspace(0.0, 3.0, 41) * np.exp(1j * np.linspace(-3.0, 3.0, 41))
-    rows, _, _ = kernels._projection_rows(spec, pts)
+    rows, shift, _ = kernels._projection_rows(spec, pts)
     assert np.count_nonzero(rows == 0.0) > rows.size // 6
     values = evaluate_grid(spec, pts, pts[::-1])
     monkeypatch.setattr(kernels, "feature_rows", xlogy_feature_rows)
-    assert values.tobytes() == evaluate_grid(spec, pts, pts[::-1]).tobytes()
+    want_rows, want_shift, _ = kernels._projection_rows(spec, pts)
+    want = evaluate_grid(spec, pts, pts[::-1])
+    assert shift.tobytes() == want_shift.tobytes()
+    assert np.array_equal(rows == 0.0, want_rows == 0.0)
+    # K(z, w) = e^(shift_z + shift_w) rows_z . conj(rows_w): the phase bound enters through either
+    # factor, and each route's complex product and scaling round within (m + 4) 2^-53 of the
+    # sum of the |terms|
+    m = want_rows.shape[1]
+    a = np.abs(want_rows)
+    b = phase_bound(np.angle(pts), np.arange(m)) * a
+    terms = b @ a[::-1].T + a @ b[::-1].T + 2.0 * (m + 4) * _U * (a @ a[::-1].T)
+    assert np.all(np.abs(values - want) <= np.exp(shift[:, None] + shift[None, ::-1]) * terms)
 
 
 def test_feature_row_cap_refuses_before_any_row(monkeypatch):

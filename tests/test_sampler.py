@@ -507,7 +507,7 @@ def test_pool_refills_inside_a_step_keep_the_law(monkeypatch):
     assert ks.statistic < 0.02
 
 
-def _reference_projection(params, J, basis, gen):
+def _copying_reference_projection(params, J, basis, gen):
     """The sequential loop before the conjugated span, less its error exits: the oracle of its bytes.
 
     It copies the conjugated span twice per step and tests a window of at
@@ -546,19 +546,99 @@ def _reference_projection(params, J, basis, gen):
     return points
 
 
-@pytest.mark.parametrize("entries", [1 << 15, 64, 8])
-def test_projection_loop_replays_the_reference_loop(monkeypatch, entries):
-    # 8 entries give pools of one or two proposals, so refills land inside windows
-    monkeypatch.setattr(sampler, "_POOL_ENTRIES", entries)
-    cases = [(1, 1.0), (2, 1.0), (2, 0.6), (12, 1.0), (12, 0.6), (40, 1.0), (40, 0.6), (150, 1.0), (150, 0.6)]
+def _window_reference_projection(params, J, basis, gen):
+    """The window loop that kept no coefficients: the oracle of the sampler's bytes.
+
+    Step j tests windows of ceil(1.5 m/(m - j)) proposals from a cursor with
+    one product against the span and accepts the first hit; it raises once
+    the windows it rejected hold ``_MAX_PROPOSALS`` proposals or more.  The
+    pool and feature rows are the module's own.
+    """
+    outer = basis == "outer_J"
+    ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
+    radial_block = sampler._outer_t_block if outer else sampler._inner_t_block
+    m = int(ks.size)
+    span_conj = np.zeros((m, m), dtype=complex)
+    points = []
+    uniforms = np.empty(0)
+    cursor = 0
+    for j in range(m):
+        window = math.ceil(1.5 * m / (m - j))
+        rows = span_conj[:j]
+        used = 0
+        while True:
+            if used >= sampler._MAX_PROPOSALS:
+                raise SamplingError(f"no acceptance within {used} proposals at point {j + 1} of {m}")
+            if cursor == uniforms.size:
+                t, theta, uniforms, psi = sampler._draw_pool(
+                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen
+                )
+                cursor = 0
+            stop = min(cursor + window, uniforms.size)
+            coeff = psi[cursor:stop] @ rows.T
+            hits = uniforms[cursor:stop] < 1.0 - (np.abs(coeff) ** 2).sum(axis=1)
+            first = int(hits.argmax())
+            if hits[first]:
+                break
+            used += stop - cursor
+            cursor = stop
+        b = cursor + first
+        cursor = b + 1
+        u = psi[b].conj() - coeff[first].conj() @ rows
+        u -= (rows @ u.conj()).conj() @ rows
+        span_conj[j] = u / math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))
+        r = math.sqrt(t[b])
+        points.append(complex(r * math.cos(theta[b]), r * math.sin(theta[b])))
+    return points
+
+
+def _replay_cases(cases, seeds):
+    """(params, J, basis, seed) over conditioned index sets, both bases."""
     for N, c in cases:
         params = EnsembleParams(N=N, c=c, R=0.8)
-        for seed in range(3):
+        for seed in seeds:
             J = sample_conditioned_indexset(params, params.N_c, RandomStream(seed=seed).generator())
             for basis in ("outer_J", "inner_complement_J"):
-                stream = RandomStream(seed=seed, stream_id=N)
-                got = sampler._sample_projection(params, J, basis, stream.generator())
-                assert got == _reference_projection(params, J, basis, stream.generator()), (N, c, seed, basis)
+                yield params, J, basis, seed
+
+
+@pytest.mark.parametrize("entries", [1 << 15, 64, 8])
+def test_projection_loop_replays_the_reference_loop(monkeypatch, entries):
+    # 64 entries give pools of one to a few tens of proposals, 8 entries pools of one or two,
+    # so refills land inside steps and between the coefficient updates
+    monkeypatch.setattr(sampler, "_POOL_ENTRIES", entries)
+    cases = [(1, 1.0), (2, 1.0), (2, 0.6), (6, 1.0), (6, 0.6), (12, 1.0), (12, 0.6), (40, 1.0), (40, 0.6)]
+    cases += [(150, 1.0), (150, 0.6)]
+    if entries == 1 << 15:
+        # m = 400 leaves 81 rows to a pool, and m = 240 or 160 about 140 or 200: refills every few steps
+        cases += [(400, 1.0), (400, 0.6)]
+    for params, J, basis, seed in _replay_cases(cases, range(3)):
+        stream = RandomStream(seed=seed, stream_id=params.N)
+        got = sampler._sample_projection(params, J, basis, stream.generator())
+        assert got == _window_reference_projection(params, J, basis, stream.generator()), (params, seed, basis)
+        assert got == _copying_reference_projection(params, J, basis, stream.generator()), (params, seed, basis)
+
+
+def test_exhausted_proposal_budget_raises_where_the_reference_loop_does(monkeypatch):
+    # the loop tests at most _MAX_PROPOSALS proposals for a point, the reference loop whole windows
+    # until it has tested that many: where the reference raises the loop raises, and where the loop
+    # answers the reference answers the same points
+    monkeypatch.setattr(sampler, "_MAX_PROPOSALS", 3)
+    outcomes = []
+    for params, J, basis, seed in _replay_cases([(6, 0.6), (40, 0.6), (150, 1.0)], range(4)):
+        stream = RandomStream(seed=seed, stream_id=params.N)
+        try:
+            want = _window_reference_projection(params, J, basis, stream.generator())
+        except SamplingError:
+            want = None
+        try:
+            got = sampler._sample_projection(params, J, basis, stream.generator())
+        except SamplingError as exc:
+            assert "proposals at point" in str(exc)
+            got = None
+        assert got is None if want is None else got in (None, want), (params, seed, basis)
+        outcomes.append(got is None)
+    assert any(outcomes) and not all(outcomes)
 
 
 def test_rank_512_draw_peaks_under_8_mib():
