@@ -126,10 +126,11 @@ def _emit(text: str, out: "str | None") -> None:
 def _write_table(handle, fmt: str, head: dict, columns: tuple, blocks) -> None:
     """Write one table as CSV, or as one JSON document: ``head``'s fields, ``columns`` and ``rows``.
 
-    ``blocks`` yields the CSV text of consecutive rows: floats as shortest round-trip decimals, lines
-    ending in CRLF, as ``csv.writer`` writes them.  A JSON row is the same row as a list, one a line,
-    with non-finite floats as ``json`` spells them.  Only one block's text is held at a time, besides
-    what ``blocks`` holds itself (a ``--kind`` table's queued entries, see ``_grid_blocks``).
+    ``blocks`` yields the CSV text of consecutive rows (a ``--kind`` table's one z point at a time):
+    floats as shortest round-trip decimals, lines ending in CRLF, as ``csv.writer`` writes them.  A
+    JSON row is the same row as a list, one a line, with non-finite floats as ``json`` spells them.
+    Only one text is held at a time, besides what ``blocks`` holds itself (a ``--kind`` table's
+    queued entries and the block of rows it is formatting, see ``_grid_blocks``).
     """
     if fmt == "csv":
         handle.write(",".join(columns) + "\r\n")
@@ -256,43 +257,80 @@ _GRID_COLUMNS = ("z_re", "z_im", "w_re", "w_im", "K_re", "K_im")
 _COMPARE_COLUMNS = ("z_re", "z_im", "a_re", "a_im", "b_re", "b_im", "diff_abs")
 
 _COMPARE_BLOCK = 1024  # points per block of --compare rows: a few hundred kB of text
+_GRID_BLOCK = 1 << 12  # kernel values per block of --kind rows, at least one row: a few hundred kB of text objects
+
+_SIGNS = np.array(["", "-"], dtype=object)
 
 
-def _point_texts(points: np.ndarray, memo: dict) -> list:
-    """``re,im,`` of each point; ``memo`` keeps each distinct coordinate's text by its bits, so a product
-    grid of n x m points costs n + m ``repr`` calls."""
-    re, im = (
-        [memo[b] if b in memo else memo.setdefault(b, repr(x)) for b, x in zip(axis.view(np.int64).tolist(), axis.tolist())]
-        for axis in (points.real, points.imag)
-    )
-    return [f"{a},{b}," for a, b in zip(re, im)]
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of the 1-D ``x`` as an object array, with one ``repr`` call per distinct bit pattern."""
+    bits, at = np.unique(x.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[at]
+
+
+def _point_texts(points: np.ndarray) -> np.ndarray:
+    """``re,im,`` of each point as an object array: a product grid of n x m points costs n + m ``repr`` calls."""
+    texts = _float_texts(np.concatenate([points.real, points.imag]))
+    return texts[: points.size] + "," + texts[points.size :] + ","
 
 
 def _grid_blocks(points: np.ndarray, values: np.ndarray):
-    """Rows of K(z_i, z_j), z outer and w inner, one z point a block, read from the upper triangle of ``values``:
-    row i formats K(z_i, z_j), j > i, once and queues ``re,-im`` (the text of 0.0 - im) for row j, so the table is
-    exactly Hermitian, its diagonal ``repr(Re K_ii),0.0``; up to P^2/4 queued entries are held besides one block."""
-    texts = _point_texts(points, {})
-    queued = [bytearray() for _ in texts]
-    for i, (z, diagonal) in enumerate(zip(texts, values.diagonal().real.tolist())):
-        res, ims = (list(map(repr, part.tolist())) for part in (values[i, i + 1 :].real, values[i, i + 1 :].imag))
-        for later, re, im in zip(queued[i + 1 :], res, ims):
-            # the sign dropped or added, but 0.0 - (+-0.0) is 0.0 and 0.0 - nan is nan
-            later += f"{re},{im[1:] if im[0] == '-' else im if im in ('0.0', 'nan') else '-' + im}\n".encode()
-        lower, queued[i] = [*queued[i].decode().splitlines(), f"{diagonal!r},0.0"], None
-        lines = [f"{z}{w}{v}\r\n" for w, v in zip(texts, lower)]
-        lines += [f"{z}{w}{re},{im}\r\n" for w, re, im in zip(texts[i + 1 :], res, ims)]
-        yield "".join(lines)
+    """Rows of K(z_i, z_j), z outer and w inner, one z point a text, read from the upper triangle of ``values``.
+
+    Row i writes K(z_i, z_j), j > i, as evaluated and queues ``re,-im`` (the text of 0.0 - im) for row j, so the
+    table is exactly Hermitian, its diagonal ``repr(Re K_ii),0.0``.  The rows are formatted in blocks of about
+    ``_GRID_BLOCK`` values: one ``repr`` per distinct float of a block's Re K and |Im K|, the sign written apart,
+    and each row joined from a table of its cells.  Up to P^2/4 queued entries are held, one growing text per
+    later row, besides one block.
+    """
+    size = points.size
+    table = np.empty((size, 7), dtype=object)  # z, w, re, ",", sign, |im|, CRLF; a queued entry fills re, "" after
+    table[:, 1], table[:, 3], table[:, 6] = _point_texts(points), ",", "\r\n"
+    queued = [bytearray() for _ in range(size)]
+    step = max(1, _GRID_BLOCK // size)
+    for a in range(0, size, step):
+        b = min(a + step, size)
+        rows, cols = np.arange(a, b)[:, None], np.arange(a, size)
+        upper, diagonal = rows < cols, rows == cols
+        block = values[a:b, a:]
+        im = block.imag[upper]
+        texts = _float_texts(np.concatenate([block.real[upper], np.abs(im), block.real[diagonal]]))
+        re, mag, sign, flip = (np.empty(block.shape, dtype=object) for _ in range(4))
+        re[upper], mag[upper], re[diagonal] = np.split(texts, [im.size, 2 * im.size])
+        mag[diagonal], sign[diagonal] = "0.0", ""
+        # a written -0.0 or -inf keeps its sign, nan is written without one; 0.0 - im is negative when im > 0
+        sign[upper] = _SIGNS[(np.signbit(im) & ~np.isnan(im)).view(np.int8)]
+        flip[upper] = _SIGNS[(im > 0).view(np.int8)]
+        # rows a..b-1 read their columns a..b-1 below the diagonal from the block itself
+        lower = np.tril_indices(b - a, -1)
+        for part, mirror in ((re, re), (mag, mag), (sign, flip)):
+            part[lower] = mirror[:, : b - a].T[lower]
+        if b < size:
+            # one text per later row j: ``re,-im\n`` of each block row, a tab after the last to split them apart
+            later = np.empty((size - b, b - a, 5), dtype=object)
+            later[:, :, 0], later[:, :, 1], later[:, :, 2] = re[:, b - a :].T, ",", flip[:, b - a :].T
+            later[:, :, 3], later[:, :, 4] = mag[:, b - a :].T, "\n"
+            later[:, -1, 4] = "\n\t"
+            for text, entries in zip(queued[b:], "".join(later.ravel().tolist()).encode().split(b"\t")):
+                text += entries
+        table[:a, 3:6] = ""
+        for r in range(b - a):
+            table[:, 0] = table[a + r, 1]
+            table[:a, 2] = queued[a + r].decode().splitlines()
+            table[a:, 2], table[a:, 4], table[a:, 5] = re[r], sign[r], mag[r]
+            queued[a + r] = None
+            yield "".join(table.ravel().tolist())
 
 
 def _compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray):
-    """Rows of z, A(z, z), B(z, z) and |A - B|, ``_COMPARE_BLOCK`` points a block."""
-    memo = {}
-    columns = (a.real, a.imag, b.real, b.imag, diff)
+    """Rows of z, A(z, z), B(z, z) and |A - B|, ``_COMPARE_BLOCK`` points a block, one ``repr`` per distinct float."""
+    columns = (points.real, points.imag, a.real, a.imag, b.real, b.imag, diff)
     for start in range(0, points.size, _COMPARE_BLOCK):
-        block = slice(start, start + _COMPARE_BLOCK)
-        rows = zip(_point_texts(points[block], memo), zip(*(column[block].tolist() for column in columns)))
-        yield "".join(f"{z}{','.join(map(repr, row))}\r\n" for z, row in rows)
+        texts = _float_texts(np.concatenate([column[start : start + _COMPARE_BLOCK] for column in columns]))
+        table = np.empty((texts.size // len(columns), 2 * len(columns)), dtype=object)
+        table[:, 0::2], table[:, 1::2] = texts.reshape(len(columns), -1).T, ","
+        table[:, -1] = "\r\n"
+        yield "".join(table.ravel().tolist())
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:

@@ -10,15 +10,15 @@ K(z, w) = Phi(z) . conj(Phi(w)) with feature rows
 taken over k in J with h_k = Gamma(k+1, N R^2) (outer), over the
 complement of J with h_k = gamma_lower(k+1, N R^2) (inner), or over all
 k < N with h_k = k! (plain).  ``basis`` gives (k, log h_k) for each of the
-three, from the cached Bernoulli weights, and ``feature_rows`` is the one
-place that evaluates Phi: each row in log space, shifted by its own
-maximum before exponentiating, with the phases e^(i theta k) as running
-products over the gaps of k, so a grid of kernel values is one complex
-matrix product with the shifts multiplied back in.  Nothing is dropped;
-the rounding error of an entry is bounded relative to the scale of its
-row and column, so the accuracy contract is the normalized error
-|K - K_exact| <= eps sqrt(K(z, z) K(w, w)), not a relative error: entries
-far below that scale come from cancelling phases.
+three, from the cached Bernoulli weights, ``phase_steps`` the gaps of its k,
+and ``feature_rows`` is the one place that evaluates Phi: each row in log
+space, shifted by its own maximum before exponentiating, with the phases
+e^(i theta k) as running products over the gaps of k, so a grid of kernel
+values is one complex matrix product with the shifts multiplied back in.
+Nothing is dropped; the rounding error of an entry is bounded relative to
+the scale of its row and column, so the accuracy contract is the normalized
+error |K - K_exact| <= eps sqrt(K(z, z) K(w, w)), not a relative error:
+entries far below that scale come from cancelling phases.
 
 Domains: the plain kernel lives on the whole plane; the outer projection
 kernel is supported on |z| > R and the inner one on |z| < R (evaluations
@@ -49,6 +49,7 @@ __all__ = [
     "KernelSpec",
     "CorrelationResult",
     "basis",
+    "phase_steps",
     "feature_rows",
     "eval_limit",
     "evaluate_kernel",
@@ -100,12 +101,24 @@ def basis(params: EnsembleParams, J: "IndexSet | None", kind: str) -> tuple[np.n
     return ks, log_h
 
 
+@lru_cache(maxsize=64)
+def phase_steps(params: EnsembleParams, J: "IndexSet | None", kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(d, at) of ``basis(params, J, kind)``'s k, read-only: the distinct gaps d between successive k (the first
+    from 0) as floats, and the index into d of each k's gap, as ``feature_rows`` takes them."""
+    gaps, at = np.unique(np.diff(basis(params, J, kind)[0], prepend=0), return_inverse=True)
+    gaps = gaps.astype(float)
+    gaps.flags.writeable = False
+    at.flags.writeable = False
+    return gaps, at
+
+
 def feature_rows(
     params: EnsembleParams,
     ks: np.ndarray,
     log_h: np.ndarray,
     t: np.ndarray,
     theta: np.ndarray,
+    steps: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows at z_i = sqrt(t_i) e^(i theta_i), each scaled by its own maximum.
 
@@ -115,6 +128,7 @@ def feature_rows(
     with shift 0.  Each phase e^(i theta k) is a running product of the
     e^(i theta d) over the gaps d of ks: a few ulps of error per factor,
     against |theta k| 2^-53 for the cos and sin of a rounded theta k.
+    ``steps`` is the gap table of ks, as ``phase_steps`` gives it.
     """
     half = 0.5 * ((ks + 1.0) * math.log(params.N) - _LOG_PI - log_h)
     # (k/2) log t with 0 log 0 = 0; math.log is libm's log, as in scipy's xlogy
@@ -126,8 +140,8 @@ def feature_rows(
     shift = log_mag.max(axis=1, initial=-math.inf)
     shift[shift == -math.inf] = 0.0
     log_mag -= shift[:, None]
-    gaps, at = np.unique(np.diff(ks, prepend=0), return_inverse=True)
-    arg = np.multiply.outer(theta, gaps.astype(float))
+    gaps, at = steps
+    arg = np.multiply.outer(theta, gaps)
     step = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=step.real)
     np.sin(arg, out=step.imag)
@@ -168,7 +182,8 @@ def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, n
     else:
         on = r > R if kind == "outer_J" else r < R
     ks, log_h = basis(params, spec.index_set, kind)
-    rows, shift = feature_rows(params, ks, log_h, r[on] ** 2, np.angle(pts[on]))
+    steps = phase_steps(params, spec.index_set, kind)
+    rows, shift = feature_rows(params, ks, log_h, r[on] ** 2, np.angle(pts[on]), steps)
     rows *= scale[on, None]
     return rows, shift, on
 

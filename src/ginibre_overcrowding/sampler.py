@@ -68,7 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from .gamma import log_q_integer
-from .kernels import basis as feature_basis, feature_rows
+from .kernels import basis as feature_basis, feature_rows, phase_steps
 from .mixture import (
     ConstraintViolation,
     EnsembleParams,
@@ -364,14 +364,15 @@ def _pool_rows(m: int, j: int) -> int:
     return max(1, min(math.ceil(1.1 * expected) + 8, _POOL_ENTRIES // m))
 
 
-def _draw_pool(params, ks, log_h, radial_block, rows: int, gen: np.random.Generator):
-    """``rows`` proposals from the step-one mixture: (t, theta, uniforms, unit feature rows)."""
+def _draw_pool(params, ks, log_h, radial_block, rows: int, gen: np.random.Generator, steps):
+    """``rows`` proposals from the step-one mixture: (t, theta, uniforms, unit feature rows); ``steps`` is
+    the gap table ``feature_rows`` takes."""
     picks = gen.integers(0, ks.size, size=rows)
     t = radial_block(params, ks, picks, gen)
     theta = _TWO_PI * gen.random(rows)
     uniforms = gen.random(rows)
     # acceptance ratios and Gram-Schmidt updates only see directions
-    psi, _ = feature_rows(params, ks, log_h, t, theta)
+    psi, _ = feature_rows(params, ks, log_h, t, theta, steps)
     flat = psi.view(float)
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return t, theta, uniforms, psi
@@ -382,7 +383,9 @@ def _sample_projection(
 ) -> list[complex]:
     """Sequential draw of all m points of the rank-m projection kernel."""
     outer = basis == "outer_J"
-    ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
+    kind = "outer_J" if outer else "inner_J_complement"
+    ks, log_h = feature_basis(params, J, kind)
+    steps = phase_steps(params, J, kind)
     radial_block = _outer_t_block if outer else _inner_t_block
     m = int(ks.size)
     # The Gram-Schmidt rows are kept conjugated, and so is each new direction:
@@ -403,7 +406,7 @@ def _sample_projection(
                 )
             if cursor == uniforms.size:
                 t, theta, uniforms, psi = _draw_pool(
-                    params, ks, log_h, radial_block, _pool_rows(m, j), gen
+                    params, ks, log_h, radial_block, _pool_rows(m, j), gen, steps
                 )
                 # coeff[p, i] = <psi_p, direction i>; left[p] = 1 - sum |coeff[p]|^2, p's acceptance ratio
                 coeff = np.empty((uniforms.size, m), dtype=complex)

@@ -707,6 +707,61 @@ def test_coordinates_formatted_once_per_axis_value_keep_the_bytes(fmt):
             assert _lines(got.getvalue()) == _lines(want.getvalue())
 
 
+_EDGE_FLOATS = [0.0, -0.0, math.nan, float(np.copysign(math.nan, -1.0)), math.inf, -math.inf]
+_EDGE_FLOATS += [5e-324, -5e-324, 1e-310, -2.5e-310, 0.1, -0.1, 1e16, -1e-5, 1e22, 2.5]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", [1, 2, 5, 7, 12])
+def test_grid_blocks_match_the_per_point_oracle_at_every_block_size(fmt, size, monkeypatch):
+    # blocks of one row up to several rows, the last one short: 1, 3, P + 1, 3P - 1 and 3P values,
+    # over both signed zeros, nan with and without its sign bit, both infinities, subnormals and
+    # repeated values, in the points and in both parts of K
+    gen = np.random.default_rng(size)
+    points, values = np.empty(size, dtype=complex), np.empty((size, size), dtype=complex)
+    for part in (points.real, points.imag, values.real, values.imag):
+        part[...] = gen.choice(_EDGE_FLOATS, size=part.shape)
+    # from 7 points on, the written imaginary parts hold every edge float
+    upper = np.triu_indices(size, 1)
+    values.imag[upper] = np.resize(_EDGE_FLOATS, upper[0].size)
+    for block in (1, 3, size + 1, 3 * size - 1, 3 * size):
+        monkeypatch.setattr(cli, "_GRID_BLOCK", block)
+        texts = list(cli._grid_blocks(points, values))
+        assert len(texts) == size
+        got, want = io.StringIO(), io.StringIO()
+        cli._write_table(got, fmt, {}, cli._GRID_COLUMNS, iter(texts))
+        cli._write_table(want, fmt, {}, cli._GRID_COLUMNS, _per_point_grid_blocks(points, _mirrored(values)))
+        assert _lines(got.getvalue()) == _lines(want.getvalue())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_written_grid_is_exactly_hermitian_across_small_blocks(fmt, monkeypatch):
+    # the 20-point grid in blocks of 2 rows, the last one short
+    monkeypatch.setattr(cli, "_GRID_BLOCK", 41)
+    test_written_grid_is_exactly_hermitian_on_every_kind(fmt)
+
+
+def test_grid_writer_calls_repr_once_per_distinct_float_of_a_block(monkeypatch):
+    # the hard-wall kernel depends on z + conj(w) alone, so a 9 x 9 grid repeats most of its values
+    points = cli._parse_grid("0.05:3:9,-2:2:9", squared=True)
+    values = evaluate_grid(KernelSpec("limit_hard_wall"), points, points)
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    text = "".join(cli._grid_blocks(points, values))
+    monkeypatch.undo()
+    assert text == "".join(_per_point_grid_blocks(points, _mirrored(values)))
+    # per block: Re K on and above the diagonal and |Im K| above it; then the coordinates of both axes
+    distinct = lambda x: np.unique(x.view(np.int64)).size
+    allowed = distinct(np.concatenate([points.real, points.imag]))
+    rows = max(1, cli._GRID_BLOCK // points.size)
+    for a in range(0, points.size, rows):
+        i, j = np.nonzero(np.triu(np.ones((points.size, points.size), dtype=bool))[a : a + rows])
+        upper = j > i + a
+        allowed += distinct(np.concatenate([values.real[i + a, j], np.abs(values.imag[i + a, j][upper])]))
+    assert 0 < len(calls) <= allowed < points.size**2 // 4
+    assert rows < points.size  # more than one block
+
+
 def test_grid_json_limit_kernel_without_params(capsys):
     assert cli.main(["kernel", "--kind", "limit_hard_wall", "--grid", "1:2:2,0:0:1", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -766,8 +821,10 @@ def xlogy_magnitudes(params, ks, log_h, t):
     return np.exp(log_mag), shift
 
 
-def xlogy_feature_rows(params, ks, log_h, t, theta):
-    """The feature rows as first written: scipy's xlogy for (k/2) log t, cos and sin of the rounded theta k."""
+def xlogy_feature_rows(params, ks, log_h, t, theta, steps=None):
+    """The feature rows as first written: scipy's xlogy for (k/2) log t, cos and sin of the rounded theta k.
+
+    ``steps``, the gap table ``feature_rows`` takes, is not used."""
     magnitudes, shift = xlogy_magnitudes(params, ks, log_h, t)
     phase = np.multiply.outer(theta, ks.astype(float))
     return magnitudes * (np.cos(phase) + 1j * np.sin(phase)), shift
@@ -803,7 +860,7 @@ def test_feature_rows_match_xlogy_within_the_phase_bound(kind):
     theta = 2.0 * math.pi * gen.random(t.size)
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")
-        rows, shift = feature_rows(params, ks, log_h, t, theta)
+        rows, shift = feature_rows(params, ks, log_h, t, theta, kernels.phase_steps(params, top_block(params), kind))
     want_rows, want_shift = xlogy_feature_rows(params, ks, log_h, t, theta)
     # the magnitudes and shifts are the oracle's bit for bit, so the rows differ by their phases,
     # and by 2^-1074 in each part where a magnitude is subnormal
@@ -826,7 +883,8 @@ def test_feature_row_phases_at_least_as_accurate_as_the_oracle(N, kind, points):
     gen = np.random.default_rng(N)
     t, theta = gen.random(points), 2.0 * math.pi * gen.random(points)
     magnitudes, _ = xlogy_magnitudes(params, ks, log_h, t)
-    routes = (feature_rows(params, ks, log_h, t, theta)[0], xlogy_feature_rows(params, ks, log_h, t, theta)[0])
+    steps = kernels.phase_steps(params, top_block(params), kind)
+    routes = (feature_rows(params, ks, log_h, t, theta, steps)[0], xlogy_feature_rows(params, ks, log_h, t, theta)[0])
     worst = [0.0, 0.0]
     with mpmath.workprec(140):
         for i, j in zip(*np.nonzero(magnitudes)):
@@ -842,9 +900,10 @@ def test_pool_rows_match_the_complex_product(basis, monkeypatch):
     params = EnsembleParams(N=150, c=0.7, R=0.8)
     ks, log_h = kernels.basis(params, top_block(params), basis)
     radial_block = sampler._outer_t_block if basis == "outer_J" else sampler._inner_t_block
-    pool = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3))
+    steps = kernels.phase_steps(params, top_block(params), basis)
+    pool = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3), steps)
     monkeypatch.setattr(sampler, "feature_rows", xlogy_feature_rows)
-    want = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3))
+    want = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3), steps)
     for got, ref in zip(pool[:3], want[:3]):
         assert got.tobytes() == ref.tobytes()
     psi, ref = pool[3], want[3]

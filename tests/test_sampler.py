@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
-from ginibre_overcrowding.kernels import basis as feature_basis
+from ginibre_overcrowding.kernels import basis as feature_basis, phase_steps
 from ginibre_overcrowding.mixture import (
     ConstraintViolation,
     EnsembleParams,
@@ -514,7 +514,9 @@ def _copying_reference_projection(params, J, basis, gen):
     least 8 proposals; the pool and feature rows are the module's own.
     """
     outer = basis == "outer_J"
-    ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
+    kind = "outer_J" if outer else "inner_J_complement"
+    ks, log_h = feature_basis(params, J, kind)
+    steps = phase_steps(params, J, kind)
     radial_block = sampler._outer_t_block if outer else sampler._inner_t_block
     m = int(ks.size)
     span = np.zeros((m, m), dtype=complex)
@@ -526,7 +528,7 @@ def _copying_reference_projection(params, J, basis, gen):
         while True:
             if cursor == uniforms.size:
                 t, theta, uniforms, psi = sampler._draw_pool(
-                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen
+                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen, steps
                 )
                 cursor = 0
             stop = min(cursor + window, uniforms.size)
@@ -555,7 +557,9 @@ def _window_reference_projection(params, J, basis, gen):
     pool and feature rows are the module's own.
     """
     outer = basis == "outer_J"
-    ks, log_h = feature_basis(params, J, "outer_J" if outer else "inner_J_complement")
+    kind = "outer_J" if outer else "inner_J_complement"
+    ks, log_h = feature_basis(params, J, kind)
+    steps = phase_steps(params, J, kind)
     radial_block = sampler._outer_t_block if outer else sampler._inner_t_block
     m = int(ks.size)
     span_conj = np.zeros((m, m), dtype=complex)
@@ -571,7 +575,7 @@ def _window_reference_projection(params, J, basis, gen):
                 raise SamplingError(f"no acceptance within {used} proposals at point {j + 1} of {m}")
             if cursor == uniforms.size:
                 t, theta, uniforms, psi = sampler._draw_pool(
-                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen
+                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen, steps
                 )
                 cursor = 0
             stop = min(cursor + window, uniforms.size)
