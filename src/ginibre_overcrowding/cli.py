@@ -177,7 +177,8 @@ def cmd_prob(args: argparse.Namespace) -> int:
         lines = ["field,value"] + [f"{k},{v!r}" for k, v in report.items()]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        # the indent=2 layout of a flat dict, through the C encoder, which indent would bypass
+        _emit("{\n  " + json.dumps(report, separators=(",\n  ", ": "))[1:-1] + "\n}\n", args.out)
     return 0
 
 

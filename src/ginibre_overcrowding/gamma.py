@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LN_2PI = math.log(2.0 * math.pi)
 
 # Bernoulli-number coefficients B_{2n} / (2n (2n-1)) of Stirling's series; the
 # truncation error at x >= 20 is below 8e-20.

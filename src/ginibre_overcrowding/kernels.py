@@ -285,11 +285,13 @@ def evaluate_grid(spec: KernelSpec, z_points: Sequence[complex], w_points: Seque
     w = np.asarray(w_points, dtype=complex)
     if spec.kind == "limit_hard_wall":
         return eval_limit(z[:, None], w[None, :])
-    rows, shift, on = _projection_rows(spec, np.concatenate([z, w]))
-    on_z, on_w = on[: z.size], on[z.size :]
-    nz = int(np.count_nonzero(on_z))
+    # one point list passed as both z and w has its rows built once, which then serve as the w rows too
+    stacked = z if z_points is w_points else np.concatenate([z, w])
+    rows, shift, on = _projection_rows(spec, stacked)
+    on_z, on_w = on[: z.size], on[stacked.size - w.size :]
+    nz, at = int(np.count_nonzero(on_z)), len(rows) - int(np.count_nonzero(on_w))
     values = np.zeros((z.size, w.size), dtype=complex)
-    values[np.ix_(on_z, on_w)] = np.exp(shift[:nz, None] + shift[None, nz:]) * (rows[:nz] @ rows[nz:].conj().T)
+    values[np.ix_(on_z, on_w)] = np.exp(shift[:nz, None] + shift[None, at:]) * (rows[:nz] @ rows[at:].conj().T)
     return values
 
 

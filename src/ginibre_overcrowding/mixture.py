@@ -28,8 +28,7 @@ is kept exact in relative terms where it is small.  The pass runs T terms
 past N, and the cached ``BernoulliWeights`` keeps its log P(X > j) for all
 j < N + T: the one Poisson(N R^2) tail table, read by the weights, the
 tilt, the DFT, the hole factor, the kernel norms and both radial draws of
-``sampler``; the rescaled hole factor reads the table of the N_c-point
-ensemble.  A table longer than ``_MAX_TAIL_ENTRIES`` is refused with
+``sampler``.  A table longer than ``_MAX_TAIL_ENTRIES`` is refused with
 ``ValueError`` before the pass: N + T entries peak at up to about 100
 bytes each over a ``prob`` call, and T stays near 10 sqrt(N) or below even
 as R nears 1 (9,912 at N = 10^6, R^2 = 1 - 10^-6).
@@ -324,37 +323,46 @@ def _tail_length(n: int, z: float) -> int:
     return hi
 
 
-def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log Q(k+1, z), log P(k+1, z)) for k = 0, ..., n-1, with 0 < z < n + 1.
-
-    Q(k+1, z) = P(X <= k) and P(k+1, z) = P(X > k) for X ~ Poisson(z).  The
-    upper sum stops T = ``_tail_length(n, z)`` terms after n, which leaves
-    out at most 2^-64 pmf(n), so less than 2^-64 of every upper tail.  The
-    Poisson(z) median is in [z - log 2, z + 1/3] (Choi 1994), so the lower
-    tail is the smaller one below floor(z) - 2 and the larger past floor(z) + 2:
-    each running sum stops there, and the two are compared in between.
+def _smaller_tails(log_pmf: np.ndarray, n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log P(X <= k) for k < split, log P(X > k) for split <= k < n): the smaller tail of X ~ Poisson(z)
+    at each k < n, the upper ones summed over ``log_pmf``, which runs past n.  The median of X is in
+    [z - log 2, z + 1/3] (Choi 1994), so the lower tail is the smaller one below floor(z) - 2 and the larger
+    past floor(z) + 2: each running sum stops there, and the two are compared in between.
     """
-    log_pmf = _log_poisson_pmfs(n + _tail_length(n, z) + 1, z)
     lo, hi = max(0, math.floor(z) - 2), min(n, math.floor(z) + 3)
     lower = np.logaddexp.accumulate(log_pmf[:hi])
     # upper[i] = log P(X > lo + i)
     upper = np.logaddexp.accumulate(log_pmf[:lo:-1])[::-1][: n - lo]
     split = lo + int(np.count_nonzero(lower[lo:] < upper[: hi - lo]))
-    small = np.concatenate((lower[:split], upper[split - lo :]))
-    large = _log1mexp(small)
-    return np.concatenate((small[:split], large[split:])), np.concatenate((large[:split], small[split:]))
+    return lower[:split], upper[split - lo :]
+
+
+def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log Q(k+1, z), log P(k+1, z)) for k = 0, ..., n-1, with 0 < z < n + 1.
+
+    Q(k+1, z) = P(X <= k) and P(k+1, z) = P(X > k) for X ~ Poisson(z).  The upper sum stops
+    T = ``_tail_length(n, z)`` terms after n, which leaves out at most 2^-64 pmf(n), so less than
+    2^-64 of every upper tail.  The smaller tail is that of ``_smaller_tails``, the larger log1mexp of it.
+    """
+    below, above = _smaller_tails(_log_poisson_pmfs(n + _tail_length(n, z) + 1, z), n, z)
+    large = _log1mexp(np.concatenate((below, above)))
+    return np.concatenate((below, large[below.size :])), np.concatenate((large[: below.size], above))
+
+
+def _tail_entries(N: int, R: float) -> int:
+    """N + T, the entries of the Poisson(N R^2) tail table, refused with ``ValueError`` past ``_MAX_TAIL_ENTRIES``."""
+    entries = N + _tail_length(N, N * R * R)
+    if entries > _MAX_TAIL_ENTRIES:
+        raise ValueError(
+            f"N = {N} at R = {R!r} needs a Poisson tail table of {entries} entries, over the cap of {_MAX_TAIL_ENTRIES}"
+        )
+    return entries
 
 
 @lru_cache(maxsize=64)
 def bernoulli_weights(params: EnsembleParams) -> BernoulliWeights:
-    N, z = params.N, params.z
-    entries = N + _tail_length(N, z)
-    if entries > _MAX_TAIL_ENTRIES:
-        raise ValueError(
-            f"N = {N} at R = {params.R!r} needs a Poisson tail table of {entries} entries, "
-            f"over the cap of {_MAX_TAIL_ENTRIES}"
-        )
-    log_lower, log_survival = _log_poisson_tails(entries, z)
+    N = params.N
+    log_lower, log_survival = _log_poisson_tails(_tail_entries(N, params.R), params.z)
     log_lower.flags.writeable = False
     log_survival.flags.writeable = False
     return BernoulliWeights(log_lower[:N], log_survival[:N], log_survival)
@@ -675,11 +683,21 @@ def log_hole_factor_rescaled(params: EnsembleParams) -> float:
     ``log_hole_factor`` is meant by "hole probability of the small ensemble"
     is a normalization convention, and the two differ at finite N.  All
     asymptotic formulas in this package use ``log_hole_factor``, which is the
-    one validated against the exact mixture probability.  It is
-    ``log_hole_factor`` of the N_c-point ensemble at c = 1, summed here so
-    that a traced run does not time one hole factor inside the other.
+    one validated against the exact mixture probability.  Q(k+1, z) = P(X <= k)
+    for X ~ Poisson(z = N_c R^2), taken as ``_smaller_tails`` over the pmf up to
+    M = m + ``_tail_length(m, z)``, m = floor(z) + 1, and the terms k >= M are
+    dropped: both leave out at most (2M + 2/(1 - z/(M+2))) 2^-64 pmf(m), under
+    2^-59 of the sum, which is at least z in size (z = 10^-300 to 10^7).  It is
+    refused where the N_c-point table would be.
     """
-    return float(np.sum(bernoulli_weights(EnsembleParams(N=params.N_c, c=1.0, R=params.R)).log_a))
+    n, R = params.N_c, params.R
+    _tail_entries(n, R)
+    z = n * R * R
+    top = math.floor(z) + 1
+    last = top + _tail_length(top, z)
+    below, above = _smaller_tails(_log_poisson_pmfs(last + 1, z), min(n, last), z)
+    # past the split the upper tail is at most 1/2, where log1mexp is log1p(-e^x)
+    return float(np.concatenate((below, np.log1p(-np.exp(above)))).sum())
 
 
 def overcrowding_probability_asymptotic(params: EnsembleParams) -> float:

@@ -125,6 +125,44 @@ def test_prob_invalid_regime_names_condition(capsys):
     assert "R^2 > 1 - c" in err
 
 
+@pytest.mark.parametrize(
+    "exact, hole, series, rescaled, enumerated",
+    [
+        (math.nan, -1.5, 0.25, math.inf, None),
+        (-3.0, -math.inf, 0.5, -math.inf, -3.25),
+        (-math.inf, -2.0, math.inf, math.nan, math.nan),
+        (-7.125, -6.5, 1e-300, -1e300, -math.inf),
+    ],
+)
+def test_prob_json_report_is_the_indent_2_dump(capsys, monkeypatch, exact, hole, series, rescaled, enumerated):
+    # the report writer against json.dumps(report, indent=2): ints, floats, NaN, +-Infinity and the oracle fields
+    for name, value in [
+        ("overcrowding_probability_exact", exact),
+        ("log_hole_factor", hole),
+        ("partition_series", series),
+        ("log_hole_factor_rescaled", rescaled),
+    ]:
+        monkeypatch.setattr(cli, name, lambda *_, value=value: value)
+    monkeypatch.setattr(cli, "enumerate_count_log_probs", lambda params: np.full(params.N + 1, enumerated))
+    oracle = () if enumerated is None else ("--oracle",)
+    code, out, _ = run(capsys, "prob", "-N", "12", "-c", "0.5", "-R", "0.9", *oracle)
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert ("log_prob_enumerated" in report) == ("enumeration_rel_err" in report) == bool(oracle)
+    assert [report["N"], report["N_c"]] == [12, 6]
+    assert all(isinstance(v, float) for k, v in report.items() if k not in ("N", "N_c"))
+    fields = ["log_prob_exact", "log_hole_factor", "log_partition_series_factor", "log_hole_factor_rescaled"]
+    got = [report[k] for k in fields] + [report.get("log_prob_enumerated", None)]
+    assert str(got) == str([exact, hole, series, rescaled, enumerated])
+
+
+def test_prob_json_report_round_trips(capsys):
+    code, out, _ = run(capsys, "prob", "-N", "16", "-c", "0.5", "-R", "0.8", "--oracle", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_prob_csv_format(capsys, tmp_path):
     out_file = tmp_path / "prob.csv"
     code, _, _ = run(capsys, "prob", "-N", "20", "-c", "0.8", "-R", "0.7", "--format", "csv", "--out", str(out_file))
@@ -394,7 +432,7 @@ def test_kernel_oversize_grid_refused_before_building_points(capsys):
 
 
 def test_kernel_oversize_feature_rows_refused_before_any_row(capsys):
-    # a 9x9 grid at N = 200000: 162 stacked points x rank 200000 feature-row entries
+    # a 9x9 grid at N = 200000: its 81 points, whose rows serve as both z and w, x rank 200000 feature-row entries
     tracemalloc.start()
     try:
         code, out, err = run(
@@ -406,7 +444,7 @@ def test_kernel_oversize_feature_rows_refused_before_any_row(capsys):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert "162 points x rank 200000 = 32400000 feature-row entries, over the cap of 8388608" in err
+    assert "81 points x rank 200000 = 16200000 feature-row entries, over the cap of 8388608" in err
     # log N! alone for N = 200000 would take 1.6 MB
     assert peak < 1 << 20
 

@@ -938,19 +938,43 @@ def test_grid_with_underflowed_rows_matches_the_complex_product(monkeypatch):
     assert np.all(np.abs(values - want) <= np.exp(shift[:, None] + shift[None, ::-1]) * terms)
 
 
+@pytest.mark.parametrize("kind", ["outer_J", "inner_J_complement", "ginibre_N", "edge_rescaled_J"])
+@pytest.mark.parametrize("N", [25, 300])
+def test_one_point_list_as_z_and_w_matches_the_stacked_rows(kind, N):
+    # rows built once for a list passed as both z and w, against the rows of the stacked z and w;
+    # the grid straddles |z| = R (and Re z = 0 for the edge kind), so some points are off support
+    p = EnsembleParams(N=N, c=0.7, R=0.8)
+    spec = KernelSpec(kind, p, None if kind == "ginibre_N" else top_block(p), x_scaled=kind == "edge_rescaled_J")
+    centre = 0.0 if kind == "edge_rescaled_J" else p.R
+    pts = cli._parse_grid(f"{centre - 0.4}:{centre + 0.4}:7,-0.5:0.5:6", squared=True)
+    if kind == "edge_rescaled_J":
+        pts = pts * 3.0
+    once = evaluate_grid(spec, pts, pts)
+    stacked = evaluate_grid(spec, pts, pts.copy())
+    assert once.tobytes() == stacked.tobytes()
+    if kind != "ginibre_N":
+        off = np.all(once == 0, axis=1)
+        assert 0 < np.count_nonzero(off) < pts.size
+
+
 def test_feature_row_cap_refuses_before_any_row(monkeypatch):
     params = EnsembleParams(N=20, c=0.7, R=0.8)
     spec = KernelSpec("ginibre_N", params)
     pts = [0.1 * i + 0.05j for i in range(5)]
-    # z and w are stacked: 10 points x rank 20
+    # distinct z and w lists are stacked: 10 points x rank 20; one list as both is 5 points x rank 20
     monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 200)
+    assert evaluate_grid(spec, pts, list(pts)).shape == (5, 5)
+    monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 100)
     assert evaluate_grid(spec, pts, pts).shape == (5, 5)
     monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 199)
     monkeypatch.setattr(kernels, "basis", None)  # any row built would fail on this
     with pytest.raises(ValueError, match=r"10 points x rank 20 = 200 feature-row entries, over the cap of 199"):
-        evaluate_grid(spec, pts, pts)
+        evaluate_grid(spec, pts, list(pts))
     with pytest.raises(ValueError, match="10 points x rank 20"):
         evaluate_diagonal(spec, pts + pts)
+    monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 99)
+    with pytest.raises(ValueError, match=r"5 points x rank 20 = 100 feature-row entries, over the cap of 99"):
+        evaluate_grid(spec, pts, pts)
 
 
 # ----------------------------

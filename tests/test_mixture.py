@@ -288,6 +288,40 @@ def test_rescaled_hole_factor_matches_scalar_sum(N, c, R):
     assert abs(log_hole_factor_rescaled(p) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+def _rescaled_triples(count: int, seed: int) -> list[EnsembleParams]:
+    """Seeded valid triples: N log-uniform in [1, 2·10^5], c up to 1 (one in seven exactly 1), and R^2 either
+    uniform over (1 - c, 1 - 10^-7] or within 10^-7 to c of 1, log-uniformly."""
+    rng = np.random.default_rng(seed)
+    triples: list[EnsembleParams] = []
+    while len(triples) < count:
+        N = int(round(math.exp(rng.uniform(0.0, math.log(2e5)))))
+        c = 1.0 if rng.random() < 1 / 7 else rng.uniform(1.0 / N, 1.0)
+        if rng.random() < 0.5:
+            R2 = rng.uniform(1.0 - c, 1.0 - 1e-7)
+        else:
+            R2 = 1.0 - math.exp(rng.uniform(math.log(1e-7), math.log(c)))
+        try:
+            triples.append(EnsembleParams(N=N, c=c, R=math.sqrt(R2)))
+        except ConstraintViolation:
+            continue
+    return triples
+
+
+def test_rescaled_hole_factor_matches_the_table_sum():
+    # the smaller tails over the pmf up to M against the sum of the N_c-point ensemble's cached table,
+    # c = 1 with small R included: there most terms are within 10^-8 of 0, which a forward sum alone
+    # gets only to its absolute rounding (2e-14 relative at N_c = 1154, R = 0.12)
+    triples = _rescaled_triples(240, seed=2025)
+    assert min(p.N_c for p in triples) == 1 and max(p.N_c for p in triples) > 10**5
+    assert max(p.R for p in triples) ** 2 > 1.0 - 2e-7 and any(p.N_c > 1000 and p.R < 0.3 for p in triples)
+    try:
+        for p in triples:
+            ref = float(np.sum(bernoulli_weights(EnsembleParams(N=p.N_c, c=1.0, R=p.R)).log_a))
+            assert abs(log_hole_factor_rescaled(p) - ref) <= 2e-15 * abs(ref), p
+    finally:
+        bernoulli_weights.cache_clear()
+
+
 def test_weights_against_quadrature():
     p = EnsembleParams(N=4, c=0.8, R=0.5)
     w = bernoulli_weights(p)
