@@ -123,26 +123,30 @@ def _emit(text: str, out: "str | None") -> None:
         handle.write(text)
 
 
+# per format: the cell separator, the text before and after each row, and the spellings of the
+# non-finite floats.  CSV rows are as ``csv.writer`` writes them, CRLF-terminated; a JSON row is
+# a list on a line of its own, with non-finite floats as ``json`` spells them.
+_LAYOUTS = {
+    "csv": (",", "", "\r\n", {}),
+    "json": (", ", ",\n[", "]", {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}),
+}
+
+
 def _write_table(handle, fmt: str, head: dict, columns: tuple, blocks) -> None:
     """Write one table as CSV, or as one JSON document: ``head``'s fields, ``columns`` and ``rows``.
 
-    ``blocks`` yields the CSV text of consecutive rows (a ``--kind`` table's one z point at a time):
-    floats as shortest round-trip decimals, lines ending in CRLF, as ``csv.writer`` writes them.  A
-    JSON row is the same row as a list, one a line, with non-finite floats as ``json`` spells them.
-    Only one text is held at a time, besides what ``blocks`` holds itself (a ``--kind`` table's
-    queued entries and the block of rows it is formatting, see ``_grid_blocks``).
+    ``blocks`` yields the text of consecutive rows in ``fmt``'s layout (a ``--kind`` table's one z
+    point at a time), floats as shortest round-trip decimals; the first JSON row drops its leading
+    comma.  Only one text is held at a time, besides what ``blocks`` holds itself (a ``--kind``
+    table's queued entries and the block of rows it is formatting, see ``_grid_blocks``).
     """
     if fmt == "csv":
         handle.write(",".join(columns) + "\r\n")
         handle.writelines(blocks)
         return
     handle.write(json.dumps({**head, "columns": columns})[:-1] + ', "rows": [')
-    lead = "\n["
-    for text in blocks:
-        rows = text[:-2].replace(",", ", ").replace("\r\n", "],\n[")
-        # a row holds floats only, so these letters spell the non-finite values and nothing else
-        handle.write(lead + rows.replace("nan", "NaN").replace("inf", "Infinity") + "]")
-        lead = ",\n["
+    handle.write(next(blocks)[1:])
+    handle.writelines(blocks)
     handle.write("\n]}\n")
 
 
@@ -263,30 +267,32 @@ _GRID_BLOCK = 1 << 12  # kernel values per block of --kind rows, at least one ro
 _SIGNS = np.array(["", "-"], dtype=object)
 
 
-def _float_texts(x: np.ndarray) -> np.ndarray:
-    """``repr`` of each float of the 1-D ``x`` as an object array, with one ``repr`` call per distinct bit pattern."""
+def _float_texts(x: np.ndarray, spell: dict) -> np.ndarray:
+    """Text of each float of the 1-D ``x`` as an object array: one ``repr`` call per distinct bit pattern,
+    spelled by ``spell`` where it has the ``repr``."""
     bits, at = np.unique(x.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[at]
+    return np.array([spell.get(text, text) for text in map(repr, bits.view(float).tolist())], dtype=object)[at]
 
 
-def _point_texts(points: np.ndarray) -> np.ndarray:
+def _point_texts(points: np.ndarray, sep: str, spell: dict) -> np.ndarray:
     """``re,im,`` of each point as an object array: a product grid of n x m points costs n + m ``repr`` calls."""
-    texts = _float_texts(np.concatenate([points.real, points.imag]))
-    return texts[: points.size] + "," + texts[points.size :] + ","
+    texts = _float_texts(np.concatenate([points.real, points.imag]), spell)
+    return texts[: points.size] + sep + texts[points.size :] + sep
 
 
-def _grid_blocks(points: np.ndarray, values: np.ndarray):
+def _grid_blocks(points: np.ndarray, values: np.ndarray, fmt: str):
     """Rows of K(z_i, z_j), z outer and w inner, one z point a text, read from the upper triangle of ``values``.
 
     Row i writes K(z_i, z_j), j > i, as evaluated and queues ``re,-im`` (the text of 0.0 - im) for row j, so the
     table is exactly Hermitian, its diagonal ``repr(Re K_ii),0.0``.  The rows are formatted in blocks of about
     ``_GRID_BLOCK`` values: one ``repr`` per distinct float of a block's Re K and |Im K|, the sign written apart,
     and each row joined from a table of its cells.  Up to P^2/4 queued entries are held, one growing text per
-    later row, besides one block.
+    later row, besides one block.  The rows are laid out as ``_LAYOUTS[fmt]`` gives.
     """
+    sep, lead, end, spell = _LAYOUTS[fmt]
     size = points.size
-    table = np.empty((size, 7), dtype=object)  # z, w, re, ",", sign, |im|, CRLF; a queued entry fills re, "" after
-    table[:, 1], table[:, 3], table[:, 6] = _point_texts(points), ",", "\r\n"
+    table = np.empty((size, 7), dtype=object)  # z, w, re, sep, sign, |im|, end; a queued entry fills re, "" after
+    table[:, 1], table[:, 3], table[:, 6] = _point_texts(points, sep, spell), sep, end
     queued = [bytearray() for _ in range(size)]
     step = max(1, _GRID_BLOCK // size)
     for a in range(0, size, step):
@@ -295,7 +301,7 @@ def _grid_blocks(points: np.ndarray, values: np.ndarray):
         upper, diagonal = rows < cols, rows == cols
         block = values[a:b, a:]
         im = block.imag[upper]
-        texts = _float_texts(np.concatenate([block.real[upper], np.abs(im), block.real[diagonal]]))
+        texts = _float_texts(np.concatenate([block.real[upper], np.abs(im), block.real[diagonal]]), spell)
         re, mag, sign, flip = (np.empty(block.shape, dtype=object) for _ in range(4))
         re[upper], mag[upper], re[diagonal] = np.split(texts, [im.size, 2 * im.size])
         mag[diagonal], sign[diagonal] = "0.0", ""
@@ -309,28 +315,30 @@ def _grid_blocks(points: np.ndarray, values: np.ndarray):
         if b < size:
             # one text per later row j: ``re,-im\n`` of each block row, a tab after the last to split them apart
             later = np.empty((size - b, b - a, 5), dtype=object)
-            later[:, :, 0], later[:, :, 1], later[:, :, 2] = re[:, b - a :].T, ",", flip[:, b - a :].T
+            later[:, :, 0], later[:, :, 1], later[:, :, 2] = re[:, b - a :].T, sep, flip[:, b - a :].T
             later[:, :, 3], later[:, :, 4] = mag[:, b - a :].T, "\n"
             later[:, -1, 4] = "\n\t"
             for text, entries in zip(queued[b:], "".join(later.ravel().tolist()).encode().split(b"\t")):
                 text += entries
         table[:a, 3:6] = ""
         for r in range(b - a):
-            table[:, 0] = table[a + r, 1]
+            table[:, 0] = lead + table[a + r, 1]
             table[:a, 2] = queued[a + r].decode().splitlines()
             table[a:, 2], table[a:, 4], table[a:, 5] = re[r], sign[r], mag[r]
             queued[a + r] = None
             yield "".join(table.ravel().tolist())
 
 
-def _compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray):
-    """Rows of z, A(z, z), B(z, z) and |A - B|, ``_COMPARE_BLOCK`` points a block, one ``repr`` per distinct float."""
+def _compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray, fmt: str):
+    """Rows of z, A(z, z), B(z, z) and |A - B| as ``_LAYOUTS[fmt]`` lays them out, ``_COMPARE_BLOCK`` points a
+    block, one ``repr`` per distinct float."""
+    sep, lead, end, spell = _LAYOUTS[fmt]
     columns = (points.real, points.imag, a.real, a.imag, b.real, b.imag, diff)
     for start in range(0, points.size, _COMPARE_BLOCK):
-        texts = _float_texts(np.concatenate([column[start : start + _COMPARE_BLOCK] for column in columns]))
-        table = np.empty((texts.size // len(columns), 2 * len(columns)), dtype=object)
-        table[:, 0::2], table[:, 1::2] = texts.reshape(len(columns), -1).T, ","
-        table[:, -1] = "\r\n"
+        texts = _float_texts(np.concatenate([column[start : start + _COMPARE_BLOCK] for column in columns]), spell)
+        table = np.empty((texts.size // len(columns), 2 * len(columns) + 1), dtype=object)
+        table[:, 0], table[:, 1::2], table[:, 2::2] = lead, texts.reshape(len(columns), -1).T, sep
+        table[:, -1] = end
         yield "".join(table.ravel().tolist())
 
 
@@ -352,7 +360,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         }
         values = evaluate_grid(spec, grid, grid)
         with _output(args.out) as handle:
-            _write_table(handle, args.format, head, _GRID_COLUMNS, _grid_blocks(grid, values))
+            _write_table(handle, args.format, head, _GRID_COLUMNS, _grid_blocks(grid, values, args.format))
         return 0
     a, b = (evaluate_diagonal(_make_spec(kind, params, args.x_scaled), grid) for kind in args.compare)
     # |a - b| by hypot, as abs of a Python complex takes it; numpy's complex abs can differ in the last bit
@@ -362,7 +370,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     sup, at = float(diff[i]), complex(grid[i])
     head = {"compare": args.compare, "sup": sup, "at": [at.real, at.imag]}
     with _output(args.out) as handle:
-        _write_table(handle, args.format, head, _COMPARE_COLUMNS, _compare_blocks(grid, a, b, diff))
+        _write_table(handle, args.format, head, _COMPARE_COLUMNS, _compare_blocks(grid, a, b, diff, args.format))
     if args.format == "csv":
         print(f"sup |A-B| = {sup!r} at z = {at!r}", file=sys.stderr)
     return 0

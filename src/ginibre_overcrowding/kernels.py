@@ -9,12 +9,14 @@ K(z, w) = Phi(z) . conj(Phi(w)) with feature rows
 
 taken over k in J with h_k = Gamma(k+1, N R^2) (outer), over the
 complement of J with h_k = gamma_lower(k+1, N R^2) (inner), or over all
-k < N with h_k = k! (plain).  ``basis`` gives (k, log h_k) for each of the
-three, from the cached Bernoulli weights, ``phase_steps`` the gaps of its k,
-and ``feature_rows`` is the one place that evaluates Phi: each row in log
-space, shifted by its own maximum before exponentiating, with the phases
-e^(i theta k) as running products over the gaps of k, so a grid of kernel
-values is one complex matrix product with the shifts multiplied back in.
+k < N with h_k = k! (plain).  ``basis`` gives one read-only value for each
+of the three: the k, the log h_k from the cached Bernoulli weights, and the
+table of gaps between successive k.  ``feature_rows`` takes that value and
+is the one place that evaluates Phi: each row in log space, shifted by its
+own maximum before exponentiating, with the phases e^(i theta k) as running
+products over the gaps of k, so a grid of kernel values is one complex
+matrix product with the shifts multiplied back in.  The same value serves
+every finite-N grid, the edge kernel and the sequential sampler.
 Nothing is dropped; the rounding error of an entry is bounded relative to
 the scale of its row and column, so the accuracy contract is the normalized
 error |K - K_exact| <= eps sqrt(K(z, z) K(w, w)), not a relative error:
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -47,15 +48,13 @@ from .mixture import EnsembleParams, IndexSet, _check_index_set, bernoulli_weigh
 
 __all__ = [
     "KernelSpec",
-    "CorrelationResult",
+    "FeatureBasis",
     "basis",
-    "phase_steps",
     "feature_rows",
     "eval_limit",
     "evaluate_kernel",
     "evaluate_diagonal",
     "evaluate_grid",
-    "correlation",
     "g_max_diagnostic",
 ]
 
@@ -76,13 +75,24 @@ KERNEL_KINDS = (
 _KINDS_WITH_INDEX_SET = {"outer_J", "inner_J_complement", "edge_rescaled_J"}
 
 
-@lru_cache(maxsize=64)
-def basis(params: EnsembleParams, J: "IndexSet | None", kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(k, log h_k) of the feature rows of ``kind``, read-only.
+@dataclass(frozen=True, eq=False)
+class FeatureBasis:
+    """The k of one kind's feature rows, their log h_k, and the gap table of the k, all read-only.
 
-    ``kind`` is ``"ginibre_N"`` (all k < N, J unused), ``"outer_J"`` (k in J)
-    or ``"inner_J_complement"`` (k not in J).
+    ``gaps`` holds the distinct gaps between successive k (the first from 0)
+    as floats and ``at`` the index into ``gaps`` of each k's gap.
     """
+
+    kind: str
+    ks: np.ndarray
+    log_h: np.ndarray
+    gaps: np.ndarray
+    at: np.ndarray
+
+
+def basis(params: EnsembleParams, J: "IndexSet | None", kind: str) -> FeatureBasis:
+    """The feature basis of ``kind``: ``"ginibre_N"`` (all k < N, J unused),
+    ``"outer_J"`` (k in J) or ``"inner_J_complement"`` (k not in J)."""
     lf = log_factorials(params.N)
     if kind == "ginibre_N":
         ks, log_h = np.arange(params.N), lf
@@ -96,41 +106,27 @@ def basis(params: EnsembleParams, J: "IndexSet | None", kind: str) -> tuple[np.n
         log_h = bernoulli_weights(params).log_one_minus_a[ks] + lf[ks]
     else:
         raise ValueError(f"no feature basis for kind {kind!r}")
-    ks.flags.writeable = False
-    log_h.flags.writeable = False
-    return ks, log_h
-
-
-@lru_cache(maxsize=64)
-def phase_steps(params: EnsembleParams, J: "IndexSet | None", kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(d, at) of ``basis(params, J, kind)``'s k, read-only: the distinct gaps d between successive k (the first
-    from 0) as floats, and the index into d of each k's gap, as ``feature_rows`` takes them."""
-    gaps, at = np.unique(np.diff(basis(params, J, kind)[0], prepend=0), return_inverse=True)
+    gaps, at = np.unique(np.diff(ks, prepend=0), return_inverse=True)
     gaps = gaps.astype(float)
-    gaps.flags.writeable = False
-    at.flags.writeable = False
-    return gaps, at
+    for array in (ks, log_h, gaps, at):
+        array.flags.writeable = False
+    return FeatureBasis(kind, ks, log_h, gaps, at)
 
 
 def feature_rows(
-    params: EnsembleParams,
-    ks: np.ndarray,
-    log_h: np.ndarray,
-    t: np.ndarray,
-    theta: np.ndarray,
-    steps: tuple[np.ndarray, np.ndarray],
+    params: EnsembleParams, basis: FeatureBasis, t: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature rows at z_i = sqrt(t_i) e^(i theta_i), each scaled by its own maximum.
 
     Returns (rows, shift) with Phi_k(z_i) = exp(shift_i) rows[i, j] for
-    k = ks[j]; the largest |rows[i, j]| of each row is 1.  A row without a
-    nonzero entry (z = 0 when 0 is not in ks, or empty ks) is all zeros
-    with shift 0.  Each phase e^(i theta k) is a running product of the
-    e^(i theta d) over the gaps d of ks: a few ulps of error per factor,
-    against |theta k| 2^-53 for the cos and sin of a rounded theta k.
-    ``steps`` is the gap table of ks, as ``phase_steps`` gives it.
+    k = basis.ks[j]; the largest |rows[i, j]| of each row is 1.  A row
+    without a nonzero entry (z = 0 when 0 is not among the k, or no k) is
+    all zeros with shift 0.  Each phase e^(i theta k) is a running product
+    of the e^(i theta d) over the basis's gaps d: a few ulps of error per
+    factor, against |theta k| 2^-53 for the cos and sin of a rounded theta k.
     """
-    half = 0.5 * ((ks + 1.0) * math.log(params.N) - _LOG_PI - log_h)
+    ks = basis.ks
+    half = 0.5 * ((ks + 1.0) * math.log(params.N) - _LOG_PI - basis.log_h)
     # (k/2) log t with 0 log 0 = 0; math.log is libm's log, as in scipy's xlogy
     log_t = np.array([math.log(v) if v > 0.0 else -math.inf for v in t.tolist()])
     log_mag = np.zeros((t.size, ks.size))
@@ -140,12 +136,11 @@ def feature_rows(
     shift = log_mag.max(axis=1, initial=-math.inf)
     shift[shift == -math.inf] = 0.0
     log_mag -= shift[:, None]
-    gaps, at = steps
-    arg = np.multiply.outer(theta, gaps)
+    arg = np.multiply.outer(theta, basis.gaps)
     step = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=step.real)
     np.sin(arg, out=step.imag)
-    rows = step.take(at, axis=1)
+    rows = step.take(basis.at, axis=1)
     np.multiply.accumulate(rows, axis=1, out=rows)
     np.multiply(rows.real, np.exp(log_mag, out=log_mag), out=rows.real)
     np.multiply(rows.imag, log_mag, out=rows.imag)
@@ -181,9 +176,7 @@ def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, n
         on = np.ones(pts.size, dtype=bool)
     else:
         on = r > R if kind == "outer_J" else r < R
-    ks, log_h = basis(params, spec.index_set, kind)
-    steps = phase_steps(params, spec.index_set, kind)
-    rows, shift = feature_rows(params, ks, log_h, r[on] ** 2, np.angle(pts[on]), steps)
+    rows, shift = feature_rows(params, basis(params, spec.index_set, kind), r[on] ** 2, np.angle(pts[on]))
     rows *= scale[on, None]
     return rows, shift, on
 
@@ -293,31 +286,6 @@ def evaluate_grid(spec: KernelSpec, z_points: Sequence[complex], w_points: Seque
     values = np.zeros((z.size, w.size), dtype=complex)
     values[np.ix_(on_z, on_w)] = np.exp(shift[:nz, None] + shift[None, at:]) * (rows[:nz] @ rows[at:].conj().T)
     return values
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    """Correlation-function determinant, clamped to be a valid density value."""
-
-    value: float
-    raw: float
-
-
-def correlation(points: Sequence[complex], spec: KernelSpec) -> CorrelationResult:
-    """k-point correlation det(K(x_i, x_j)) for the given kernel.
-
-    The raw determinant can round to a tiny negative number; ``value``
-    clamps it at 0 while ``raw`` keeps the unclamped real part.
-    """
-    pts = [complex(p) for p in points]
-    k = len(pts)
-    if k == 0:
-        raise ValueError("correlation needs at least one point")
-    if k > spec.rank():
-        raise ValueError(f"{k} points exceed the kernel rank {spec.rank()}")
-    gram = evaluate_grid(spec, pts, pts)
-    raw = float(np.linalg.det(gram).real)
-    return CorrelationResult(value=max(raw, 0.0), raw=raw)
 
 
 def _log_abs_h(u: float, l: int, n: int, log_u0: float, lg_small: float) -> float:

@@ -78,7 +78,6 @@ __all__ = [
     "OccupationVector",
     "BernoulliWeights",
     "bernoulli_weights",
-    "occupation_to_indexset",
     "indexset_to_occupation",
     "log_ratio_exact",
     "log_ratio_approx",
@@ -475,16 +474,11 @@ def _tilt(w: BernoulliWeights, m: int) -> "CountTilt | None":
 
 
 @lru_cache(maxsize=8)
-def _count_tilt(params: EnsembleParams, m: int) -> "CountTilt | None":
-    return _tilt(bernoulli_weights(params), m)
-
-
-@lru_cache(maxsize=8)
 def _tilted_draws(params: EnsembleParams, m: int) -> tuple[np.ndarray, int]:
-    """The p_k of ``_count_tilt(params, m)`` over all N, read-only, and the rows per block of
+    """The p_k of ``_tilt`` at (params, m) over all N, read-only, and the rows per block of
     rejective draws, enough to expect one hit at the floor of P_theta(#J = m); for 0 < m < N."""
     w = bernoulli_weights(params)
-    tilt = _count_tilt(params, m)
+    tilt = _tilt(w, m)
     s = w.log_a - w.log_one_minus_a + tilt.theta
     p = np.exp(s - np.logaddexp(0.0, s))
     p.flags.writeable = False
@@ -583,16 +577,8 @@ def _validate_occupation(n: OccupationVector, params: EnsembleParams) -> None:
         )
 
 
-def occupation_to_indexset(n: OccupationVector, params: EnsembleParams) -> IndexSet:
-    """Decode n to its index set via x_k = N - N_c + k - n_k, members = x - 1."""
-    _validate_occupation(n, params)
-    base = params.N - params.N_c
-    members = tuple(base + (k + 1) - n_k - 1 for k, n_k in enumerate(n.n))
-    return IndexSet(members=members, N=params.N)
-
-
 def indexset_to_occupation(J: IndexSet, params: EnsembleParams) -> OccupationVector:
-    """Inverse encoding; requires |J| = N_c."""
+    """Encode J (with |J| = N_c) as n: n_k = N - N_c + k - x_k for the sorted members x = J + 1."""
     _check_index_set(params, J)
     if J.size != params.N_c:
         raise ConstraintViolation(f"index set must have size N_c={params.N_c}, got {J.size}")
@@ -660,8 +646,8 @@ def sample_conditioned_indexset(
 
 def overcrowding_probability_exact(params: EnsembleParams) -> float:
     """log P(#J = N_c), by the tilted DFT of ``_log_count_prob``."""
-    m = params.N_c
-    return _log_count_prob(bernoulli_weights(params), m, _count_tilt(params, m))[0]
+    w = bernoulli_weights(params)
+    return _log_count_prob(w, params.N_c, _tilt(w, params.N_c))[0]
 
 
 def log_hole_factor(params: EnsembleParams) -> float:

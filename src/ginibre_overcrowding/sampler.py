@@ -17,11 +17,13 @@ Two samplers cover two different jobs:
   and a uniform angle.  Step j targets the deflated diagonal and is
   realized by rejection against the step-one mixture with the envelope
   m/(m - j); a Gram-Schmidt list of unit vectors tracks the directions
-  already spanned.  Acceptance ratios only involve the direction of the
-  feature vector, so each proposal's row from ``kernels.feature_rows``
-  (formed in log space and scaled by its own maximum) is simply
-  normalized; this keeps the sampler usable at N in the hundreds where
-  the raw feature entries underflow.
+  already spanned.  The draw takes one ``kernels.basis`` value, the k,
+  log h_k and phase-gap table of its rows, built once per draw.
+  Acceptance ratios only involve the direction of the feature vector, so
+  each proposal's row from ``kernels.feature_rows`` (formed in log space
+  and scaled by its own maximum) is simply normalized; this keeps the
+  sampler usable at N in the hundreds where the raw feature entries
+  underflow.
 
   Proposals come from a pool drawn ahead of the steps, all at once: the
   basis picks, the radii, the angles, the acceptance uniforms and the
@@ -68,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .gamma import log_q_integer
-from .kernels import basis as feature_basis, feature_rows, phase_steps
+from .kernels import FeatureBasis, basis as feature_basis, feature_rows
 from .mixture import (
     ConstraintViolation,
     EnsembleParams,
@@ -103,7 +105,8 @@ _MIN_DIRECTION_NORM = 1e-10
 
 _REGIONS = ("outer", "inner", "full")
 _SAMPLERS = ("radial", "sequential")
-_BASES = ("outer_J", "inner_complement_J")
+# the kernel kind of each basis name
+_BASES = {"outer_J": "outer_J", "inner_complement_J": "inner_J_complement"}
 _SCHEMA = "point-configuration/1"
 _UINT64_SPAN = 1 << 64
 
@@ -364,30 +367,23 @@ def _pool_rows(m: int, j: int) -> int:
     return max(1, min(math.ceil(1.1 * expected) + 8, _POOL_ENTRIES // m))
 
 
-def _draw_pool(params, ks, log_h, radial_block, rows: int, gen: np.random.Generator, steps):
-    """``rows`` proposals from the step-one mixture: (t, theta, uniforms, unit feature rows); ``steps`` is
-    the gap table ``feature_rows`` takes."""
-    picks = gen.integers(0, ks.size, size=rows)
-    t = radial_block(params, ks, picks, gen)
+def _draw_pool(params: EnsembleParams, fb: FeatureBasis, rows: int, gen: np.random.Generator):
+    """``rows`` proposals from the step-one mixture of ``fb``: (t, theta, uniforms, unit feature rows)."""
+    picks = gen.integers(0, fb.ks.size, size=rows)
+    radial_block = _outer_t_block if fb.kind == "outer_J" else _inner_t_block
+    t = radial_block(params, fb.ks, picks, gen)
     theta = _TWO_PI * gen.random(rows)
     uniforms = gen.random(rows)
     # acceptance ratios and Gram-Schmidt updates only see directions
-    psi, _ = feature_rows(params, ks, log_h, t, theta, steps)
+    psi, _ = feature_rows(params, fb, t, theta)
     flat = psi.view(float)
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
     return t, theta, uniforms, psi
 
 
-def _sample_projection(
-    params: EnsembleParams, J: IndexSet, basis: str, gen: np.random.Generator
-) -> list[complex]:
-    """Sequential draw of all m points of the rank-m projection kernel."""
-    outer = basis == "outer_J"
-    kind = "outer_J" if outer else "inner_J_complement"
-    ks, log_h = feature_basis(params, J, kind)
-    steps = phase_steps(params, J, kind)
-    radial_block = _outer_t_block if outer else _inner_t_block
-    m = int(ks.size)
+def _sample_projection(params: EnsembleParams, fb: FeatureBasis, gen: np.random.Generator) -> list[complex]:
+    """Sequential draw of all m points of the rank-m projection kernel of the feature basis ``fb``."""
+    m = int(fb.ks.size)
     # The Gram-Schmidt rows are kept conjugated, and so is each new direction:
     # conj(psi - x @ span) = conj(psi) - conj(x) @ span_conj, bit for bit since
     # conjugation is exact, so every product reads the span in place.
@@ -402,12 +398,11 @@ def _sample_projection(
             if used >= _MAX_PROPOSALS:
                 raise SamplingError(
                     f"no acceptance within {used} proposals at point {j + 1} of {m} "
-                    f"(basis={basis}, N={params.N}, c={params.c}, R={params.R})"
+                    f"(basis={'outer_J' if fb.kind == 'outer_J' else 'inner_complement_J'}, "
+                    f"N={params.N}, c={params.c}, R={params.R})"
                 )
             if cursor == uniforms.size:
-                t, theta, uniforms, psi = _draw_pool(
-                    params, ks, log_h, radial_block, _pool_rows(m, j), gen, steps
-                )
+                t, theta, uniforms, psi = _draw_pool(params, fb, _pool_rows(m, j), gen)
                 # coeff[p, i] = <psi_p, direction i>; left[p] = 1 - sum |coeff[p]|^2, p's acceptance ratio
                 coeff = np.empty((uniforms.size, m), dtype=complex)
                 flat = np.matmul(psi, rows.T, out=coeff[:, :j]).view(float)
@@ -450,11 +445,11 @@ def sample_sequential(
     (params, J, basis, stream) replay bit-identically.
     """
     if basis not in _BASES:
-        raise ValueError(f"basis must be one of {_BASES}, got {basis!r}")
+        raise ValueError(f"basis must be one of {tuple(_BASES)}, got {basis!r}")
     _check_index_set(params, J)
     _check_span(J.size if basis == "outer_J" else params.N - J.size)
     stream = _require_stream(rng)
-    points = _sample_projection(params, J, basis, stream.generator())
+    points = _sample_projection(params, feature_basis(params, J, _BASES[basis]), stream.generator())
     return PointConfiguration(
         points=tuple(points),
         params=params,
@@ -476,8 +471,8 @@ def sample_conditioned_ensemble(params: EnsembleParams, rng: RandomStream) -> Po
     stream = _require_stream(rng)
     gen = stream.generator()
     J = sample_conditioned_indexset(params, params.N_c, gen)
-    outer = _sample_projection(params, J, "outer_J", gen)
-    inner = _sample_projection(params, J, "inner_complement_J", gen)
+    outer = _sample_projection(params, feature_basis(params, J, "outer_J"), gen)
+    inner = _sample_projection(params, feature_basis(params, J, "inner_J_complement"), gen)
     return PointConfiguration(
         points=tuple(outer) + tuple(inner),
         params=params,

@@ -22,7 +22,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import ginibre_overcrowding
-from ginibre_overcrowding import cli, sampler, validation
+from ginibre_overcrowding import cli, mixture, sampler, validation
 from ginibre_overcrowding.cli import main, read_radial_csv
 from ginibre_overcrowding.kernels import KernelSpec, evaluate_diagonal, evaluate_grid
 from ginibre_overcrowding.mixture import EnsembleParams, sample_conditioned_indexset
@@ -273,6 +273,19 @@ def test_sample_radial_only_replays_sampler(capsys, tmp_path):
     assert {k: v for k, v in payload.items() if k != "radii"} == meta
 
 
+def test_command_cache_traffic(capsys, tmp_path):
+    # the caches kept are the ones a command hits: the replicas of one `sample` share one
+    # tilted table, and one `prob` op builds its weights once and reads them again
+    mixture._tilted_draws.cache_clear()
+    argv = ["sample", "-N", "40", "-c", "0.6", "-R", "0.8", "--seed", "7", "--replicas", "3"]
+    assert run(capsys, *argv, "--out", str(tmp_path / "draw"))[0] == 0
+    assert mixture._tilted_draws.cache_info()[:2] == (2, 1)
+    mixture.bernoulli_weights.cache_clear()
+    assert run(capsys, "prob", "-N", "300", "-c", "0.7", "-R", "0.6")[0] == 0
+    hits, misses = mixture.bernoulli_weights.cache_info()[:2]
+    assert misses == 1 and hits >= 1
+
+
 # SHA-256 over the files of one seeded ``sample`` run, in name order, per
 # (format, radial-only).  A change that alters replay bytes must update these
 # digests and name the change in CHANGES.md.
@@ -361,11 +374,11 @@ def test_kernel_output_is_streamed(fmt):
     # computed first, so the traced peak is the writer's own
     limit = KernelSpec("limit_hard_wall")
     points = cli._parse_grid("0.05:3:16,-2:2:16", squared=True)
-    grid_blocks = cli._grid_blocks(points, evaluate_grid(limit, points, points))
+    grid_blocks = cli._grid_blocks(points, evaluate_grid(limit, points, points), fmt)
     points = cli._parse_grid("0.05:3:256,-2:2:256", squared=False)
     a = evaluate_diagonal(limit, points)
     b = 0.999 * a
-    compare_blocks = cli._compare_blocks(points, a, b, np.abs(a - b))
+    compare_blocks = cli._compare_blocks(points, a, b, np.abs(a - b), fmt)
     for columns, blocks in ((cli._GRID_COLUMNS, grid_blocks), (cli._COMPARE_COLUMNS, compare_blocks)):
         sink = _CountingSink()
         tracemalloc.start()

@@ -24,9 +24,7 @@ from scipy.special import xlogy
 from ginibre_overcrowding import cli, kernels, sampler
 
 from ginibre_overcrowding.kernels import (
-    CorrelationResult,
     KernelSpec,
-    correlation,
     eval_limit,
     evaluate_diagonal,
     evaluate_grid,
@@ -547,7 +545,7 @@ class _CountedWrites(io.StringIO):
 def _csv_text(points: np.ndarray, values: np.ndarray) -> str:
     """The ``kernel --kind`` CSV of ``values``, one write for the header and one per z point."""
     buf = _CountedWrites()
-    cli._write_table(buf, "csv", {}, cli._GRID_COLUMNS, cli._grid_blocks(points, values))
+    cli._write_table(buf, "csv", {}, cli._GRID_COLUMNS, cli._grid_blocks(points, values, "csv"))
     assert buf.writes == 1 + len(points)
     return buf.getvalue()
 
@@ -555,7 +553,7 @@ def _csv_text(points: np.ndarray, values: np.ndarray) -> str:
 def _json_doc(points: np.ndarray, values: np.ndarray) -> dict:
     """The ``kernel --kind`` JSON document of ``values``, parsed."""
     buf = io.StringIO()
-    cli._write_table(buf, "json", {"kind": "any"}, cli._GRID_COLUMNS, cli._grid_blocks(points, values))
+    cli._write_table(buf, "json", {"kind": "any"}, cli._GRID_COLUMNS, cli._grid_blocks(points, values, "json"))
     return json.loads(buf.getvalue())
 
 
@@ -659,7 +657,7 @@ def test_written_grid_is_exactly_hermitian_on_every_kind(fmt):
     ):
         values = evaluate_grid(spec, pts, pts)
         buf = io.StringIO()
-        cli._write_table(buf, fmt, {"kind": spec.kind}, cli._GRID_COLUMNS, cli._grid_blocks(pts, values))
+        cli._write_table(buf, fmt, {"kind": spec.kind}, cli._GRID_COLUMNS, cli._grid_blocks(pts, values, fmt))
         written = _table_values(buf.getvalue(), fmt)
         # the upper triangle as evaluated, K_ji = conj(K_ij) bit for bit below it (a zero
         # imaginary part as +0.0), and a diagonal whose imaginary part is exactly +0.0
@@ -674,17 +672,26 @@ def test_written_grid_is_exactly_hermitian_on_every_kind(fmt):
             assert np.any(values[i, j] == 0) and np.any(values[i, j] != 0)
 
 
-def _per_point_grid_blocks(points: np.ndarray, values: np.ndarray):
+def _json_rows(csv_text: str) -> str:
+    """CSV rows as JSON rows: each row a list after a comma and a newline, cells after ", ", and nan and
+    inf spelled as ``json`` spells them (a row holds floats only, so the letters spell nothing else)."""
+    rows = csv_text[:-2].replace(",", ", ").replace("\r\n", "],\n[")
+    return ",\n[" + rows.replace("nan", "NaN").replace("inf", "Infinity") + "]"
+
+
+def _per_point_grid_blocks(points: np.ndarray, values: np.ndarray, fmt: str = "csv"):
     """``kernel --kind`` rows with every coordinate formatted at each of its points: the coordinate oracle."""
     texts = [f"{re!r},{im!r}," for re, im in zip(points.real.tolist(), points.imag.tolist())]
     for z, vs in zip(texts, values):
-        yield "".join(f"{z}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(texts, vs.tolist()))
+        text = "".join(f"{z}{w}{v.real!r},{v.imag!r}\r\n" for w, v in zip(texts, vs.tolist()))
+        yield text if fmt == "csv" else _json_rows(text)
 
 
-def _per_point_compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray):
+def _per_point_compare_blocks(points: np.ndarray, a: np.ndarray, b: np.ndarray, diff: np.ndarray, fmt: str):
     """``kernel --compare`` rows with every float formatted where it stands, one block."""
     columns = (points.real, points.imag, a.real, a.imag, b.real, b.imag, diff)
-    yield "".join(",".join(map(repr, row)) + "\r\n" for row in zip(*(column.tolist() for column in columns)))
+    text = "".join(",".join(map(repr, row)) + "\r\n" for row in zip(*(column.tolist() for column in columns)))
+    yield text if fmt == "csv" else _json_rows(text)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -698,8 +705,12 @@ def test_coordinates_formatted_once_per_axis_value_keep_the_bytes(fmt):
         a, b = np.diag(values).copy(), values[0]
         diff = np.hypot(a.real - b.real, a.imag - b.imag)
         for columns, blocks, oracle in (
-            (cli._GRID_COLUMNS, cli._grid_blocks(points, values), _per_point_grid_blocks(points, _mirrored(values))),
-            (cli._COMPARE_COLUMNS, cli._compare_blocks(points, a, b, diff), _per_point_compare_blocks(points, a, b, diff)),
+            (cli._GRID_COLUMNS, cli._grid_blocks(points, values, fmt), _per_point_grid_blocks(points, _mirrored(values), fmt)),
+            (
+                cli._COMPARE_COLUMNS,
+                cli._compare_blocks(points, a, b, diff, fmt),
+                _per_point_compare_blocks(points, a, b, diff, fmt),
+            ),
         ):
             got, want = io.StringIO(), io.StringIO()
             cli._write_table(got, fmt, {}, columns, blocks)
@@ -726,11 +737,11 @@ def test_grid_blocks_match_the_per_point_oracle_at_every_block_size(fmt, size, m
     values.imag[upper] = np.resize(_EDGE_FLOATS, upper[0].size)
     for block in (1, 3, size + 1, 3 * size - 1, 3 * size):
         monkeypatch.setattr(cli, "_GRID_BLOCK", block)
-        texts = list(cli._grid_blocks(points, values))
+        texts = list(cli._grid_blocks(points, values, fmt))
         assert len(texts) == size
         got, want = io.StringIO(), io.StringIO()
         cli._write_table(got, fmt, {}, cli._GRID_COLUMNS, iter(texts))
-        cli._write_table(want, fmt, {}, cli._GRID_COLUMNS, _per_point_grid_blocks(points, _mirrored(values)))
+        cli._write_table(want, fmt, {}, cli._GRID_COLUMNS, _per_point_grid_blocks(points, _mirrored(values), fmt))
         assert _lines(got.getvalue()) == _lines(want.getvalue())
 
 
@@ -747,7 +758,7 @@ def test_grid_writer_calls_repr_once_per_distinct_float_of_a_block(monkeypatch):
     values = evaluate_grid(KernelSpec("limit_hard_wall"), points, points)
     calls = []
     monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x), raising=False)
-    text = "".join(cli._grid_blocks(points, values))
+    text = "".join(cli._grid_blocks(points, values, "csv"))
     monkeypatch.undo()
     assert text == "".join(_per_point_grid_blocks(points, _mirrored(values)))
     # per block: Re K on and above the diagonal and |Im K| above it; then the coordinates of both axes
@@ -770,15 +781,17 @@ def test_grid_json_limit_kernel_without_params(capsys):
     assert np.array_equal(np.array([complex(*row[4:]) for row in doc["rows"]]).reshape(2, 2), values)
 
 
+def correlation(points, spec: KernelSpec) -> float:
+    """k-point correlation det(K(x_i, x_j)) of the kernel, from one ``evaluate_grid`` call."""
+    return float(np.linalg.det(evaluate_grid(spec, points, points)).real)
+
+
 def test_correlation_single_and_repeated_points():
     p = EnsembleParams(N=20, c=0.8, R=0.7)
     spec = KernelSpec(kind="ginibre_N", params=p)
     x = 0.4 + 0.2j
-    res = correlation([x], spec)
-    assert res.value == pytest.approx(evaluate_kernel(spec, x, x).real, rel=1e-13)
-    rep = correlation([x, x], spec)
-    assert rep.value == pytest.approx(0.0, abs=1e-10)
-    assert rep.value >= 0.0
+    assert correlation([x], spec) == pytest.approx(evaluate_grid(spec, [x], [x])[0, 0].real, rel=1e-13)
+    assert correlation([x, x], spec) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_correlation_pair_formula():
@@ -786,23 +799,11 @@ def test_correlation_pair_formula():
     J = top_block(p)
     spec = KernelSpec(kind="outer_J", params=p, index_set=J)
     x, y = 0.9 + 0.1j, 1.0 - 0.3j
-    res = correlation([x, y], spec)
     direct = (
-        evaluate_kernel(spec, x, x).real * evaluate_kernel(spec, y, y).real
-        - abs(evaluate_kernel(spec, x, y)) ** 2
+        evaluate_grid(spec, [x], [x])[0, 0].real * evaluate_grid(spec, [y], [y])[0, 0].real
+        - abs(evaluate_grid(spec, [x], [y])[0, 0]) ** 2
     )
-    assert res.raw == pytest.approx(direct, rel=1e-11)
-    assert res.value == max(res.raw, 0.0)
-
-
-def test_correlation_rank_guard():
-    p = EnsembleParams(N=10, c=0.5, R=0.9)
-    J = IndexSet(members=(8, 9), N=10)
-    spec = KernelSpec(kind="outer_J", params=p, index_set=J)
-    with pytest.raises(ValueError):
-        correlation([0.95, 1.0, 1.05], spec)
-    with pytest.raises(ValueError):
-        correlation([], spec)
+    assert correlation([x, y], spec) == pytest.approx(direct, rel=1e-11)
 
 
 # ----------------------------
@@ -810,9 +811,10 @@ def test_correlation_rank_guard():
 # ----------------------------
 
 
-def xlogy_magnitudes(params, ks, log_h, t):
+def xlogy_magnitudes(params, basis, t):
     """|rows| of ``xlogy_feature_rows`` before the phase, and the row shifts."""
-    half = 0.5 * ((ks + 1.0) * math.log(params.N) - math.log(math.pi) - log_h)
+    ks = basis.ks
+    half = 0.5 * ((ks + 1.0) * math.log(params.N) - math.log(math.pi) - basis.log_h)
     log_mag = xlogy(0.5 * ks, t[:, None]) - (0.5 * params.N) * t[:, None]
     log_mag += half[None, :]
     shift = log_mag.max(axis=1, initial=-math.inf)
@@ -821,12 +823,12 @@ def xlogy_magnitudes(params, ks, log_h, t):
     return np.exp(log_mag), shift
 
 
-def xlogy_feature_rows(params, ks, log_h, t, theta, steps=None):
+def xlogy_feature_rows(params, basis, t, theta):
     """The feature rows as first written: scipy's xlogy for (k/2) log t, cos and sin of the rounded theta k.
 
-    ``steps``, the gap table ``feature_rows`` takes, is not used."""
-    magnitudes, shift = xlogy_magnitudes(params, ks, log_h, t)
-    phase = np.multiply.outer(theta, ks.astype(float))
+    The basis's gap table, which ``feature_rows`` takes, is not used."""
+    magnitudes, shift = xlogy_magnitudes(params, basis, t)
+    phase = np.multiply.outer(theta, basis.ks.astype(float))
     return magnitudes * (np.cos(phase) + 1j * np.sin(phase)), shift
 
 
@@ -853,15 +855,16 @@ def test_feature_rows_match_xlogy_within_the_phase_bound(kind):
     # ginibre_N and inner_J_complement rows hold k = 0, outer_J rows do not
     # thousands of t: numpy's SIMD log can differ from libm's in the last bit on about 1 t in 700
     params = EnsembleParams(N=60, c=0.7, R=0.8)
-    ks, log_h = kernels.basis(params, top_block(params), kind)
+    basis = kernels.basis(params, top_block(params), kind)
+    ks = basis.ks
     assert (ks[0] == 0) == (kind != "outer_J")
     gen = np.random.default_rng(17)
     t = np.concatenate([[0.0, 5e-324, 1e-300, 1.0, 0.64], 3.0 * gen.random(4000), np.exp(8.0 * gen.normal(size=1000))])
     theta = 2.0 * math.pi * gen.random(t.size)
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")
-        rows, shift = feature_rows(params, ks, log_h, t, theta, kernels.phase_steps(params, top_block(params), kind))
-    want_rows, want_shift = xlogy_feature_rows(params, ks, log_h, t, theta)
+        rows, shift = feature_rows(params, basis, t, theta)
+    want_rows, want_shift = xlogy_feature_rows(params, basis, t, theta)
     # the magnitudes and shifts are the oracle's bit for bit, so the rows differ by their phases,
     # and by 2^-1074 in each part where a magnitude is subnormal
     assert shift.tobytes() == want_shift.tobytes()
@@ -879,12 +882,12 @@ def test_feature_row_phases_at_least_as_accurate_as_the_oracle(N, kind, points):
     # routes share times e^(i theta k) of the float theta: the largest error of the running product
     # is no larger than that of the rounded theta k (about 4x and 6x smaller at N = 60 and 2000)
     params = EnsembleParams(N=N, c=0.7, R=0.8)
-    ks, log_h = kernels.basis(params, top_block(params), kind)
+    basis = kernels.basis(params, top_block(params), kind)
+    ks = basis.ks
     gen = np.random.default_rng(N)
     t, theta = gen.random(points), 2.0 * math.pi * gen.random(points)
-    magnitudes, _ = xlogy_magnitudes(params, ks, log_h, t)
-    steps = kernels.phase_steps(params, top_block(params), kind)
-    routes = (feature_rows(params, ks, log_h, t, theta, steps)[0], xlogy_feature_rows(params, ks, log_h, t, theta)[0])
+    magnitudes, _ = xlogy_magnitudes(params, basis, t)
+    routes = (feature_rows(params, basis, t, theta)[0], xlogy_feature_rows(params, basis, t, theta)[0])
     worst = [0.0, 0.0]
     with mpmath.workprec(140):
         for i, j in zip(*np.nonzero(magnitudes)):
@@ -898,12 +901,11 @@ def test_feature_row_phases_at_least_as_accurate_as_the_oracle(N, kind, points):
 def test_pool_rows_match_the_complex_product(basis, monkeypatch):
     # a sampler pool as ``_draw_pool`` draws it, against the same pool with the oracle's rows
     params = EnsembleParams(N=150, c=0.7, R=0.8)
-    ks, log_h = kernels.basis(params, top_block(params), basis)
-    radial_block = sampler._outer_t_block if basis == "outer_J" else sampler._inner_t_block
-    steps = kernels.phase_steps(params, top_block(params), basis)
-    pool = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3), steps)
+    fb = kernels.basis(params, top_block(params), basis)
+    ks = fb.ks
+    pool = sampler._draw_pool(params, fb, 600, np.random.default_rng(3))
     monkeypatch.setattr(sampler, "feature_rows", xlogy_feature_rows)
-    want = sampler._draw_pool(params, ks, log_h, radial_block, 600, np.random.default_rng(3), steps)
+    want = sampler._draw_pool(params, fb, 600, np.random.default_rng(3))
     for got, ref in zip(pool[:3], want[:3]):
         assert got.tobytes() == ref.tobytes()
     psi, ref = pool[3], want[3]
@@ -911,7 +913,7 @@ def test_pool_rows_match_the_complex_product(basis, monkeypatch):
     # unit rows a/|a| and b/|b| lie within 2 |a - b| / |b| of each other, and each normalization
     # within (m + 4) 2^-53 of its exact unit row
     t, theta = pool[:2]
-    rows, _ = xlogy_feature_rows(params, ks, log_h, t, theta)
+    rows, _ = xlogy_feature_rows(params, fb, t, theta)
     apart = np.linalg.norm(phase_bound(theta, ks) * np.abs(rows), axis=1) / np.linalg.norm(rows, axis=1)
     assert np.all(np.linalg.norm(psi - ref, axis=1) <= 2.0 * apart + 2.0 * (ks.size + 4) * _U)
 

@@ -38,7 +38,6 @@ from ginibre_overcrowding.mixture import (
     log_hole_factor_rescaled,
     log_ratio_approx,
     log_ratio_exact,
-    occupation_to_indexset,
     overcrowding_probability_asymptotic,
     overcrowding_probability_exact,
     sample_conditioned_indexset,
@@ -48,13 +47,13 @@ from ginibre_overcrowding.mixture import (
     _FOLD,
     _CHUNK,
     _bennett,
-    _count_tilt,
     _log_count_prob,
     _log_poisson_pmfs,
     _log_poisson_tails,
     _phi_near_one,
     _tail_length,
     _tilt,
+    _validate_occupation,
     log_factorials,
 )
 from ginibre_overcrowding.validation import enumerate_count_log_probs
@@ -567,7 +566,7 @@ def test_banded_probability_matches_dense_dp(N, c, R):
         assert abs(log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
         assert 0.0 <= certificate <= 2.0**-60
     assert_windowed_matches_full(w, range(N + 1))
-    assert _log_count_prob(w, p.N_c, _count_tilt(p, p.N_c))[0] == overcrowding_probability_exact(p)
+    assert _log_count_prob(w, p.N_c, _tilt(w, p.N_c))[0] == overcrowding_probability_exact(p)
 
 
 @pytest.mark.parametrize("N, c, R", [(300, 0.5, 0.75), (4000, 0.515, 0.7), (1500, 0.95, 0.3)])
@@ -592,7 +591,8 @@ def test_exact_probability_at_scale_stays_small():
         tracemalloc.stop()
     assert math.isfinite(exact) and exact < 0.0
     assert peak < 64 * 2**20
-    assert _log_count_prob(bernoulli_weights(p), p.N_c, _count_tilt(p, p.N_c))[1] <= 2.0**-60
+    w = bernoulli_weights(p)
+    assert _log_count_prob(w, p.N_c, _tilt(w, p.N_c))[1] <= 2.0**-60
 
 
 def test_windowed_count_law_at_a_million():
@@ -743,6 +743,14 @@ def test_count_distribution_mode_location():
 # ----------------------------
 # occupation/index encoding
 # ----------------------------
+
+
+def occupation_to_indexset(n: OccupationVector, params: EnsembleParams) -> IndexSet:
+    """Decode n to its index set via x_k = N - N_c + k - n_k, members = x - 1: the inverse of
+    ``indexset_to_occupation``, refusing what ``log_ratio_exact`` refuses."""
+    _validate_occupation(n, params)
+    base = params.N - params.N_c
+    return IndexSet(members=tuple(base + k - n_k for k, n_k in enumerate(n.n)), N=params.N)
 
 
 def test_encoding_hand_examples():

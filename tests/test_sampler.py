@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ginibre_overcrowding.gamma import log_gamma_lower, log_q_integer
-from ginibre_overcrowding.kernels import basis as feature_basis, phase_steps
+from ginibre_overcrowding.kernels import basis as feature_basis
 from ginibre_overcrowding.mixture import (
     ConstraintViolation,
     EnsembleParams,
@@ -488,7 +488,7 @@ def test_pool_refills_inside_a_step_keep_the_law(monkeypatch):
     monkeypatch.setattr(sampler, "_POOL_ENTRIES", 8)
     pools = []
     draw_pool = sampler._draw_pool
-    monkeypatch.setattr(sampler, "_draw_pool", lambda *a: pools.append(a[4]) or draw_pool(*a))
+    monkeypatch.setattr(sampler, "_draw_pool", lambda *a: pools.append(a[2]) or draw_pool(*a))
     rs = RandomStream(seed=20240817)
     outer = sample_sequential(params, J, "outer_J", rs)
     assert set(pools) == {1} and len(pools) > J.size
@@ -507,18 +507,13 @@ def test_pool_refills_inside_a_step_keep_the_law(monkeypatch):
     assert ks.statistic < 0.02
 
 
-def _copying_reference_projection(params, J, basis, gen):
+def _copying_reference_projection(params, fb, gen):
     """The sequential loop before the conjugated span, less its error exits: the oracle of its bytes.
 
     It copies the conjugated span twice per step and tests a window of at
     least 8 proposals; the pool and feature rows are the module's own.
     """
-    outer = basis == "outer_J"
-    kind = "outer_J" if outer else "inner_J_complement"
-    ks, log_h = feature_basis(params, J, kind)
-    steps = phase_steps(params, J, kind)
-    radial_block = sampler._outer_t_block if outer else sampler._inner_t_block
-    m = int(ks.size)
+    m = int(fb.ks.size)
     span = np.zeros((m, m), dtype=complex)
     points = []
     uniforms = np.empty(0)
@@ -527,9 +522,7 @@ def _copying_reference_projection(params, J, basis, gen):
         window = int(min(128, max(8, math.ceil(2.0 * m / (m - j)))))
         while True:
             if cursor == uniforms.size:
-                t, theta, uniforms, psi = sampler._draw_pool(
-                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen, steps
-                )
+                t, theta, uniforms, psi = sampler._draw_pool(params, fb, sampler._pool_rows(m, j), gen)
                 cursor = 0
             stop = min(cursor + window, uniforms.size)
             coeff = psi[cursor:stop] @ span[:j].conj().T
@@ -548,7 +541,7 @@ def _copying_reference_projection(params, J, basis, gen):
     return points
 
 
-def _window_reference_projection(params, J, basis, gen):
+def _window_reference_projection(params, fb, gen):
     """The window loop that kept no coefficients: the oracle of the sampler's bytes.
 
     Step j tests windows of ceil(1.5 m/(m - j)) proposals from a cursor with
@@ -556,12 +549,7 @@ def _window_reference_projection(params, J, basis, gen):
     the windows it rejected hold ``_MAX_PROPOSALS`` proposals or more.  The
     pool and feature rows are the module's own.
     """
-    outer = basis == "outer_J"
-    kind = "outer_J" if outer else "inner_J_complement"
-    ks, log_h = feature_basis(params, J, kind)
-    steps = phase_steps(params, J, kind)
-    radial_block = sampler._outer_t_block if outer else sampler._inner_t_block
-    m = int(ks.size)
+    m = int(fb.ks.size)
     span_conj = np.zeros((m, m), dtype=complex)
     points = []
     uniforms = np.empty(0)
@@ -574,9 +562,7 @@ def _window_reference_projection(params, J, basis, gen):
             if used >= sampler._MAX_PROPOSALS:
                 raise SamplingError(f"no acceptance within {used} proposals at point {j + 1} of {m}")
             if cursor == uniforms.size:
-                t, theta, uniforms, psi = sampler._draw_pool(
-                    params, ks, log_h, radial_block, sampler._pool_rows(m, j), gen, steps
-                )
+                t, theta, uniforms, psi = sampler._draw_pool(params, fb, sampler._pool_rows(m, j), gen)
                 cursor = 0
             stop = min(cursor + window, uniforms.size)
             coeff = psi[cursor:stop] @ rows.T
@@ -597,13 +583,13 @@ def _window_reference_projection(params, J, basis, gen):
 
 
 def _replay_cases(cases, seeds):
-    """(params, J, basis, seed) over conditioned index sets, both bases."""
+    """(params, feature basis, seed) over conditioned index sets, both bases."""
     for N, c in cases:
         params = EnsembleParams(N=N, c=c, R=0.8)
         for seed in seeds:
             J = sample_conditioned_indexset(params, params.N_c, RandomStream(seed=seed).generator())
-            for basis in ("outer_J", "inner_complement_J"):
-                yield params, J, basis, seed
+            for kind in ("outer_J", "inner_J_complement"):
+                yield params, feature_basis(params, J, kind), seed
 
 
 @pytest.mark.parametrize("entries", [1 << 15, 64, 8])
@@ -616,11 +602,11 @@ def test_projection_loop_replays_the_reference_loop(monkeypatch, entries):
     if entries == 1 << 15:
         # m = 400 leaves 81 rows to a pool, and m = 240 or 160 about 140 or 200: refills every few steps
         cases += [(400, 1.0), (400, 0.6)]
-    for params, J, basis, seed in _replay_cases(cases, range(3)):
+    for params, fb, seed in _replay_cases(cases, range(3)):
         stream = RandomStream(seed=seed, stream_id=params.N)
-        got = sampler._sample_projection(params, J, basis, stream.generator())
-        assert got == _window_reference_projection(params, J, basis, stream.generator()), (params, seed, basis)
-        assert got == _copying_reference_projection(params, J, basis, stream.generator()), (params, seed, basis)
+        got = sampler._sample_projection(params, fb, stream.generator())
+        assert got == _window_reference_projection(params, fb, stream.generator()), (params, seed, fb.kind)
+        assert got == _copying_reference_projection(params, fb, stream.generator()), (params, seed, fb.kind)
 
 
 def test_exhausted_proposal_budget_raises_where_the_reference_loop_does(monkeypatch):
@@ -629,18 +615,18 @@ def test_exhausted_proposal_budget_raises_where_the_reference_loop_does(monkeypa
     # answers the reference answers the same points
     monkeypatch.setattr(sampler, "_MAX_PROPOSALS", 3)
     outcomes = []
-    for params, J, basis, seed in _replay_cases([(6, 0.6), (40, 0.6), (150, 1.0)], range(4)):
+    for params, fb, seed in _replay_cases([(6, 0.6), (40, 0.6), (150, 1.0)], range(4)):
         stream = RandomStream(seed=seed, stream_id=params.N)
         try:
-            want = _window_reference_projection(params, J, basis, stream.generator())
+            want = _window_reference_projection(params, fb, stream.generator())
         except SamplingError:
             want = None
         try:
-            got = sampler._sample_projection(params, J, basis, stream.generator())
+            got = sampler._sample_projection(params, fb, stream.generator())
         except SamplingError as exc:
             assert "proposals at point" in str(exc)
             got = None
-        assert got is None if want is None else got in (None, want), (params, seed, basis)
+        assert got is None if want is None else got in (None, want), (params, seed, fb.kind)
         outcomes.append(got is None)
     assert any(outcomes) and not all(outcomes)
 
@@ -649,10 +635,10 @@ def test_rank_512_draw_peaks_under_8_mib():
     # the 512 x 512 span alone is 4 MiB; a second span-sized array or per-step copies pass 8 MiB
     params = EnsembleParams(N=512, c=1.0, R=0.5)
     J = top_block(params)
-    feature_basis(params, J, "outer_J")  # the weights table is cached outside the draw
+    fb = feature_basis(params, J, "outer_J")  # the basis and the weights table are built outside the draw
     tracemalloc.start()
     try:
-        points = sampler._sample_projection(params, J, "outer_J", RandomStream(seed=5).generator())
+        points = sampler._sample_projection(params, fb, RandomStream(seed=5).generator())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
