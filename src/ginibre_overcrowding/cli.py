@@ -45,6 +45,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,7 @@ def _write_radial(
     """One ``radial-moduli/1`` header, as a CSV sidecar or inlined in one JSON document."""
     meta = {
         "schema": _RADIAL_SCHEMA,
-        "params": {"N": params.N, "c": params.c, "R": params.R},
+        "params": asdict(params),
         "index_set": list(J.members),
         "seed": args.seed,
         "stream_id": index,
@@ -355,7 +356,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         head = {
             "kind": spec.kind,
             "x_scaled": spec.x_scaled,
-            "params": None if spec.params is None else {"N": spec.params.N, "c": spec.params.c, "R": spec.params.R},
+            "params": None if spec.params is None else asdict(spec.params),
             "index_set": None if spec.index_set is None else list(spec.index_set.members),
         }
         values = evaluate_grid(spec, grid, grid)

@@ -10,25 +10,34 @@ everything here reduces to log-space work on those weights:
   comes from that law tilted to mean m,
 * conditional sampling of J given #J = m draws from the same tilted law and
   keeps the first draw with m members,
-* subsets of size N_c are encoded by occupation vectors n, with
-  n_k = N - N_c + k - x_k for the sorted members x_1 < ... < x_{N_c}
-  (x = kernel index + 1), so the most likely set J_0 = {N-N_c, ..., N-1}
-  is n = 0 and probability ratios against it telescope over k with n_k > 0.
+* a subset J of size N_c is compared with the most likely set
+  J_0 = {N-N_c, ..., N-1} by pairing its sorted members x_1 < ... < x_{N_c}
+  (x = kernel index + 1) with the places N - N_c + k of J_0.  The
+  displacements n_k = N - N_c + k - x_k are the paper's occupation vector:
+  n = 0 is J_0, |n| = sum J_0 - sum J is what the partition series counts,
+  and P_J / P_{J_0} telescopes over the k with n_k > 0.
 
 Weights.  Q(k+1, z) = P(Poisson(z) <= k), so all N weights come from one
 pass over the Poisson(z) pmf at z = N R^2.  The pmf is evaluated at every k
 at once by the formulas of ``gamma.log_poisson_pmf``, with the atanh series
 of Loader (2000) for its deviance near k = z.  A forward running log-sum-exp
 gives log a_k below the Poisson median and a backward one log(1 - a_k)
-above it, the backward sum cut at the first T past N where a bound on the
-rest falls below 2^-64 of pmf(N).  At each k the smaller of the two tails
-is kept and the larger is log1mexp of it.  a_k underflows double
-precision for k well below N R^2 and 1 - a_k for k well above it, so each
-is kept exact in relative terms where it is small.  The pass runs T terms
-past N, and the cached ``BernoulliWeights`` keeps its log P(X > j) for all
-j < N + T: the one Poisson(N R^2) tail table, read by the weights, the
-tilt, the DFT, the hole factor, the kernel norms and both radial draws of
-``sampler``.  A table longer than ``_MAX_TAIL_ENTRIES`` is refused with
+above it.  At each k the smaller of the two tails is kept and the larger
+is log1mexp of it.  a_k underflows double precision for k well below
+N R^2 and 1 - a_k for k well above it, so each is kept exact in relative
+terms where it is small.  The cached ``BernoulliWeights`` keeps
+log P(X > j) for all j < N + T, with T = ``_tail_length(N, N R^2)`` the
+first count past N where a bound on the mass past N + T falls below 2^-64
+of pmf(N), so that the inner radial draw finds every count it can hit:
+the one Poisson(N R^2) tail table, read by the weights, the tilt, the DFT,
+the hole factor, the kernel norms and both radial draws of ``sampler``.
+The pass runs further than the table: ``bernoulli_weights`` hands N + T
+to ``_log_poisson_tails``, which cuts its backward sum another
+T' = ``_tail_length(N + T, N R^2)`` terms on, so the pmf spans
+N + T + T' + 1 entries (T = 75 and T' = 69 at N = 1500, c = 0.7,
+R = 0.75).  The mass left out is then below 2^-64 of pmf(N + T), which no
+kept P(X > j), j < N + T, is smaller than, so each is summed to within
+2^-64 of itself.  A table longer than ``_MAX_TAIL_ENTRIES`` is refused with
 ``ValueError`` before the pass: N + T entries peak at up to about 100
 bytes each over a ``prob`` call, and T stays near 10 sqrt(N) or below even
 as R nears 1 (9,912 at N = 10^6, R^2 = 1 - 10^-6).
@@ -75,10 +84,8 @@ __all__ = [
     "ConstraintViolation",
     "EnsembleParams",
     "IndexSet",
-    "OccupationVector",
     "BernoulliWeights",
     "bernoulli_weights",
-    "indexset_to_occupation",
     "log_ratio_exact",
     "log_ratio_approx",
     "sample_conditioned_indexset",
@@ -92,7 +99,7 @@ __all__ = [
 
 
 class ConstraintViolation(ValueError):
-    """Raised when a parameter set, index set or occupation vector is invalid."""
+    """Raised when a parameter set or index set is invalid."""
 
 
 @dataclass(frozen=True)
@@ -174,32 +181,6 @@ def _check_index_set(params: EnsembleParams, J: IndexSet) -> None:
 def top_block(params: EnsembleParams) -> IndexSet:
     """The top block J_0 = {N - N_c, ..., N - 1}, the most likely index set."""
     return IndexSet(members=tuple(range(params.N - params.N_c, params.N)), N=params.N)
-
-
-@dataclass(frozen=True)
-class OccupationVector:
-    """Nonincreasing nonnegative displacements (n_1, ..., n_{N_c}).
-
-    Entry k measures how far the k-th smallest member of the set sits below
-    its position in the top block J_0; n = 0 is J_0 itself.  The upper bound
-    n_1 <= N - N_c depends on the ensemble and is checked where parameters
-    are available.
-    """
-
-    n: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        v = self.n
-        if any(x != int(x) for x in v):
-            raise ConstraintViolation(f"occupation entries must be integers, got {v!r}")
-        if any(x < 0 for x in v):
-            raise ConstraintViolation(f"occupation entries must be >= 0, got {v!r}")
-        if any(a < b for a, b in zip(v, v[1:])):
-            raise ConstraintViolation(f"occupation entries must be nonincreasing, got {v!r}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.n)
 
 
 @dataclass(frozen=True)
@@ -566,53 +547,32 @@ def _log_count_prob(
     return tilt.log_k + math.log(p_m), (aliased(size) + fold) / p_m, size
 
 
-def _validate_occupation(n: OccupationVector, params: EnsembleParams) -> None:
-    if len(n.n) != params.N_c:
-        raise ConstraintViolation(
-            f"occupation vector must have length N_c={params.N_c}, got {len(n.n)}"
-        )
-    if n.n and n.n[0] > params.N - params.N_c:
-        raise ConstraintViolation(
-            f"occupation entries must be <= N - N_c = {params.N - params.N_c}, got {n.n[0]}"
-        )
-
-
-def indexset_to_occupation(J: IndexSet, params: EnsembleParams) -> OccupationVector:
-    """Encode J (with |J| = N_c) as n: n_k = N - N_c + k - x_k for the sorted members x = J + 1."""
+def _check_ratio_set(J: IndexSet, params: EnsembleParams) -> None:
+    """Refuse a J over another N than ``params``, or of another size than N_c, for a ratio against J_0."""
     _check_index_set(params, J)
     if J.size != params.N_c:
         raise ConstraintViolation(f"index set must have size N_c={params.N_c}, got {J.size}")
-    base = params.N - params.N_c
-    n = tuple(base + (k + 1) - (m + 1) for k, m in enumerate(J.members))
-    return OccupationVector(n=n)
 
 
-def log_ratio_exact(n: OccupationVector, params: EnsembleParams) -> float:
-    """log(P_n / P_0), telescoped over the displaced positions.
+def log_ratio_exact(J: IndexSet, params: EnsembleParams) -> float:
+    """log(P_J / P_{J_0}) for |J| = N_c, telescoped over the displaced members.
 
-    Each k with n_k > 0 moves one member from shape N - N_c + k down to
-    shape N - N_c + k - n_k, contributing the log-ratio of the two upper
-    tails plus the log-ratio of the two complementary lower tails.  Entries
-    with n_k = 0 contribute exactly nothing.  Shape s is the cached weight
-    of index s - 1.
+    The k-th smallest member x of J is paired with the k-th place t of J_0 and
+    contributes the log-ratio of the two upper tails, a_x / a_t, plus that of
+    the complementary lower tails, (1 - a_t) / (1 - a_x).  A member at its own
+    place contributes exactly nothing.
     """
-    _validate_occupation(n, params)
+    _check_ratio_set(J, params)
     w = bernoulli_weights(params)
-    base = params.N - params.N_c
-    total = 0.0
-    for k, n_k in enumerate(n.n, start=1):
-        if n_k == 0:
-            continue
-        hi = base + k - 1
-        lo = hi - n_k
-        total += w.log_a[lo] - w.log_a[hi]
-        total += w.log_one_minus_a[hi] - w.log_one_minus_a[lo]
-    return float(total)
+    x = np.array(J.members)
+    top = np.arange(params.N - params.N_c, params.N)
+    return float(np.sum(w.log_a[x] - w.log_a[top] + w.log_one_minus_a[top] - w.log_one_minus_a[x]))
 
 
-def log_ratio_approx(n: OccupationVector, params: EnsembleParams) -> float:
-    """Leading-order log(P_n / P_0) = -log(R^2 / (1-c)) * sum_j n_j."""
-    total = n.total
+def log_ratio_approx(J: IndexSet, params: EnsembleParams) -> float:
+    """Leading-order log(P_J / P_{J_0}) = -log(R^2 / (1-c)) |n|, with |n| = sum J_0 - sum J."""
+    _check_ratio_set(J, params)
+    total = params.N_c * (2 * params.N - params.N_c - 1) // 2 - sum(J.members)
     if total == 0:
         return 0.0
     return -math.log(params.x) * total

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +105,6 @@ _MIN_DIRECTION_NORM = 1e-10
 
 _REGIONS = ("outer", "inner", "full")
 _SAMPLERS = ("radial", "sequential")
-# the kernel kind of each basis name
-_BASES = {"outer_J": "outer_J", "inner_complement_J": "inner_J_complement"}
 _SCHEMA = "point-configuration/1"
 _UINT64_SPAN = 1 << 64
 
@@ -207,7 +205,7 @@ class PointConfiguration:
     def _header(self) -> dict:
         return {
             "schema": _SCHEMA,
-            "params": {"N": self.params.N, "c": self.params.c, "R": self.params.R},
+            "params": asdict(self.params),
             "index_set": list(self.index_set.members),
             "region": self.region,
             "seed": self.seed,
@@ -258,8 +256,7 @@ def _header_fields(header: dict) -> dict:
     """Every field but the points from a header as ``PointConfiguration._header`` writes it."""
     if header.get("schema") != _SCHEMA:
         raise ValueError(f"unrecognized schema {header.get('schema')!r}")
-    p = header["params"]
-    params = EnsembleParams(N=p["N"], c=p["c"], R=p["R"])
+    params = EnsembleParams(**header["params"])
     return {
         "params": params,
         "index_set": IndexSet(members=tuple(header["index_set"]), N=params.N),
@@ -398,7 +395,7 @@ def _sample_projection(params: EnsembleParams, fb: FeatureBasis, gen: np.random.
             if used >= _MAX_PROPOSALS:
                 raise SamplingError(
                     f"no acceptance within {used} proposals at point {j + 1} of {m} "
-                    f"(basis={'outer_J' if fb.kind == 'outer_J' else 'inner_complement_J'}, "
+                    f"(basis={fb.kind}, "
                     f"N={params.N}, c={params.c}, R={params.R})"
                 )
             if cursor == uniforms.size:
@@ -441,15 +438,15 @@ def sample_sequential(
     """Exact configuration of the projection kernel selected by ``basis``.
 
     ``basis`` is ``"outer_J"`` (rank |J|, support |z| > R) or
-    ``"inner_complement_J"`` (rank N - |J|, support |z| < R).  Identical
-    (params, J, basis, stream) replay bit-identically.
+    ``"inner_J_complement"`` (rank N - |J|, support |z| < R), as ``kernels``
+    names them.  Identical (params, J, basis, stream) replay bit-identically.
     """
-    if basis not in _BASES:
-        raise ValueError(f"basis must be one of {tuple(_BASES)}, got {basis!r}")
+    if basis not in ("outer_J", "inner_J_complement"):
+        raise ValueError(f"basis must be outer_J or inner_J_complement, got {basis!r}")
     _check_index_set(params, J)
     _check_span(J.size if basis == "outer_J" else params.N - J.size)
     stream = _require_stream(rng)
-    points = _sample_projection(params, feature_basis(params, J, _BASES[basis]), stream.generator())
+    points = _sample_projection(params, feature_basis(params, J, basis), stream.generator())
     return PointConfiguration(
         points=tuple(points),
         params=params,

@@ -508,6 +508,55 @@ def test_kernel_partial_params_rejected(capsys):
     assert "must be given together" in err
 
 
+def edge_triples(rng: np.random.Generator) -> list:
+    """(N, c, R) near the edges of the domain: c = 1, N_c = 1, R^2 within 1e-7 above 1 - c, and one inside.
+
+    At the edge, rounding may leave R^2 at or below 1 - c, which ``prob`` refuses with exit 2."""
+    triples = []
+    for N in (1, 2, 3, 5, 8, 13, 40, 120):
+        inside = rng.uniform(0.05, 1.0)
+        for c, gap in (
+            (1.0, rng.uniform(0.0, 1e-7)),
+            (1.0 / N, rng.uniform(0.0, 1e-7)),
+            (rng.uniform(0.05, 1.0), rng.uniform(0.0, 1e-7)),
+            (inside, rng.uniform(0.0, inside)),
+        ):
+            triples.append((N, float(c), math.sqrt(min(1.0 - c + gap, 1.0 - 1e-12))))
+    return triples
+
+
+def test_exit_status_contract_near_the_domain_edges(capsys, tmp_path):
+    # every call exits 0, 2 or 3 with no exception escaping main, and every answered prob is a log-probability
+    grid = "--grid=0.3:1.2:3,-0.4:0.4:2"
+    statuses = []
+    for i, (N, c, R) in enumerate(edge_triples(np.random.default_rng(30))):
+        triple = ["-N", str(N), "-c", repr(c), "-R", repr(R)]
+        calls = [
+            ["prob", *triple],
+            ["prob", *triple, "--format", "csv"],
+            ["kernel", *triple, "--kind", "outer_J", grid],
+            ["kernel", *triple, "--kind", "inner_J_complement", grid],
+            ["kernel", *triple, "--compare", "edge_rescaled_J", "limit_hard_wall", "--x-scaled", grid],
+        ]
+        if N <= 16:
+            calls.append(["prob", *triple, "--oracle"])
+        if N <= 40:
+            calls.append(["sample", *triple, "--seed", str(i), "--out", str(tmp_path / f"full{i}")])
+            calls.append(["sample", *triple, "--seed", str(i), "--radial-only", "--out", str(tmp_path / f"radial{i}")])
+        for argv in calls:
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:  # nothing may escape main, argparse exits included
+                pytest.fail(f"{argv} raised {exc!r}")
+            out = capsys.readouterr().out
+            assert code in (0, 2, 3), argv
+            statuses.append(code)
+            if code == 0 and argv[0] == "prob" and "--format" not in argv:
+                log_prob = json.loads(out)["log_prob_exact"]
+                assert math.isfinite(log_prob) and log_prob <= 0.0, argv
+    assert statuses.count(0) > len(statuses) // 2
+
+
 def test_validate_quick_passes(capsys):
     code, out, _ = run(capsys, "validate", "--quick")
     assert code == 0

@@ -31,9 +31,7 @@ from ginibre_overcrowding.mixture import (
     ConstraintViolation,
     EnsembleParams,
     IndexSet,
-    OccupationVector,
     bernoulli_weights,
-    indexset_to_occupation,
     log_hole_factor,
     log_hole_factor_rescaled,
     log_ratio_approx,
@@ -41,6 +39,7 @@ from ginibre_overcrowding.mixture import (
     overcrowding_probability_asymptotic,
     overcrowding_probability_exact,
     sample_conditioned_indexset,
+    top_block,
 )
 from ginibre_overcrowding.mixture import (
     _ALIASED,
@@ -53,7 +52,6 @@ from ginibre_overcrowding.mixture import (
     _phi_near_one,
     _tail_length,
     _tilt,
-    _validate_occupation,
     log_factorials,
 )
 from ginibre_overcrowding.validation import enumerate_count_log_probs
@@ -741,62 +739,15 @@ def test_count_distribution_mode_location():
 
 
 # ----------------------------
-# occupation/index encoding
+# index-set validation
 # ----------------------------
-
-
-def occupation_to_indexset(n: OccupationVector, params: EnsembleParams) -> IndexSet:
-    """Decode n to its index set via x_k = N - N_c + k - n_k, members = x - 1: the inverse of
-    ``indexset_to_occupation``, refusing what ``log_ratio_exact`` refuses."""
-    _validate_occupation(n, params)
-    base = params.N - params.N_c
-    return IndexSet(members=tuple(base + k - n_k for k, n_k in enumerate(n.n)), N=params.N)
-
-
-def test_encoding_hand_examples():
-    p = EnsembleParams(N=5, c=0.4, R=0.9)
-    assert p.N_c == 2
-    assert occupation_to_indexset(OccupationVector(n=(0, 0)), p).members == (3, 4)
-    assert occupation_to_indexset(OccupationVector(n=(1, 0)), p).members == (2, 4)
-    assert indexset_to_occupation(IndexSet(members=(2, 4), N=5), p).n == (1, 0)
-
-
-def test_encoding_roundtrip_exhaustive_small():
-    for N, c in [(6, 0.5), (8, 0.4), (8, 0.9)]:
-        p = EnsembleParams(N=N, c=c, R=0.95)
-        for members in itertools.combinations(range(N), p.N_c):
-            J = IndexSet(members=members, N=N)
-            n = indexset_to_occupation(J, p)
-            assert occupation_to_indexset(n, p) == J
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_encoding_roundtrip_random(data):
-    N = data.draw(st.integers(min_value=2, max_value=60))
-    N_c = data.draw(st.integers(min_value=1, max_value=N))
-    c = N_c / N
-    p = EnsembleParams(N=N, c=c, R=0.999)
-    assert p.N_c == N_c
-    entries = data.draw(
-        st.lists(st.integers(min_value=0, max_value=N - N_c), min_size=N_c, max_size=N_c)
-    )
-    n = OccupationVector(n=tuple(sorted(entries, reverse=True)))
-    assert indexset_to_occupation(occupation_to_indexset(n, p), p) == n
 
 
 def test_encoding_validation():
     p = EnsembleParams(N=5, c=0.4, R=0.9)
-    with pytest.raises(ConstraintViolation):
-        OccupationVector(n=(0, 1))  # increasing
-    with pytest.raises(ConstraintViolation):
-        OccupationVector(n=(-1, -1))
-    with pytest.raises(ConstraintViolation):
-        occupation_to_indexset(OccupationVector(n=(4, 0)), p)  # n_1 > N - N_c
-    with pytest.raises(ConstraintViolation):
-        occupation_to_indexset(OccupationVector(n=(1,)), p)  # wrong length
-    with pytest.raises(ConstraintViolation):
-        indexset_to_occupation(IndexSet(members=(0, 1, 2), N=5), p)  # wrong size
+    for ratio in (log_ratio_exact, log_ratio_approx):
+        with pytest.raises(ConstraintViolation, match=r"^index set must have size N_c=2, got 3$"):
+            ratio(IndexSet(members=(0, 1, 2), N=5), p)
     # one fault each; (-1, 2) is increasing, so only the range check may name it
     for members, message in [
         ((1.5,), "must be integers"),
@@ -813,40 +764,47 @@ def test_encoding_validation():
 # ----------------------------
 
 
+def displaced(params: EnsembleParams, shifts: tuple[int, ...]) -> IndexSet:
+    """The top block with its k-th smallest member moved shifts[k] places down (nonincreasing shifts)."""
+    base = params.N - params.N_c
+    shifts = shifts + (0,) * (params.N_c - len(shifts))
+    return IndexSet(members=tuple(base + k - n_k for k, n_k in enumerate(shifts)), N=params.N)
+
+
 def test_ratio_exact_zero_vector():
     p = EnsembleParams(N=20, c=0.5, R=0.9)
-    assert log_ratio_exact(OccupationVector(n=(0,) * p.N_c), p) == 0.0
+    assert log_ratio_exact(top_block(p), p) == 0.0
 
 
 def test_ratio_exact_against_enumeration():
     p = EnsembleParams(N=12, c=0.5, R=0.8)
     a = oracle_weights(p)
-    base = occupation_to_indexset(OccupationVector(n=(0,) * p.N_c), p)
-    p0 = oracle_subset_prob(base.members, a)
-    for nvec in [(1, 0, 0, 0, 0, 0), (2, 1, 1, 0, 0, 0), (6, 6, 5, 3, 1, 1), (6, 6, 6, 6, 6, 6)]:
-        n = OccupationVector(n=nvec)
-        J = occupation_to_indexset(n, p)
-        ref = math.log(oracle_subset_prob(J.members, a) / p0)
-        assert log_ratio_exact(n, p) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    p0 = oracle_subset_prob(top_block(p).members, a)
+    for members in [(5, 7, 8, 9, 10, 11), (4, 6, 7, 9, 10, 11), (0, 1, 3, 6, 9, 10), (0, 1, 2, 3, 4, 5)]:
+        J = IndexSet(members=members, N=p.N)
+        ref = math.log(oracle_subset_prob(members, a) / p0)
+        assert log_ratio_exact(J, p) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_ratio_exact_decreasing_in_each_entry():
     p = EnsembleParams(N=30, c=0.5, R=0.8)
-    # raising any single displacement strictly lowers the probability
-    for base in [(0,) * 15, (3, 2, 1) + (0,) * 12]:
-        val = log_ratio_exact(OccupationVector(n=base), p)
+    # moving any of the three smallest members one place down, into a free place, strictly lowers the probability
+    for J in [top_block(p), displaced(p, (3, 2, 1))]:
+        val = log_ratio_exact(J, p)
+        members = list(J.members)
         for j in range(3):
-            bumped = list(base)
-            bumped[j] += 1
-            bumped = tuple(sorted(bumped, reverse=True))
-            assert log_ratio_exact(OccupationVector(n=bumped), p) < val
+            if j and members[j] - 1 == members[j - 1]:
+                continue
+            moved = members[:j] + [members[j] - 1] + members[j + 1 :]
+            assert log_ratio_exact(IndexSet(members=tuple(moved), N=p.N), p) < val
 
 
 def test_ratio_approx_closed_form():
     p = EnsembleParams(N=100, c=0.9, R=0.7)
-    assert log_ratio_approx(OccupationVector(n=(0,) * p.N_c), p) == 0.0
-    n = OccupationVector(n=(2, 1) + (0,) * (p.N_c - 2))
-    assert log_ratio_approx(n, p) == pytest.approx(-3.0 * math.log(4.9), rel=1e-14)
+    assert log_ratio_approx(top_block(p), p) == 0.0
+    # |n| = sum J_0 - sum J = 3: the two smallest members moved down 2 and 1 places
+    J = IndexSet(members=(8, 10) + tuple(range(12, 100)), N=p.N)
+    assert log_ratio_approx(J, p) == pytest.approx(-3.0 * math.log(4.9), rel=1e-14)
 
 
 def test_ratio_approx_tracks_exact_at_large_n():
@@ -854,16 +812,16 @@ def test_ratio_approx_tracks_exact_at_large_n():
     # gaps (6e-3 for total 1, 0.27 for total 9) sit far inside that envelope
     p = EnsembleParams(N=400, c=0.9, R=0.7)
     envelope = math.log(p.N) ** 3 / p.N
-    for nvec in [(1,), (2, 1), (5, 3, 1)]:
-        n = OccupationVector(n=nvec + (0,) * (p.N_c - len(nvec)))
-        gap = abs(log_ratio_exact(n, p) - log_ratio_approx(n, p))
-        assert gap < envelope * max(1, sum(nvec)) / 2
+    for shifts in [(1,), (2, 1), (5, 3, 1)]:
+        J = displaced(p, shifts)
+        gap = abs(log_ratio_exact(J, p) - log_ratio_approx(J, p))
+        assert gap < envelope * max(1, sum(shifts)) / 2
 
 
 def test_ratio_approx_fully_suppressed_at_c_1():
+    # at c = 1 the only set of size N_c = N is J_0, so x = inf leaves 0 and no nan
     p = EnsembleParams(N=20, c=1.0, R=0.7)
-    assert log_ratio_approx(OccupationVector(n=(0,) * 20), p) == 0.0
-    assert log_ratio_approx(OccupationVector(n=(1,) + (0,) * 19), p) == -math.inf
+    assert log_ratio_approx(top_block(p), p) == 0.0
 
 
 # ----------------------------

@@ -356,7 +356,7 @@ def test_sequential_counts_support_and_determinism():
     assert outer.points == sample_sequential(params, J, "outer_J", rs).points
     assert (outer.region, outer.sampler, outer.seed) == ("outer", "sequential", 20240817)
 
-    inner = sample_sequential(params, J, "inner_complement_J", rs)
+    inner = sample_sequential(params, J, "inner_J_complement", rs)
     assert len(inner.points) == params.N - J.size
     assert all(abs(z) < params.R for z in inner.points)
     assert inner.region == "inner"
@@ -366,7 +366,7 @@ def test_sequential_empty_ranks():
     params = EnsembleParams(N=6, c=0.9, R=0.8)
     full = IndexSet(members=tuple(range(6)), N=6)
     empty = IndexSet(members=(), N=6)
-    assert sample_sequential(params, full, "inner_complement_J", RandomStream(seed=1)).points == ()
+    assert sample_sequential(params, full, "inner_J_complement", RandomStream(seed=1)).points == ()
     assert sample_sequential(params, empty, "outer_J", RandomStream(seed=1)).points == ()
 
 
@@ -472,7 +472,7 @@ def test_outer_and_inner_independent_given_index_set():
     for i in range(n_cfg):
         rs = RandomStream(seed=1234, stream_id=i)
         outer = sample_sequential(params, J, "outer_J", rs)
-        inner = sample_sequential(params, J, "inner_complement_J", RandomStream(seed=1234, stream_id=100_000 + i))
+        inner = sample_sequential(params, J, "inner_J_complement", RandomStream(seed=1234, stream_id=100_000 + i))
         inner_counts[i] = sum(1 for z in inner.points if abs(z) < 0.3)
         outer_means[i] = np.mean([abs(z) for z in outer.points])
     corr = stats.pearsonr(inner_counts, outer_means).statistic
@@ -494,7 +494,7 @@ def test_pool_refills_inside_a_step_keep_the_law(monkeypatch):
     assert set(pools) == {1} and len(pools) > J.size
     assert len(outer.points) == J.size and all(abs(z) > params.R for z in outer.points)
     assert outer.points == sample_sequential(params, J, "outer_J", rs).points
-    inner = sample_sequential(params, J, "inner_complement_J", rs)
+    inner = sample_sequential(params, J, "inner_J_complement", rs)
     assert len(inner.points) == params.N - J.size and all(abs(z) < params.R for z in inner.points)
 
     n_cfg = 2500
@@ -669,12 +669,13 @@ def test_sequential_validation():
 def test_index_set_of_another_size_refused_with_one_message():
     # every reader of an (params, J) pair refuses a J over another N the same way
     from ginibre_overcrowding.kernels import KernelSpec
-    from ginibre_overcrowding.mixture import indexset_to_occupation
+    from ginibre_overcrowding.mixture import log_ratio_approx, log_ratio_exact
 
     params = EnsembleParams(N=12, c=0.5, R=0.8)
     J = IndexSet(members=(6, 7, 8, 9, 10, 11), N=13)
     refusals = [
-        lambda: indexset_to_occupation(J, params),
+        lambda: log_ratio_exact(J, params),
+        lambda: log_ratio_approx(J, params),
         lambda: KernelSpec("outer_J", params, J),
         lambda: PointConfiguration(points=(), params=params, index_set=J, region="outer", seed=0, sampler="radial"),
         lambda: sample_radii_outer(params, J, RandomStream(seed=3)),
@@ -691,7 +692,7 @@ def test_span_cap_refuses_before_any_draw(monkeypatch):
     J = top_block(params)
     monkeypatch.setattr(sampler, "sample_conditioned_indexset", None)  # a draw would fail on this
     monkeypatch.setattr(sampler, "_sample_projection", None)
-    for basis, m in (("outer_J", 14_000), ("inner_complement_J", 6_000)):
+    for basis, m in (("outer_J", 14_000), ("inner_J_complement", 6_000)):
         with pytest.raises(ValueError, match=rf"rank m = {m} would hold m\^2 = {m * m} entries, over the cap of 4194304"):
             sample_sequential(params, J, basis, RandomStream(seed=3))
     with pytest.raises(ValueError, match="rank m = 14000"):
@@ -708,7 +709,7 @@ def test_span_cap_boundary(monkeypatch):
     assert len(sample_conditioned_ensemble(params, RandomStream(seed=3)).points) == 10
     monkeypatch.setattr(sampler, "_MAX_SPAN_ENTRIES", 24)
     with pytest.raises(ValueError, match="rank m = 5"):
-        sample_sequential(params, J, "inner_complement_J", RandomStream(seed=3))
+        sample_sequential(params, J, "inner_J_complement", RandomStream(seed=3))
     with pytest.raises(ValueError, match="rank m = 5"):
         sample_conditioned_ensemble(params, RandomStream(seed=3))
 
