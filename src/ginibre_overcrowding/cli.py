@@ -30,13 +30,18 @@ Each subcommand is one ``cmd_*`` function of the parsed arguments.  -N,
 before any work, also by ``kernel --kind limit_hard_wall``, which does not
 use it.
 
-Exit codes: 2 for invalid parameters, malformed, non-finite or oversize grids, bad
-flags, a ``prob`` (or any command) whose Poisson tail table of N + T
-entries would pass ``mixture``'s cap of 10 * 2^20, ``--oracle`` past
-N = 16, or a draw or kernel past the sampler's span cap or the kernels'
-feature-row cap; 3 when a sampler exhausts its proposal budget.  Nothing
-is written when a command exits 2 or 3.  Randomized commands have no
-implicit seed; reproducibility is part of the contract.
+Exit codes: 2 for invalid parameters, malformed or non-finite grids, bad
+flags and any request past a size cap; 3 when a sampler exhausts its
+proposal budget.  Nothing is written when a command exits 2 or 3.  The
+five caps are the kernel values a grid writes (2^22), N for ``--oracle``
+(16), the N + T entries of a Poisson tail table (10 * 2^20), a finite-N
+kernel's feature-row entries (2^23) and a draw's m^2 span entries (2^22).
+Each refuses through ``mixture.refuse_past``, one stderr line naming what
+it counts, the size and the cap, before its command builds anything the
+cap counts: ``prob --oracle`` checks N before any probability, and a
+kernel of a J kind admits the tail table before it builds the top block.
+Randomized commands have no implicit seed; reproducibility is part
+of the contract.
 """
 
 from __future__ import annotations
@@ -54,9 +59,11 @@ from .kernels import KERNEL_KINDS, KernelSpec, evaluate_diagonal, evaluate_grid
 from .mixture import (
     EnsembleParams,
     IndexSet,
+    _tail_entries,
     log_hole_factor,
     log_hole_factor_rescaled,
     overcrowding_probability_exact,
+    refuse_past,
     sample_conditioned_indexset,
     top_block,
 )
@@ -100,9 +107,7 @@ def _parse_grid(text: str, squared: bool) -> np.ndarray:
         raise ValueError(f"grid {text!r} must have at least one point per axis")
     if not np.isfinite([re0, re1, im0, im1]).all():
         raise ValueError(f"grid {text!r} has a non-finite bound")
-    count = (n * m) ** 2 if squared else n * m
-    if count > _MAX_GRID_VALUES:
-        raise ValueError(f"grid {text!r} would write {count} kernel values, over the cap of {_MAX_GRID_VALUES}")
+    refuse_past(_MAX_GRID_VALUES, (n * m) ** 2 if squared else n * m, f"kernel values written for grid {text!r}")
     points = np.empty((n, m), dtype=complex)
     points.real = np.linspace(re0, re1, n)[:, None]
     points.imag = np.linspace(im0, im1, m)[None, :]
@@ -156,6 +161,8 @@ def _write_table(handle, fmt: str, head: dict, columns: tuple, blocks) -> None:
 
 def cmd_prob(args: argparse.Namespace) -> int:
     params = _params(args)
+    if args.oracle:
+        refuse_past(_MAX_ORACLE_N, params.N, "N of --oracle, which enumerates 2^N subsets")
     exact = overcrowding_probability_exact(params)
     hole = log_hole_factor(params)
     series = partition_series(params.x)
@@ -173,8 +180,6 @@ def cmd_prob(args: argparse.Namespace) -> int:
         "log_hole_factor_rescaled": log_hole_factor_rescaled(params),
     }
     if args.oracle:
-        if params.N > _MAX_ORACLE_N:
-            raise ValueError(f"--oracle enumerates 2^N subsets and needs N <= {_MAX_ORACLE_N}")
         enumerated = float(enumerate_count_log_probs(params)[params.N_c])
         report["log_prob_enumerated"] = enumerated
         report["enumeration_rel_err"] = abs(float(np.expm1(exact - enumerated)))
@@ -196,7 +201,7 @@ def _sample_one(params: EnsembleParams, seed: int, radial_only: bool, index: int
         return sample_conditioned_ensemble(params, stream)
     gen = stream.generator()
     J = sample_conditioned_indexset(params, params.N_c, gen)
-    return J, sample_radii_outer(params, J, gen)
+    return J, sample_radii_outer(params, J, gen)[0].tolist()
 
 
 def _write_radial(
@@ -255,8 +260,11 @@ def _make_spec(kind: str, params: "EnsembleParams | None", x_scaled: bool) -> Ke
         return KernelSpec(kind)
     if params is None:
         raise ValueError(f"kernel kind {kind!r} requires -N, -c and -R")
-    index_set = None if kind == "ginibre_N" else top_block(params)
-    return KernelSpec(kind, params, index_set, x_scaled=x_scaled and kind == "edge_rescaled_J")
+    if kind == "ginibre_N":
+        return KernelSpec(kind, params)
+    # the J kinds read the tail table, admitted here before the O(N) top block is built
+    _tail_entries(params.N, params.R)
+    return KernelSpec(kind, params, top_block(params), x_scaled=x_scaled and kind == "edge_rescaled_J")
 
 
 _GRID_COLUMNS = ("z_re", "z_im", "w_re", "w_im", "K_re", "K_im")
@@ -363,7 +371,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         with _output(args.out) as handle:
             _write_table(handle, args.format, head, _GRID_COLUMNS, _grid_blocks(grid, values, args.format))
         return 0
-    a, b = (evaluate_diagonal(_make_spec(kind, params, args.x_scaled), grid) for kind in args.compare)
+    specs = [_make_spec(kind, params, args.x_scaled) for kind in args.compare]  # both refuse before either evaluates
+    a, b = (evaluate_diagonal(spec, grid) for spec in specs)
     # |a - b| by hypot, as abs of a Python complex takes it; numpy's complex abs can differ in the last bit
     diff = np.hypot(a.real - b.real, a.imag - b.imag)
     # the first largest difference, as max() finds it: a nan in first place stays, a later one never wins

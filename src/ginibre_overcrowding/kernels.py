@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .gamma import log1mexp
-from .mixture import EnsembleParams, IndexSet, _check_index_set, bernoulli_weights, log_factorials
+from .mixture import EnsembleParams, IndexSet, _check_index_set, bernoulli_weights, log_factorials, refuse_past
 
 __all__ = [
     "KernelSpec",
@@ -154,12 +154,8 @@ def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, n
     The edge kind's coordinate map and per-row factors are applied here.
     Past ``_MAX_ROW_ENTRIES`` points x rank it refuses before any row is built.
     """
-    entries = pts.size * spec.rank()
-    if entries > _MAX_ROW_ENTRIES:
-        raise ValueError(
-            f"{pts.size} points x rank {spec.rank()} = {entries} feature-row entries, "
-            f"over the cap of {_MAX_ROW_ENTRIES}"
-        )
+    rank = spec.rank()
+    refuse_past(_MAX_ROW_ENTRIES, pts.size * rank, f"feature-row entries of {pts.size} points x rank {rank}")
     params, R = spec.params, spec.params.R
     scale = np.ones(pts.size, dtype=complex)
     kind = spec.kind

@@ -329,14 +329,19 @@ def _log_poisson_tails(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((below, large[below.size :])), np.concatenate((large[: below.size], above))
 
 
+def refuse_past(cap: int, size: int, what: str) -> int:
+    """``size``, or a ``ValueError`` that names ``what``, ``size`` and ``cap`` when ``size`` is past ``cap``.
+
+    The one refusal of every size cap, called before what it counts is built."""
+    if size > cap:
+        raise ValueError(f"{what}: {size}, over the cap of {cap}")
+    return size
+
+
 def _tail_entries(N: int, R: float) -> int:
-    """N + T, the entries of the Poisson(N R^2) tail table, refused with ``ValueError`` past ``_MAX_TAIL_ENTRIES``."""
+    """N + T, the entries of the Poisson(N R^2) tail table, refused past ``_MAX_TAIL_ENTRIES``: an O(log N) search."""
     entries = N + _tail_length(N, N * R * R)
-    if entries > _MAX_TAIL_ENTRIES:
-        raise ValueError(
-            f"N = {N} at R = {R!r} needs a Poisson tail table of {entries} entries, over the cap of {_MAX_TAIL_ENTRIES}"
-        )
-    return entries
+    return refuse_past(_MAX_TAIL_ENTRIES, entries, f"Poisson tail table entries at N = {N}, R = {R!r}")
 
 
 @lru_cache(maxsize=64)
@@ -495,20 +500,19 @@ def _char_product(r: np.ndarray, split: int, e1: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_count_prob(
-    w: BernoulliWeights, m: int, tilt: "CountTilt | None", size: "int | None" = None
-) -> tuple[float, float, int]:
-    """(log P(#J = m), certificate, L): K plus log P_theta(#J = m) by an L-point DFT.
+def _log_count_prob(w: BernoulliWeights, m: int, size: "int | None" = None) -> tuple[float, float, int]:
+    """(log P(#J = m), certificate, L): K plus log P_theta(#J = m) by an L-point DFT of ``_tilt(w, m)``.
 
-    ``tilt`` is ``_tilt(w, m)``.  L is the smallest power of two whose
-    aliasing bound is below ``_ALIASED`` of the floor of P_theta(#J = m),
-    unless ``size`` gives it.  The certificate bounds the relative error of
-    P_theta(#J = m) left by aliasing and by the factors taken at first order.
+    L is the smallest power of two whose aliasing bound is below ``_ALIASED``
+    of the floor of P_theta(#J = m), unless ``size`` gives it.  The
+    certificate bounds the relative error of P_theta(#J = m) left by
+    aliasing and by the factors taken at first order.
     Only the tilt's window is read, in four slices: the factors with p <= 1/2
     below ``_FOLD`` and at or above it, then those with p > 1/2 at or above it
     and below it (r = min(p, 1 - p) rises in s up to 0 and falls past it).
     """
     N = len(w.log_a)
+    tilt = _tilt(w, m)
     if tilt is None:
         return float(np.sum(w.log_a if m else w.log_one_minus_a)), 0.0, 1
     excess = abs(tilt.excess)
@@ -606,8 +610,7 @@ def sample_conditioned_indexset(
 
 def overcrowding_probability_exact(params: EnsembleParams) -> float:
     """log P(#J = N_c), by the tilted DFT of ``_log_count_prob``."""
-    w = bernoulli_weights(params)
-    return _log_count_prob(w, params.N_c, _tilt(w, params.N_c))[0]
+    return _log_count_prob(bernoulli_weights(params), params.N_c)[0]
 
 
 def log_hole_factor(params: EnsembleParams) -> float:

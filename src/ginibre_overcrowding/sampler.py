@@ -57,7 +57,8 @@ independent for all practical purposes, and the same (seed, stream_id)
 replays bit-identically on any platform, which the serialization tests
 and the validation suite rely on.  Configuration-producing samplers
 require a ``RandomStream`` (the recorded seed documents provenance);
-``sample_radii_outer`` also accepts a bare ``numpy.random.Generator``.
+``sample_radii_outer`` takes a ``numpy.random.Generator``, such as
+``RandomStream.generator()``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .mixture import (
     IndexSet,
     _check_index_set,
     bernoulli_weights,
+    refuse_past,
     sample_conditioned_indexset,
 )
 
@@ -132,14 +134,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of the stream."""
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
-
-
-def _as_generator(rng: "RandomStream | np.random.Generator") -> np.random.Generator:
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RandomStream or numpy Generator, got {type(rng).__name__}")
 
 
 def _require_stream(rng: RandomStream) -> RandomStream:
@@ -283,31 +277,18 @@ def radial_survival(params: EnsembleParams, k: int, t: float) -> float:
     return math.exp(log_q_integer(n, params.N * t) - log_q_integer(n, params.z))
 
 
-def sample_radii_outer(
-    params: EnsembleParams,
-    J: IndexSet,
-    rng: "RandomStream | np.random.Generator",
-    size: "int | None" = None,
-):
-    """Independent outer moduli {r_k} for k in J, one exact draw each.
-
-    With ``size=None`` returns a plain list of |J| radii in member order,
-    one draw per index.  With an integer ``size`` returns an array of
-    shape (size, |J|) of independent repetitions, which is how the
-    Monte-Carlo tests batch their draws.  Only radial statistics of a
-    configuration are faithfully reproduced; see the module docstring.
+def sample_radii_outer(params: EnsembleParams, J: IndexSet, gen: np.random.Generator, size: int = 1) -> np.ndarray:
+    """Independent outer moduli {r_k} for k in J: a (size, |J|) array, each row one exact draw per index in member
+    order.  Only radial statistics of a configuration are faithfully reproduced; see the module docstring.
     """
     _check_index_set(params, J)
-    gen = _as_generator(rng)
-    if size is not None and (size != int(size) or size < 1):
-        raise ValueError(f"size must be a positive integer or None, got {size!r}")
-    draws = 1 if size is None else int(size)
+    if not isinstance(gen, np.random.Generator):
+        raise TypeError(f"expected a numpy Generator, got {type(gen).__name__}")
+    if size != int(size) or size < 1:
+        raise ValueError(f"size must be a positive integer, got {size!r}")
     ks = np.array(J.members, dtype=np.int64)
-    picks = np.tile(np.arange(J.size), draws)
-    out = np.sqrt(_outer_t_block(params, ks, picks, gen)).reshape(draws, J.size)
-    if size is None:
-        return [float(v) for v in out[0]]
-    return out
+    picks = np.tile(np.arange(J.size), int(size))
+    return np.sqrt(_outer_t_block(params, ks, picks, gen)).reshape(int(size), J.size)
 
 
 def _outer_t_block(
@@ -351,11 +332,7 @@ def _inner_t_block(
 
 def _check_span(m: int) -> None:
     """Refuse a rank-m projection draw whose m x m span would exceed ``_MAX_SPAN_ENTRIES``."""
-    if m * m > _MAX_SPAN_ENTRIES:
-        raise ValueError(
-            f"the sequential sampler's span at rank m = {m} would hold m^2 = {m * m} entries, "
-            f"over the cap of {_MAX_SPAN_ENTRIES}"
-        )
+    refuse_past(_MAX_SPAN_ENTRIES, m * m, f"sequential sampler span entries m^2 at rank m = {m}")
 
 
 def _pool_rows(m: int, j: int) -> int:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import resource
 import shutil
 import subprocess
 import sys
@@ -67,7 +68,7 @@ def test_prob_oracle_matches_exact(capsys):
 def test_prob_oracle_refuses_large_n(capsys):
     code, _, err = run(capsys, "prob", "-N", "30", "-c", "0.5", "-R", "0.8", "--oracle")
     assert code == 2
-    assert "2^N" in err
+    assert err == "error: N of --oracle, which enumerates 2^N subsets: 30, over the cap of 16\n"
 
 
 def test_prob_oversize_tail_table_refused_before_any_output(capsys, tmp_path):
@@ -81,8 +82,7 @@ def test_prob_oversize_tail_table_refused_before_any_output(capsys, tmp_path):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert "N = 20000000 at R = 0.6 needs a Poisson tail table of 20000043 entries" in err
-    assert "over the cap of 10485760" in err
+    assert err == "error: Poisson tail table entries at N = 20000000, R = 0.6: 20000043, over the cap of 10485760\n"
     assert peak < 1 << 20
     assert list(tmp_path.iterdir()) == []
 
@@ -212,7 +212,7 @@ def test_sample_oversize_span_refused_before_any_file(capsys, tmp_path):
     code, out, err = run(capsys, *args, "--replicas", "2", "--out", str(tmp_path / "s"))
     assert code == 2
     assert out == ""
-    assert "rank m = 14000 would hold m^2 = 196000000 entries, over the cap of 4194304" in err
+    assert "span entries m^2 at rank m = 14000: 196000000, over the cap of 4194304" in err
     assert list(tmp_path.iterdir()) == []
     # the radial sampler holds no span and is not gated
     code, out, _ = run(capsys, *args, "--radial-only", "--out", str(tmp_path / "r"))
@@ -257,7 +257,7 @@ def test_sample_radial_only_replays_sampler(capsys, tmp_path):
     gen = RandomStream(seed=21, stream_id=0).generator()
     J = sample_conditioned_indexset(params, params.N_c, gen)
     assert list(J.members) == meta["index_set"]
-    expected = [float(r) for r in sample_radii_outer(params, J, gen)]
+    expected = sample_radii_outer(params, J, gen)[0].tolist()
     assert radii == expected
     assert min(radii) > params.R
 
@@ -440,7 +440,7 @@ def test_kernel_oversize_grid_refused_before_building_points(capsys):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert "100000000000000000000 kernel values" in err and "cap of 4194304" in err
+    assert "kernel values written for grid '0:1:100000,0:1:100000': 100000000000000000000, over the cap of 4194304" in err
     assert peak < 1 << 20
 
 
@@ -457,7 +457,7 @@ def test_kernel_oversize_feature_rows_refused_before_any_row(capsys):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert "81 points x rank 200000 = 16200000 feature-row entries, over the cap of 8388608" in err
+    assert "feature-row entries of 81 points x rank 200000: 16200000, over the cap of 8388608" in err
     # log N! alone for N = 200000 would take 1.6 MB
     assert peak < 1 << 20
 
@@ -467,7 +467,7 @@ def test_kernel_grid_cap_counts_written_values(capsys):
     code, out, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "0.2:1:2049,0:0:1")
     assert code == 2
     assert out == ""
-    assert "4198401 kernel values" in err
+    assert ": 4198401, over the cap of 4194304" in err
     code, out, _ = run(
         capsys, "kernel", "-N", "10", "-c", "0.9", "-R", "0.7",
         "--compare", "ginibre_N", "limit_hard_wall", "--grid", "0.2:1:2049,0:0:1",
@@ -479,7 +479,7 @@ def test_kernel_grid_cap_counts_written_values(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "4196352 kernel values" in err
+    assert ": 4196352, over the cap of 4194304" in err
 
 
 def test_kernel_index_kind_needs_params(capsys):
@@ -555,6 +555,59 @@ def test_exit_status_contract_near_the_domain_edges(capsys, tmp_path):
                 log_prob = json.loads(out)["log_prob_exact"]
                 assert math.isfinite(log_prob) and log_prob <= 0.0, argv
     assert statuses.count(0) > len(statuses) // 2
+
+
+# (argv, the refusal's size and cap, or None for an answer); each call gets --out into a directory of its own
+CONTRACT_CALLS = [
+    # past the oracle cap, with no probability computed first
+    (["prob", "-N", "10000000", "-c", "0.7", "-R", "0.6", "--oracle"], (10_000_000, 16)),
+    # past the tail-table cap, admitted before the top block is built (the last one ran out of memory there)
+    (["kernel", "--kind", "inner_J_complement", "-N", "30000000", "-c", "0.7", "-R", "0.8", "--grid", "0:0.1:3,0:0.1:3"],
+     (30_000_101, 10_485_760)),
+    (["kernel", "--compare", "outer_J", "limit_hard_wall", "-N", "50000000", "-c", "0.7", "-R", "0.8",
+      "--grid", "1:1.1:3,0:0.1:3"], (50_000_101, 10_485_760)),
+    (["prob", "-N", "20000000", "-c", "0.7", "-R", "0.6"], (20_000_043, 10_485_760)),
+    (["kernel", "--kind", "limit_hard_wall", "--grid", "0:1:100000,0:1:100000"], (10**20, 4_194_304)),
+    (["kernel", "--kind", "ginibre_N", "-N", "200000", "-c", "0.7", "-R", "0.8", "--grid=-0.5:0.5:9,-0.5:0.5:9"],
+     (16_200_000, 8_388_608)),
+    (["sample", "-N", "20000", "-c", "0.7", "-R", "0.8", "--seed", "1"], (196_000_000, 4_194_304)),
+    # counts whose enumerated sum underflows to 0, answered without a warning
+    (["prob", "-N", "13", "-c", "1.0", "-R", "0.00021838721950315725", "--oracle"], None),
+    (["prob", "-N", "100", "-c", "0.9", "-R", "0.7", "--format", "csv"], None),
+    (["kernel", "--kind", "outer_J", "-N", "40", "-c", "0.9", "-R", "0.7", "--grid", "0.2:1:3,0:0.5:2"], None),
+    (["kernel", "-N", "400", "-c", "0.9", "-R", "0.7", "--compare", "edge_rescaled_J", "limit_hard_wall",
+      "--x-scaled", "--grid", "0.2:3:3,-2:2:3"], None),
+    (["sample", "-N", "12", "-c", "0.7", "-R", "0.6", "--seed", "3", "--replicas", "2"], None),
+    (["sample", "-N", "30", "-c", "0.8", "-R", "0.75", "--seed", "21", "--radial-only"], None),
+]
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+
+def test_exit_status_contract_in_subprocesses(tmp_path):
+    # each call in a fresh interpreter with warnings as errors and 1.5 GB of address space: an answer
+    # writes its output, a refusal exits 2 with one error line naming its size and cap, and writes nothing
+    env = {**source_tree_env(), "OPENBLAS_NUM_THREADS": "1"}  # BLAS thread buffers stay out of the limit
+    for i, (argv, refusal) in enumerate(CONTRACT_CALLS):
+        out = tmp_path / str(i)
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ginibre_overcrowding.cli", *argv, "--out", str(out / "out")],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
+        )
+        assert "Traceback" not in proc.stderr, argv
+        if refusal is None:
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert any(out.iterdir()), argv
+            continue
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == "" and list(out.iterdir()) == [], argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
+        size, cap = refusal
+        assert lines[0].endswith(f": {size}, over the cap of {cap}"), argv
 
 
 def test_validate_quick_passes(capsys):

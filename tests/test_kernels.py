@@ -970,12 +970,12 @@ def test_feature_row_cap_refuses_before_any_row(monkeypatch):
     assert evaluate_grid(spec, pts, pts).shape == (5, 5)
     monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 199)
     monkeypatch.setattr(kernels, "basis", None)  # any row built would fail on this
-    with pytest.raises(ValueError, match=r"10 points x rank 20 = 200 feature-row entries, over the cap of 199"):
+    with pytest.raises(ValueError, match=r"feature-row entries of 10 points x rank 20: 200, over the cap of 199$"):
         evaluate_grid(spec, pts, list(pts))
     with pytest.raises(ValueError, match="10 points x rank 20"):
         evaluate_diagonal(spec, pts + pts)
     monkeypatch.setattr(kernels, "_MAX_ROW_ENTRIES", 99)
-    with pytest.raises(ValueError, match=r"5 points x rank 20 = 100 feature-row entries, over the cap of 99"):
+    with pytest.raises(ValueError, match=r"feature-row entries of 5 points x rank 20: 100, over the cap of 99$"):
         evaluate_grid(spec, pts, pts)
 
 

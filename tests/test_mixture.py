@@ -90,7 +90,7 @@ def _poisson_binomial_dp(log_a: np.ndarray, log_one_minus_a: np.ndarray) -> np.n
 def dft_count_log_probs(params: EnsembleParams) -> np.ndarray:
     """log P(#J = m) for m = 0, ..., N, each by its own tilted DFT."""
     w = bernoulli_weights(params)
-    return np.array([_log_count_prob(w, m, _tilt(w, m))[0] for m in range(params.N + 1)])
+    return np.array([_log_count_prob(w, m)[0] for m in range(params.N + 1)])
 
 
 class FullTilt(NamedTuple):
@@ -180,7 +180,7 @@ def full_log_count_prob(w: BernoulliWeights, m: int, tilt: "FullTilt | None") ->
 def assert_windowed_matches_full(w: BernoulliWeights, ms) -> None:
     """The windowed tilt and DFT against the full-array ones: log P(#J = m) to 2e-15 mixed error, the same L."""
     for m in ms:
-        got, certificate, L = _log_count_prob(w, m, _tilt(w, m))
+        got, certificate, L = _log_count_prob(w, m)
         want, _, full_L = full_log_count_prob(w, m, full_tilt(w, m))
         assert mixed_err(got, want) <= 2e-15, (m, got, want)
         assert L == full_L and 0.0 <= certificate <= 2.0**-60, (m, L, full_L, certificate)
@@ -338,7 +338,7 @@ def test_tail_table_cap_admits_its_own_size(monkeypatch):
     bernoulli_weights.cache_clear()
     entries = p.N + _tail_length(p.N, p.z)
     monkeypatch.setattr(mixture, "_MAX_TAIL_ENTRIES", entries - 1)
-    with pytest.raises(ValueError, match=f"{entries} entries, over the cap of {entries - 1}"):
+    with pytest.raises(ValueError, match=f": {entries}, over the cap of {entries - 1}$"):
         bernoulli_weights(p)
     monkeypatch.setattr(mixture, "_MAX_TAIL_ENTRIES", entries)
     assert len(bernoulli_weights(p).log_survival) == entries
@@ -518,7 +518,7 @@ def test_rescaled_hole_factor_reads_the_capped_table(monkeypatch):
     bernoulli_weights.cache_clear()
     entries = small.N + _tail_length(small.N, small.z)
     monkeypatch.setattr(mixture, "_MAX_TAIL_ENTRIES", entries - 1)
-    with pytest.raises(ValueError, match=f"{entries} entries, over the cap of {entries - 1}"):
+    with pytest.raises(ValueError, match=f": {entries}, over the cap of {entries - 1}$"):
         log_hole_factor_rescaled(p)
 
 
@@ -534,7 +534,7 @@ def test_dp_on_synthetic_fair_coins():
     assert math.exp(F[3, 0]) == pytest.approx(1.0 / 8.0, rel=1e-14)
     coins = BernoulliWeights(log_a=log_half, log_one_minus_a=log_half, log_survival=log_half)
     for m, prob in enumerate([1.0, 3.0, 3.0, 1.0]):
-        log_prob, certificate, _ = _log_count_prob(coins, m, _tilt(coins, m))
+        log_prob, certificate, _ = _log_count_prob(coins, m)
         assert math.exp(log_prob) == pytest.approx(prob / 8.0, rel=1e-14)
         assert certificate <= 2.0**-60
     assert_windowed_matches_full(coins, range(4))
@@ -560,11 +560,11 @@ def test_banded_probability_matches_dense_dp(N, c, R):
     w = bernoulli_weights(p)
     F = _poisson_binomial_dp(w.log_a, w.log_one_minus_a)
     for m in range(N + 1):
-        log_prob, certificate, _ = _log_count_prob(w, m, _tilt(w, m))
+        log_prob, certificate, _ = _log_count_prob(w, m)
         assert abs(log_prob - F[N, m]) <= 1e-11 * max(1.0, abs(F[N, m]))
         assert 0.0 <= certificate <= 2.0**-60
     assert_windowed_matches_full(w, range(N + 1))
-    assert _log_count_prob(w, p.N_c, _tilt(w, p.N_c))[0] == overcrowding_probability_exact(p)
+    assert _log_count_prob(w, p.N_c)[0] == overcrowding_probability_exact(p)
 
 
 @pytest.mark.parametrize("N, c, R", [(300, 0.5, 0.75), (4000, 0.515, 0.7), (1500, 0.95, 0.3)])
@@ -572,10 +572,9 @@ def test_doubled_dft_size_agrees(N, c, R):
     # the aliasing that L leaves is below what doubling it can show
     p = EnsembleParams(N=N, c=c, R=R)
     w = bernoulli_weights(p)
-    tilt = _tilt(w, p.N_c)
-    log_prob, _, L = _log_count_prob(w, p.N_c, tilt)
+    log_prob, _, L = _log_count_prob(w, p.N_c)
     assert L < N
-    assert mixed_err(_log_count_prob(w, p.N_c, tilt, size=2 * L)[0], log_prob) <= 1e-13
+    assert mixed_err(_log_count_prob(w, p.N_c, size=2 * L)[0], log_prob) <= 1e-13
 
 
 def test_exact_probability_at_scale_stays_small():
@@ -590,7 +589,7 @@ def test_exact_probability_at_scale_stays_small():
     assert math.isfinite(exact) and exact < 0.0
     assert peak < 64 * 2**20
     w = bernoulli_weights(p)
-    assert _log_count_prob(w, p.N_c, _tilt(w, p.N_c))[1] <= 2.0**-60
+    assert _log_count_prob(w, p.N_c)[1] <= 2.0**-60
 
 
 def test_windowed_count_law_at_a_million():
@@ -616,7 +615,7 @@ def test_count_law_memory_at_a_million():
     w = bernoulli_weights(p)
     tracemalloc.start()
     try:
-        log_prob, certificate, _ = _log_count_prob(w, p.N_c, _tilt(w, p.N_c))
+        log_prob, certificate, _ = _log_count_prob(w, p.N_c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -641,7 +640,7 @@ def test_edge_triples_raise_no_warnings(N, c, R):
     w = bernoulli_weights(p)
     assert np.all(np.isfinite(w.log_a)) and np.all(np.isfinite(w.log_one_minus_a))
     for m in {0, p.N_c, N}:
-        log_prob, certificate, _ = _log_count_prob(w, m, _tilt(w, m))
+        log_prob, certificate, _ = _log_count_prob(w, m)
         assert math.isfinite(log_prob) and certificate <= 2.0**-60
     assert_windowed_matches_full(w, range(N + 1))
     assert math.isfinite(log_hole_factor_rescaled(p))

@@ -184,26 +184,27 @@ def test_sample_radii_outer_modes_and_determinism():
     params = EnsembleParams(N=12, c=0.7, R=0.6)
     J = top_block(params)
     rs = RandomStream(seed=5150)
-    single = sample_radii_outer(params, J, rs)
-    assert isinstance(single, list) and len(single) == J.size
-    assert all(r > params.R for r in single)
-    assert single == sample_radii_outer(params, J, rs)
+    single = sample_radii_outer(params, J, rs.generator())
+    assert single.shape == (1, J.size)
+    assert (single > params.R).all()
+    assert np.array_equal(single, sample_radii_outer(params, J, rs.generator()))
 
-    batch = sample_radii_outer(params, J, rs, size=64)
+    batch = sample_radii_outer(params, J, rs.generator(), size=64)
     assert batch.shape == (64, J.size)
     assert (batch > params.R).all()
-    assert np.array_equal(batch, sample_radii_outer(params, J, rs, size=64))
+    assert np.array_equal(batch, sample_radii_outer(params, J, rs.generator(), size=64))
 
 
 def test_sample_radii_outer_validation():
     params = EnsembleParams(N=12, c=0.7, R=0.6)
     J = top_block(params)
     with pytest.raises(ValueError):
-        sample_radii_outer(params, J, RandomStream(seed=1), size=0)
-    with pytest.raises(TypeError):
-        sample_radii_outer(params, J, rng=42)
+        sample_radii_outer(params, J, RandomStream(seed=1).generator(), size=0)
+    for not_a_generator in (42, RandomStream(seed=1)):
+        with pytest.raises(TypeError, match="expected a numpy Generator"):
+            sample_radii_outer(params, J, not_a_generator)
     with pytest.raises(ConstraintViolation):
-        sample_radii_outer(params, IndexSet(members=(1, 2), N=13), RandomStream(seed=1))
+        sample_radii_outer(params, IndexSet(members=(1, 2), N=13), RandomStream(seed=1).generator())
 
 
 def test_sample_radii_outer_empirical_cdf():
@@ -211,7 +212,7 @@ def test_sample_radii_outer_empirical_cdf():
     # stays under 0.02 on 1e4 draws.
     params = EnsembleParams(N=30, c=0.5, R=0.8)
     J = IndexSet(members=(16, 29), N=30)
-    batch = sample_radii_outer(params, J, RandomStream(seed=31415), size=10_000)
+    batch = sample_radii_outer(params, J, RandomStream(seed=31415).generator(), size=10_000)
     for col, k in enumerate(J.members):
         t = batch[:, col] ** 2
 
@@ -227,7 +228,7 @@ def test_sample_radii_outer_mean_at_large_k():
     # below N R^2 is ~1e-78), so E[r^2] is the plain Gamma(k+1, 1/N) mean.
     params = EnsembleParams(N=100, c=0.99, R=0.2)
     J = IndexSet(members=(99,), N=100)
-    batch = sample_radii_outer(params, J, RandomStream(seed=2718), size=100_000)
+    batch = sample_radii_outer(params, J, RandomStream(seed=2718).generator(), size=100_000)
     mean = float(np.mean(batch[:, 0] ** 2))
     want = 100.0 / params.N
     se = math.sqrt(100.0) / params.N / math.sqrt(batch.shape[0])
@@ -380,7 +381,7 @@ def test_sequential_rank_one_matches_radial_law_and_uniform_angle():
         (z,) = cfg.points
         moduli[i] = abs(z)
         angles[i] = math.atan2(z.imag, z.real)
-    direct = sample_radii_outer(params, J, RandomStream(seed=515151), size=4000)[:, 0]
+    direct = sample_radii_outer(params, J, RandomStream(seed=515151).generator(), size=4000)[:, 0]
     ks = stats.ks_2samp(moduli, direct)
     assert ks.pvalue > 1e-3
     counts, _ = np.histogram(angles, bins=12, range=(-math.pi, math.pi))
@@ -396,7 +397,7 @@ def test_sequential_pooled_moduli_match_radial_sampler():
     for i in range(n_cfg):
         cfg = sample_sequential(params, J, "outer_J", RandomStream(seed=606060, stream_id=i))
         pooled.extend(abs(z) for z in cfg.points)
-    direct = sample_radii_outer(params, J, RandomStream(seed=707070), size=n_cfg)
+    direct = sample_radii_outer(params, J, RandomStream(seed=707070).generator(), size=n_cfg)
     ks = stats.ks_2samp(np.array(pooled), direct.ravel())
     assert ks.statistic < 0.02
 
@@ -502,7 +503,7 @@ def test_pool_refills_inside_a_step_keep_the_law(monkeypatch):
     for i in range(n_cfg):
         cfg = sample_sequential(params, J, "outer_J", RandomStream(seed=616161, stream_id=i))
         pooled.extend(abs(z) for z in cfg.points)
-    direct = sample_radii_outer(params, J, RandomStream(seed=717171), size=n_cfg)
+    direct = sample_radii_outer(params, J, RandomStream(seed=717171).generator(), size=n_cfg)
     ks = stats.ks_2samp(np.array(pooled), direct.ravel())
     assert ks.statistic < 0.02
 
@@ -678,7 +679,7 @@ def test_index_set_of_another_size_refused_with_one_message():
         lambda: log_ratio_approx(J, params),
         lambda: KernelSpec("outer_J", params, J),
         lambda: PointConfiguration(points=(), params=params, index_set=J, region="outer", seed=0, sampler="radial"),
-        lambda: sample_radii_outer(params, J, RandomStream(seed=3)),
+        lambda: sample_radii_outer(params, J, RandomStream(seed=3).generator()),
         lambda: sample_sequential(params, J, "outer_J", RandomStream(seed=3)),
     ]
     for refuse in refusals:
@@ -693,7 +694,7 @@ def test_span_cap_refuses_before_any_draw(monkeypatch):
     monkeypatch.setattr(sampler, "sample_conditioned_indexset", None)  # a draw would fail on this
     monkeypatch.setattr(sampler, "_sample_projection", None)
     for basis, m in (("outer_J", 14_000), ("inner_J_complement", 6_000)):
-        with pytest.raises(ValueError, match=rf"rank m = {m} would hold m\^2 = {m * m} entries, over the cap of 4194304"):
+        with pytest.raises(ValueError, match=rf"span entries m\^2 at rank m = {m}: {m * m}, over the cap of 4194304$"):
             sample_sequential(params, J, basis, RandomStream(seed=3))
     with pytest.raises(ValueError, match="rank m = 14000"):
         sample_conditioned_ensemble(params, RandomStream(seed=3))
