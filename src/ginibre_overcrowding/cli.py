@@ -31,15 +31,17 @@ before any work, also by ``kernel --kind limit_hard_wall``, which does not
 use it.
 
 Exit codes: 2 for invalid parameters, malformed or non-finite grids, bad
-flags and any request past a size cap; 3 when a sampler exhausts its
-proposal budget.  Nothing is written when a command exits 2 or 3.  The
-five caps are the kernel values a grid writes (2^22), N for ``--oracle``
-(16), the N + T entries of a Poisson tail table (10 * 2^20), a finite-N
-kernel's feature-row entries (2^23) and a draw's m^2 span entries (2^22).
-Each refuses through ``mixture.refuse_past``, one stderr line naming what
-it counts, the size and the cap, before its command builds anything the
-cap counts: ``prob --oracle`` checks N before any probability, and a
-kernel of a J kind admits the tail table before it builds the top block.
+flags, an ``--out`` in a directory that does not exist, and any request
+past a size cap; 3 when a sampler exhausts its proposal budget.  Nothing
+is written when a command exits 2 or 3.  The five caps are the kernel
+values a grid writes (2^22), N for ``--oracle`` (16), the N + T entries of
+a Poisson tail table (10 * 2^20), a finite-N kernel's feature-row entries
+(2^23) and a draw's m^2 span entries (2^22).  Each refuses through
+``mixture.refuse_past``, one stderr line naming what it counts, the size
+and the cap, before its command builds anything the cap counts: ``prob
+--oracle`` checks N before any probability, a kernel of a J kind admits the
+tail table before it builds the top block, and ``kernel --compare`` admits
+both kernels' feature rows before either evaluates.
 Randomized commands have no implicit seed; reproducibility is part
 of the contract.
 """
@@ -49,13 +51,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .kernels import KERNEL_KINDS, KernelSpec, evaluate_diagonal, evaluate_grid
+from .kernels import KERNEL_KINDS, KernelSpec, _admit_rows, evaluate_diagonal, evaluate_grid
 from .mixture import (
     EnsembleParams,
     IndexSet,
@@ -371,7 +374,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         with _output(args.out) as handle:
             _write_table(handle, args.format, head, _GRID_COLUMNS, _grid_blocks(grid, values, args.format))
         return 0
-    specs = [_make_spec(kind, params, args.x_scaled) for kind in args.compare]  # both refuse before either evaluates
+    specs = [_make_spec(kind, params, args.x_scaled) for kind in args.compare]
+    for spec in specs:  # both admit their feature rows before either evaluates
+        _admit_rows(spec, grid.size)
     a, b = (evaluate_diagonal(spec, grid) for spec in specs)
     # |a - b| by hypot, as abs of a Python complex takes it; numpy's complex abs can differ in the last bit
     diff = np.hypot(a.real - b.real, a.imag - b.imag)
@@ -460,6 +465,10 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        # the directory that would hold --out (a sample prefix's files) must exist before any work
+        out = getattr(args, "out", None)
+        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"--out {out!r}: no directory {os.path.dirname(out)!r} to write into")
         return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

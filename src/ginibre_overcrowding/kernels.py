@@ -147,6 +147,13 @@ def feature_rows(
     return rows, shift
 
 
+def _admit_rows(spec: "KernelSpec", points: int) -> None:
+    """Refuse the feature rows of a finite-N kind at ``points`` points past ``_MAX_ROW_ENTRIES`` points x rank."""
+    if spec.kind != "limit_hard_wall":
+        rank = spec.rank()
+        refuse_past(_MAX_ROW_ENTRIES, points * rank, f"feature-row entries of {points} points x rank {rank}")
+
+
 def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feature rows of a finite-N kind at pts: (rows, shift, on), rows for pts[on] only.
 
@@ -154,8 +161,7 @@ def _projection_rows(spec: "KernelSpec", pts: np.ndarray) -> tuple[np.ndarray, n
     The edge kind's coordinate map and per-row factors are applied here.
     Past ``_MAX_ROW_ENTRIES`` points x rank it refuses before any row is built.
     """
-    rank = spec.rank()
-    refuse_past(_MAX_ROW_ENTRIES, pts.size * rank, f"feature-row entries of {pts.size} points x rank {rank}")
+    _admit_rows(spec, pts.size)
     params, R = spec.params, spec.params.R
     scale = np.ones(pts.size, dtype=complex)
     kind = spec.kind

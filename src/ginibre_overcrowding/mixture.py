@@ -51,19 +51,18 @@ So P_theta(#J = m) is an L-point DFT of the tilted generating function,
 (1/L) sum_j e^(-i w_j m) prod_k (1 - p_k + p_k e^(i w_j)), with L the
 smallest power of two whose aliasing bound is below 2^-60 of that floor;
 L is a few dozen.  A factor with p_k > 1/2 is written
-e^(i w) (1 + q_k (e^(-i w) - 1)) with q_k = 1 - p_k from the log odds, and
-factors with min(p_k, 1 - p_k) < 2^-40 enter at first order, their error
-added to the certificate.  Both stages work on a live window only.  The
-tilted log odds s_k = log a_k - log(1 - a_k) + theta never decrease in k, so
-the factors with |s_k| <= 40 form one slice, found by ``searchsorted``.
-Newton steps in theta run over that slice, taken 12 wider so that theta may
-move as far before it is taken again: 68 to 1,019 entries, 41 to 725 of them
-live, over 600 triples at N = 200 to 4000, and 570 entries, 304 live, at
-N = 10^6 and 4·10^6 (c = 0.7, R = 0.6).  Every factor outside it has
-min(p, 1 - p) below e^-40 and enters at first order, as e^(s_k) below the
-slice and e^(-s_k) above it: once in the mean, the variance and K, and in
-the DFT with the folded factors, its squared first-order term counted twice
-in the certificate (once for the fold, once for writing min(p, 1 - p) as
+e^(i w) (1 + q_k (e^(-i w) - 1)) with q_k = 1 - p_k from the log odds.  One
+rule says which factors are exact: one with min(p_k, 1 - p_k) < 2^-40, so
+with tilted log odds |s_k| = |log a_k - log(1 - a_k) + theta| above
+``_FOLD_LOG_ODDS`` (about 27.7), enters at first order everywhere, as e^(s_k)
+or e^(-s_k), in the mean, the variance, K and the DFT; every other factor
+enters exactly.  The s_k never decrease in k, so the exact factors form one
+window, found by ``searchsorted`` at each Newton step's theta: 41 to 737 of
+up to 4,000 factors over 600 triples at N = 200 to 4000, and 304 at N = 10^6
+and 4·10^6 (c = 0.7, R = 0.6).  A first-order factor's term of K,
+e^(-|s|) in place of log1p(e^(-|s|)), is off by less than r^2 / 2 < 2^-81
+with r = min(p, 1 - p); in the DFT its squared first-order term is counted
+twice in the certificate (once for the first order, once for writing r as
 e^(-|s|)).  So no stage holds more than the one array of N log odds.  The
 same tilt draws J given #J = m exactly by rejection, its p_k over all N
 formed only there.
@@ -206,14 +205,10 @@ def log_factorials(n: int) -> np.ndarray:
 _MAX_TAIL_ENTRIES = 10 << 20
 # the DFT for P(#J = m) may alias at most 2^-60 of the floor of its tilted value
 _ALIASED = 2.0**-60
-# factors with min(p, 1 - p) below this enter that DFT at first order
+# factors with min(p, 1 - p) below this enter the tilt and its DFT at first order
 _FOLD = 2.0**-40
 # |log odds| at which min(p, 1 - p) = 1 / (1 + e^|s|) falls to ``_FOLD``
 _FOLD_LOG_ODDS = math.log(1.0 / _FOLD - 1.0)
-# factors with |tilted log odds| above this enter the tilt and that DFT at first order
-_LIVE = 40.0
-# the tilt's window reaches this far past ``_LIVE``, so theta may move as far before it is taken again
-_SLACK = 12.0
 # e^-x is below 2^-1075, so rounds to 0, past this x
 _UNDERFLOW = 1075.0 * math.log(2.0)
 # factors per block of the DFT product
@@ -361,11 +356,11 @@ class CountTilt:
     K = log E exp(theta (#J - m)); ``var`` is the tilted variance of #J and
     ``excess`` its tilted mean less m.  Only the window k in [lo, lo + len(s))
     is held, as the tilted log odds s_k = log a_k - log(1 - a_k) + theta: it
-    holds every factor with |s_k| <= ``_LIVE``.  The factors below it have
-    min(p_k, 1 - p_k) = e^(s_k) and those above it e^(-s_k), to first order;
-    ``far`` holds the sums of those two and ``far_squares`` the sum of their
-    squares.  No p_k is held: ``_tilted_draws`` forms them over all N on demand,
-    for rejective draws only.
+    holds exactly the factors with |s_k| <= ``_FOLD_LOG_ODDS``, the ones taken
+    exactly.  The factors below it have min(p_k, 1 - p_k) = e^(s_k) and those
+    above it e^(-s_k), to first order; ``far`` holds the sums of those two and
+    ``far_squares`` the sum of their squares.  No p_k is held: ``_tilted_draws``
+    forms them over all N on demand, for rejective draws only.
     """
 
     theta: float
@@ -394,30 +389,25 @@ def _window(log_odds: np.ndarray, theta: float, reach: float) -> tuple[int, int]
 def _tilt(w: BernoulliWeights, m: int) -> "CountTilt | None":
     """The tilt of the field to mean m by safeguarded Newton in theta; None at m = 0 or N.
 
-    Each Newton step works on the window of factors with |s_k| <= ``_LIVE`` + ``_SLACK``
-    at the theta it was taken for, and the window is taken again once theta moves more
-    than ``_SLACK`` from there; the factors outside it add at most N e^-40 to the mean,
-    and enter once theta has converged.  K is summed term by term, the top block's m
-    terms shifted by -theta, so each term is near 0 where the weights put the mass and
-    nothing cancels: a term outside the window is log(1 - a_k) + e^(s_k) below it and
-    log a_k + e^(-s_k) above it, each shifted by theta where the top block's edge falls
-    outside the window.
+    Each Newton step works on the window of factors with |s_k| <= ``_FOLD_LOG_ODDS`` at
+    its own theta, an O(log N) search; the factors outside it add at most N ``_FOLD`` to
+    the mean, and enter at first order once theta has converged.  K is summed term by
+    term, the top block's m terms shifted by -theta, so each term is near 0 where the
+    weights put the mass and nothing cancels: a term outside the window is
+    log(1 - a_k) + e^(s_k) below it and log a_k + e^(-s_k) above it, each shifted by
+    theta where the top block's edge falls outside the window.
     """
     log_odds = w.log_a - w.log_one_minus_a
     N = len(log_odds)
     if m in (0, N):
         return None
-    # every p_k is below e^-40 at the lower end and above 1 - e^-40 at the upper one
-    lower, upper = -float(log_odds[-1]) - 40.0, -float(log_odds[0]) + 40.0
+    # every p_k is below _FOLD at the lower end and above 1 - _FOLD at the upper one
+    lower, upper = -float(log_odds[-1]) - _FOLD_LOG_ODDS, -float(log_odds[0]) + _FOLD_LOG_ODDS
     # start with the top block half in, half out
     theta = -0.5 * float(log_odds[N - m - 1] + log_odds[N - m])
-    centre = math.inf
     for _ in range(200):
-        if abs(theta - centre) > _SLACK:
-            centre = theta
-            lo, hi = _window(log_odds, centre, _LIVE + _SLACK)
+        lo, hi = _window(log_odds, theta, _FOLD_LOG_ODDS)
         s = log_odds[lo:hi] + theta
-        # |s| <= _LIVE + 2 _SLACK in the window, so e^s stays finite
         odds = np.exp(s)
         norm = 1.0 + odds
         p = odds / norm
@@ -507,9 +497,8 @@ def _log_count_prob(w: BernoulliWeights, m: int, size: "int | None" = None) -> t
     of the floor of P_theta(#J = m), unless ``size`` gives it.  The
     certificate bounds the relative error of P_theta(#J = m) left by
     aliasing and by the factors taken at first order.
-    Only the tilt's window is read, in four slices: the factors with p <= 1/2
-    below ``_FOLD`` and at or above it, then those with p > 1/2 at or above it
-    and below it (r = min(p, 1 - p) rises in s up to 0 and falls past it).
+    Only the tilt's window is read, split once at s = 0: the factors with
+    p <= 1/2 enter as 1 + r e1, those with p > 1/2 as a phase times the conjugate.
     """
     N = len(w.log_a)
     tilt = _tilt(w, m)
@@ -530,23 +519,18 @@ def _log_count_prob(w: BernoulliWeights, m: int, size: "int | None" = None) -> t
         while aliased(size) > _ALIASED * floor:
             size *= 2
     s = tilt.s
-    # r = min(p, 1 - p); |s| <= _LIVE + 2 _SLACK in the window, so e^|s| stays finite
+    # r = min(p, 1 - p), rising in s up to 0 and falling past it; |s| <= _FOLD_LOG_ODDS in the window
     r = 1.0 / (1.0 + np.exp(np.abs(s)))
-    low_live, high, high_tiny = s.searchsorted((-_FOLD_LOG_ODDS, 0.0, _FOLD_LOG_ODDS), side="right").tolist()
-    tiny_low, tiny_high = r[:low_live], r[high_tiny:]
+    high = int(s.searchsorted(0.0, side="right"))
     j, e1, weights = _frequencies(size)
     # factors with p > 1/2 are e^(i omega) (1 + q e1)^*; the phase is taken mod L exactly
     shift = (N - tilt.lo - high - m) % size
-    phi = np.exp(
-        2j * math.pi * (j * shift % size) / size
-        + e1 * (float(tiny_low.sum()) + tilt.far[0])
-        + e1.conj() * (float(tiny_high.sum()) + tilt.far[1])
-    )
-    phi *= _char_product(r[low_live:high_tiny], high - low_live, e1)
+    phi = np.exp(2j * math.pi * (j * shift % size) / size + e1 * tilt.far[0] + e1.conj() * tilt.far[1])
+    phi *= _char_product(r, high, e1)
     p_m = float(weights @ phi.real) / size
     # |log(1 + x) - x| <= |x|^2 / (2 (1 - |x|)) with |x| <= 2 r; a far factor's first-order
     # r = e^(-|s|) is off by at most r^2, so its r^2 is counted twice
-    folded = float(tiny_low @ tiny_low + tiny_high @ tiny_high) + 2.0 * tilt.far_squares
+    folded = 2.0 * tilt.far_squares
     fold = math.expm1(2.0 * folded / (1.0 - 2.0 * _FOLD))
     return tilt.log_k + math.log(p_m), (aliased(size) + fold) / p_m, size
 

@@ -56,9 +56,9 @@ keyed by (seed, stream_id).  Two streams with different ids are
 independent for all practical purposes, and the same (seed, stream_id)
 replays bit-identically on any platform, which the serialization tests
 and the validation suite rely on.  Configuration-producing samplers
-require a ``RandomStream`` (the recorded seed documents provenance);
-``sample_radii_outer`` takes a ``numpy.random.Generator``, such as
-``RandomStream.generator()``.
+require a ``RandomStream`` and record its seed and stream id, so each
+file replays from its own header; ``sample_radii_outer`` takes a
+``numpy.random.Generator``, such as ``RandomStream.generator()``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ _MAX_SPAN_ENTRIES = 1 << 22
 _MIN_DIRECTION_NORM = 1e-10
 
 _REGIONS = ("outer", "inner", "full")
-_SAMPLERS = ("radial", "sequential")
 _SCHEMA = "point-configuration/1"
 _UINT64_SPAN = 1 << 64
 
@@ -151,23 +150,20 @@ class PointConfiguration:
 
     The region tag states which support the points live on: ``outer``
     (all |z| > R), ``inner`` (all |z| < R) or ``full`` (exactly N points
-    of which exactly N_c lie outside radius R).  Configurations from the
-    radial sampler carry moduli as points on the positive real axis.
+    of which exactly N_c lie outside radius R).  ``stream`` is the
+    ``RandomStream`` the points were drawn from.
     """
 
     points: tuple[complex, ...]
     params: EnsembleParams
     index_set: IndexSet
     region: str
-    seed: int
-    sampler: str
+    stream: RandomStream
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(complex(z) for z in self.points))
         if self.region not in _REGIONS:
             raise ValueError(f"region must be one of {_REGIONS}, got {self.region!r}")
-        if self.sampler not in _SAMPLERS:
-            raise ValueError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
         _check_index_set(self.params, self.index_set)
         R = self.params.R
         if self.region == "outer" and any(abs(z) <= R for z in self.points):
@@ -202,8 +198,9 @@ class PointConfiguration:
             "params": asdict(self.params),
             "index_set": list(self.index_set.members),
             "region": self.region,
-            "seed": self.seed,
-            "sampler": self.sampler,
+            "seed": self.stream.seed,
+            "stream_id": self.stream.stream_id,
+            "sampler": "sequential",
         }
 
     def to_json(self) -> str:
@@ -255,8 +252,7 @@ def _header_fields(header: dict) -> dict:
         "params": params,
         "index_set": IndexSet(members=tuple(header["index_set"]), N=params.N),
         "region": header["region"],
-        "seed": header["seed"],
-        "sampler": header["sampler"],
+        "stream": RandomStream(seed=header["seed"], stream_id=header["stream_id"]),
     }
 
 
@@ -429,8 +425,7 @@ def sample_sequential(
         params=params,
         index_set=J,
         region="outer" if basis == "outer_J" else "inner",
-        seed=stream.seed,
-        sampler="sequential",
+        stream=stream,
     )
 
 
@@ -452,6 +447,5 @@ def sample_conditioned_ensemble(params: EnsembleParams, rng: RandomStream) -> Po
         params=params,
         index_set=J,
         region="full",
-        seed=stream.seed,
-        sampler="sequential",
+        stream=stream,
     )

@@ -23,11 +23,16 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 import ginibre_overcrowding
-from ginibre_overcrowding import cli, mixture, sampler, validation
+from ginibre_overcrowding import cli, kernels, mixture, sampler, validation
 from ginibre_overcrowding.cli import main, read_radial_csv
 from ginibre_overcrowding.kernels import KernelSpec, evaluate_diagonal, evaluate_grid
 from ginibre_overcrowding.mixture import EnsembleParams, sample_conditioned_indexset
-from ginibre_overcrowding.sampler import PointConfiguration, RandomStream, sample_radii_outer
+from ginibre_overcrowding.sampler import (
+    PointConfiguration,
+    RandomStream,
+    sample_conditioned_ensemble,
+    sample_radii_outer,
+)
 
 
 def run(capsys, *argv):
@@ -273,6 +278,24 @@ def test_sample_radial_only_replays_sampler(capsys, tmp_path):
     assert {k: v for k, v in payload.items() if k != "radii"} == meta
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_replica_replays_from_its_own_header(capsys, tmp_path, fmt):
+    # replica 1 records the stream it was drawn from, so its header alone redraws its bytes
+    argv = ["sample", "-N", "30", "-c", "0.7", "-R", "0.6", "--seed", "9", "--replicas", "2", "--format", fmt]
+    assert run(capsys, *argv, "--out", str(tmp_path / "draw"))[0] == 0
+    path = tmp_path / f"draw-0001.{fmt}"
+    header = json.loads((tmp_path / "draw-0001.csv.meta.json" if fmt == "csv" else path).read_text())
+    assert (header["seed"], header["stream_id"], header["sampler"]) == (9, 1, "sequential")
+    stream = RandomStream(seed=header["seed"], stream_id=header["stream_id"])
+    again = sample_conditioned_ensemble(EnsembleParams(**header["params"]), stream)
+    if fmt == "csv":
+        again.write_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+        assert (tmp_path / "again.csv.meta.json").read_bytes() == (tmp_path / "draw-0001.csv.meta.json").read_bytes()
+    else:
+        assert again.to_json() + "\n" == path.read_text()
+
+
 def test_command_cache_traffic(capsys, tmp_path):
     # the caches kept are the ones a command hits: the replicas of one `sample` share one
     # tilted table, and one `prob` op builds its weights once and reads them again
@@ -290,9 +313,9 @@ def test_command_cache_traffic(capsys, tmp_path):
 # (format, radial-only).  A change that alters replay bytes must update these
 # digests and name the change in CHANGES.md.
 REPLAY_DIGESTS = {
-    ("csv", False): "169e065659b514079b05e8f063f1f9360c73809b17f533d140a6d9543ba9c591",
+    ("csv", False): "bf67c9b61561bb5dbfc590de9112850321af0d3c78327f93cde2ff61c857a133",
     ("csv", True): "8094e4c1a0865b1ada1e607f45650864cf812aa2ad3b71788360651c829eaa8f",
-    ("json", False): "385273f71231e15230c4ac2d8c308fcf91a23a0468585679a980b21af6ed7d38",
+    ("json", False): "a28908d58cbcdd9bb582e6282ca3083cf43f5b0903d307843a84963ae7919aca",
     ("json", True): "7e3d540004f89a024356d6d9e1b17dcc919c0ed029cc000b145e81f914a47988",
 }
 
@@ -462,6 +485,30 @@ def test_kernel_oversize_feature_rows_refused_before_any_row(capsys):
     assert peak < 1 << 20
 
 
+def test_kernel_compare_admits_both_kernels_before_evaluating_either(capsys, monkeypatch):
+    # the finite-N side is past the row cap, so the limit kernel, listed first, must not run over the grid
+    calls = []
+
+    def counted(z, w):
+        calls.append(np.size(z))
+        return limit(z, w)
+
+    limit = kernels.eval_limit
+    monkeypatch.setattr(kernels, "eval_limit", counted)
+    code, out, err = run(
+        capsys, "kernel", "--compare", "limit_hard_wall", "ginibre_N", "-N", "200000", "-c", "0.7", "-R", "0.8",
+        "--grid", "0.05:3:2048,-2:2:2048",
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: feature-row entries of 4194304 points x rank 200000: 838860800000, over the cap of 8388608\n"
+    # the same order within the cap evaluates the limit kernel once over the grid
+    code, _, _ = run(
+        capsys, "kernel", "--compare", "limit_hard_wall", "ginibre_N", "-N", "20", "-c", "0.7", "-R", "0.8",
+        "--grid", "0.05:3:3,-2:2:3",
+    )
+    assert (code, calls) == (0, [9])
+
+
 def test_kernel_grid_cap_counts_written_values(capsys):
     # 2049 points: a product table writes 2049^2 > 2^22 values, a compare 2049
     code, out, err = run(capsys, "kernel", "--kind", "limit_hard_wall", "--grid", "0.2:1:2049,0:0:1")
@@ -571,6 +618,15 @@ CONTRACT_CALLS = [
     (["kernel", "--kind", "ginibre_N", "-N", "200000", "-c", "0.7", "-R", "0.8", "--grid=-0.5:0.5:9,-0.5:0.5:9"],
      (16_200_000, 8_388_608)),
     (["sample", "-N", "20000", "-c", "0.7", "-R", "0.8", "--seed", "1"], (196_000_000, 4_194_304)),
+    # both kernels' feature rows are admitted before the limit kernel runs over 2048 x 2048 points
+    (["kernel", "--compare", "limit_hard_wall", "ginibre_N", "-N", "200000", "-c", "0.7", "-R", "0.8",
+      "--grid", "0.05:3:2048,-2:2:2048"], (838_860_800_000, 8_388_608)),
+    # an --out in a directory that does not exist, refused before any work (run from an empty directory)
+    (["prob", "-N", "100", "-c", "0.9", "-R", "0.7", "--out", "missing/x"], "no directory 'missing' to write into"),
+    (["kernel", "--kind", "outer_J", "-N", "40", "-c", "0.9", "-R", "0.7", "--grid", "0.2:1:3,0:0.5:2",
+      "--out", "missing/x"], "no directory 'missing' to write into"),
+    (["sample", "-N", "12", "-c", "0.7", "-R", "0.6", "--seed", "3", "--replicas", "2", "--out", "missing/x"],
+     "no directory 'missing' to write into"),
     # counts whose enumerated sum underflows to 0, answered without a warning
     (["prob", "-N", "13", "-c", "1.0", "-R", "0.00021838721950315725", "--oracle"], None),
     (["prob", "-N", "100", "-c", "0.9", "-R", "0.7", "--format", "csv"], None),
@@ -587,15 +643,17 @@ def limit_address_space():
 
 
 def test_exit_status_contract_in_subprocesses(tmp_path):
-    # each call in a fresh interpreter with warnings as errors and 1.5 GB of address space: an answer
-    # writes its output, a refusal exits 2 with one error line naming its size and cap, and writes nothing
+    # each call in a fresh interpreter with warnings as errors and 1.5 GB of address space, from an empty
+    # directory: an answer writes its output, a refusal exits 2 with one error line naming its size and cap
+    # (or the missing directory of its --out), and writes nothing
     env = {**source_tree_env(), "OPENBLAS_NUM_THREADS": "1"}  # BLAS thread buffers stay out of the limit
     for i, (argv, refusal) in enumerate(CONTRACT_CALLS):
         out = tmp_path / str(i)
         out.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "ginibre_overcrowding.cli", *argv, "--out", str(out / "out")],
-            capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
+            [sys.executable, "-W", "error", "-m", "ginibre_overcrowding.cli", *argv,
+             *([] if "--out" in argv else ["--out", str(out / "out")])],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space, cwd=out,
         )
         assert "Traceback" not in proc.stderr, argv
         if refusal is None:
@@ -606,8 +664,9 @@ def test_exit_status_contract_in_subprocesses(tmp_path):
         assert proc.stdout == "" and list(out.iterdir()) == [], argv
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), argv
-        size, cap = refusal
-        assert lines[0].endswith(f": {size}, over the cap of {cap}"), argv
+        if isinstance(refusal, tuple):
+            refusal = ": {}, over the cap of {}".format(*refusal)
+        assert lines[0].endswith(refusal), argv
 
 
 def test_validate_quick_passes(capsys):

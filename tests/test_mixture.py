@@ -44,6 +44,7 @@ from ginibre_overcrowding.mixture import (
 from ginibre_overcrowding.mixture import (
     _ALIASED,
     _FOLD,
+    _FOLD_LOG_ODDS,
     _CHUNK,
     _bennett,
     _log_count_prob,
@@ -598,15 +599,39 @@ def test_windowed_count_law_at_a_million():
     w = bernoulli_weights(p)
     tilt = _tilt(w, p.N_c)
     assert tilt.s.size < 2_000
-    # every factor outside the window is within e^-40 of 0 or 1, and its first-order sums are min(p, 1 - p)'s
+    # every factor outside the window is within _FOLD of 0 or 1, and its first-order sums are min(p, 1 - p)'s;
+    # the squares are those of the first-order terms e^(-|s|), which the certificate counts twice for the
+    # up to 2 _FOLD by which they exceed the squares of min(p, 1 - p)
     s = w.log_a - w.log_one_minus_a + tilt.theta
     r = np.exp(-np.logaddexp(0.0, np.abs(s)))
+    first = np.exp(-np.abs(s))
+    outside = np.r_[: tilt.lo, tilt.lo + tilt.s.size : p.N]
     below, above = r[: tilt.lo], r[tilt.lo + tilt.s.size :]
-    assert np.all(s[: tilt.lo] < -40.0) and np.all(s[tilt.lo + tilt.s.size :] > 40.0)
+    assert np.all(s[: tilt.lo] < -_FOLD_LOG_ODDS) and np.all(s[tilt.lo + tilt.s.size :] > _FOLD_LOG_ODDS)
     assert 0.0 < tilt.far[0] == pytest.approx(below.sum(), rel=1e-12, abs=0.0)
     assert 0.0 < tilt.far[1] == pytest.approx(above.sum(), rel=1e-12, abs=0.0)
-    assert tilt.far_squares == pytest.approx(below @ below + above @ above, rel=1e-12, abs=0.0)
+    assert tilt.far_squares == pytest.approx(first[outside] @ first[outside], rel=1e-12, abs=0.0)
     assert_windowed_matches_full(w, [1, 1_000, 300_000, 359_000, p.N_c, 999_000, 999_999])
+
+
+def test_window_is_the_first_order_rule_over_sweep_triples():
+    # at the returned theta the tilt's window holds exactly the factors with |s| <= _FOLD_LOG_ODDS, the
+    # ones every stage takes exactly, and the windowed count law matches the full-array oracle
+    rng = np.random.default_rng(33)
+    for i in range(200):
+        N = int(round(200 * 20 ** rng.uniform()))  # log-uniform in [200, 4000]
+        c = rng.uniform(0.2, 0.95)
+        # one triple in five near x = 1, the others with x in [1.1, 4], R^2 below 0.98
+        x_lo, x_hi = (1.005, 1.05) if i % 5 == 0 else (1.1, 4.0)
+        x = rng.uniform(x_lo, min(x_hi, 0.98 / (1.0 - c)))
+        p = EnsembleParams(N=N, c=c, R=math.sqrt(x * (1.0 - c)))
+        w = bernoulli_weights(p)
+        tilt = _tilt(w, p.N_c)
+        s = w.log_a - w.log_one_minus_a + tilt.theta
+        live = np.flatnonzero(np.abs(s) <= _FOLD_LOG_ODDS)
+        assert live.size == tilt.s.size and np.array_equal(live, tilt.lo + np.arange(tilt.s.size)), p
+        assert np.array_equal(tilt.s, s[live]), p
+        assert_windowed_matches_full(w, [p.N_c])
 
 
 def test_count_law_memory_at_a_million():

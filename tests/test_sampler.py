@@ -355,7 +355,7 @@ def test_sequential_counts_support_and_determinism():
     assert len(outer.points) == J.size
     assert all(abs(z) > params.R for z in outer.points)
     assert outer.points == sample_sequential(params, J, "outer_J", rs).points
-    assert (outer.region, outer.sampler, outer.seed) == ("outer", "sequential", 20240817)
+    assert (outer.region, outer.stream) == ("outer", rs)
 
     inner = sample_sequential(params, J, "inner_J_complement", rs)
     assert len(inner.points) == params.N - J.size
@@ -678,7 +678,7 @@ def test_index_set_of_another_size_refused_with_one_message():
         lambda: log_ratio_exact(J, params),
         lambda: log_ratio_approx(J, params),
         lambda: KernelSpec("outer_J", params, J),
-        lambda: PointConfiguration(points=(), params=params, index_set=J, region="outer", seed=0, sampler="radial"),
+        lambda: PointConfiguration(points=(), params=params, index_set=J, region="outer", stream=RandomStream(seed=0)),
         lambda: sample_radii_outer(params, J, RandomStream(seed=3).generator()),
         lambda: sample_sequential(params, J, "outer_J", RandomStream(seed=3)),
     ]
@@ -798,15 +798,13 @@ def test_point_configuration_validates_region_support():
     params = EnsembleParams(N=6, c=0.9, R=0.8)
     J = top_block(params)
     with pytest.raises(ConstraintViolation):
-        PointConfiguration((0.1 + 0.0j,), params, J, "outer", 0, "sequential")
+        PointConfiguration((0.1 + 0.0j,), params, J, "outer", RandomStream(seed=0))
     with pytest.raises(ConstraintViolation):
-        PointConfiguration((0.9 + 0.0j,), params, J, "inner", 0, "sequential")
+        PointConfiguration((0.9 + 0.0j,), params, J, "inner", RandomStream(seed=0))
     with pytest.raises(ConstraintViolation):
-        PointConfiguration((0.9 + 0.0j,), params, J, "full", 0, "sequential")
+        PointConfiguration((0.9 + 0.0j,), params, J, "full", RandomStream(seed=0))
     with pytest.raises(ValueError, match="region"):
-        PointConfiguration((), params, J, "annulus", 0, "sequential")
-    with pytest.raises(ValueError, match="sampler"):
-        PointConfiguration((), params, J, "outer", 0, "magic")
+        PointConfiguration((), params, J, "annulus", RandomStream(seed=0))
 
 
 def test_point_configuration_region_tags_split_full():
@@ -870,5 +868,5 @@ def test_csv_roundtrip_and_byte_determinism(tmp_path):
 def test_json_roundtrip_property(polar):
     params = EnsembleParams(N=9, c=0.7, R=0.6)
     points = tuple(complex(r * math.cos(a), r * math.sin(a)) for r, a in polar)
-    cfg = PointConfiguration(points, params, top_block(params), "outer", 7, "radial")
+    cfg = PointConfiguration(points, params, top_block(params), "outer", RandomStream(seed=7, stream_id=3))
     assert PointConfiguration.from_json(cfg.to_json()) == cfg
